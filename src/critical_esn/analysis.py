@@ -31,7 +31,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import ConvergenceTrace, InputSequence, generate_input
+from .contraction import _golden_max
+from .dynamics import ConvergenceTrace, InputSequence, _distance, _stepper, generate_input
 from .reservoir import Reservoir
 from .transfer import TransferFunction
 
@@ -126,51 +127,32 @@ def lyapunov_exponent(
 
 
 def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
-    n_blocks = T // L
-    T_used = n_blocks * L
-    stretches = []
-    if res.k == 1 and res.n == 1:
-        f = res.tf.scalar_fn()
-        w = float(res.W[0, 0])
-        win = float(res.w_in[0, 0])
-        uu = u[:, 0].tolist()
-        orb = None if orbit is None else orbit[:, 0].tolist()
-        P = 0 if orb is None else len(orb)
-        x = float(start[0])
-        y = x + eps0
-        for t in range(1, T_used + 1):
-            x = orb[t % P] if orb is not None else f(w * x + win * uu[t])
-            y = f(w * y + win * uu[t])
-            if t % L == 0:
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    return LyapunovResult(math.inf, t, L, "two_trajectory", math.nan)
-                d = abs(y - x)
-                if d <= _SEP_FLOOR:
-                    stretches.append(math.log(_SEP_FLOOR / eps0))
-                    y = x + eps0
-                else:
-                    stretches.append(math.log(d / eps0))
-                    y = x + (y - x) * (eps0 / d)
+    floats = res.k == res.n == 1
+    advance = _stepper(res, u, floats)
+    if floats:
+        x, e0 = float(start[0]), 1.0
+        orbit = None if orbit is None else orbit[:, 0].tolist()
     else:
-        tf, W, w_in = res.tf, res.W, res.w_in
-        e0 = np.zeros(res.k)
-        e0[0] = 1.0
-        x = start.copy()
-        y = x + eps0 * e0
-        P = 0 if orbit is None else orbit.shape[0]
-        for t in range(1, T_used + 1):
-            x = orbit[t % P].copy() if orbit is not None else tf(W @ x + w_in @ u[t])
-            y = tf(W @ y + w_in @ u[t])
-            if t % L == 0:
-                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                    return LyapunovResult(math.inf, t, L, "two_trajectory", math.nan)
-                d = float(np.linalg.norm(y - x))
-                if d <= _SEP_FLOOR:
-                    stretches.append(math.log(_SEP_FLOOR / eps0))
-                    y = x + eps0 * e0
-                else:
-                    stretches.append(math.log(d / eps0))
-                    y = x + (y - x) * (eps0 / d)
+        x, e0 = start, np.eye(res.k)[0]
+    y = x + eps0 * e0
+    T_used = T // L * L
+    stretches = []
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+        for t in range(L, T_used + 1, L):  # t: last step of the block
+            try:
+                x = advance(x, t - L + 1, t + 1) if orbit is None else orbit[t % len(orbit)]
+                y = advance(y, t - L + 1, t + 1)
+                d = _distance(y - x)
+            except ValueError:  # a non-finite state met the transfer function
+                d = math.inf
+            if not math.isfinite(d):
+                return LyapunovResult(math.inf, t, L, "two_trajectory", math.nan)
+            if d <= _SEP_FLOOR:
+                stretches.append(math.log(_SEP_FLOOR / eps0))
+                y = x + eps0 * e0
+            else:
+                stretches.append(math.log(d / eps0))
+                y = x + (y - x) * (eps0 / d)
     per_step = np.asarray(stretches) / L
     exponent = float(np.mean(per_step))
     stderr = float(np.std(per_step) / math.sqrt(len(per_step)))
@@ -178,21 +160,17 @@ def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
 
 
 def _jacobian_product(res, u, start, orbit, T, L) -> LyapunovResult:
-    f = res.tf.scalar_fn()
+    advance = _stepper(res, u, floats=True)
     df = res.tf.scalar_derivative()
     w = float(res.W[0, 0])
-    win = float(res.w_in[0, 0])
-    uu = u[:, 0].tolist()
-    orb = None if orbit is None else orbit[:, 0].tolist()
-    P = 0 if orb is None else len(orb)
-    x = float(start[0])
-    logs = np.empty(T)
-    for t in range(1, T + 1):
-        x_prev = x
-        x_lin = w * x_prev + win * uu[t]
-        x = orb[t % P] if orb is not None else f(x_lin)
-        j = abs(w * df(x_lin))
-        logs[t - 1] = math.log(max(j, _SEP_FLOOR))
+    xs = np.empty(T + 1)  # x_0..x_T
+    xs[0] = start[0]
+    if orbit is None:
+        advance(float(start[0]), 1, T + 1, out=xs[1:])
+    else:
+        xs[1:] = orbit[np.arange(1, T + 1) % len(orbit), 0]
+    x_lin = w * xs[:-1] + float(res.w_in[0, 0]) * u[1 : T + 1, 0]
+    logs = np.array([math.log(max(abs(w * df(v)), _SEP_FLOOR)) for v in x_lin.tolist()])
     exponent = float(np.mean(logs))
     stderr = float(np.std(logs) / math.sqrt(T))
     return LyapunovResult(exponent, T, L, "jacobian_product", stderr)
@@ -207,7 +185,6 @@ def lyapunov_sweep(
     eps0: float = 1e-9,
     orbit_factory: Optional[Callable[[float], np.ndarray]] = None,
     method: str = "two_trajectory",
-    threads: int = 1,
 ) -> list[SweepPoint]:
     """One exponent per grid point, same input realization everywhere.
 
@@ -235,11 +212,6 @@ def lyapunov_sweep(
         except Exception as exc:  # noqa: BLE001 - cell failures are data
             return SweepPoint(b=b, exponent=math.nan, result=None, error=str(exc))
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(cell, b_grid))
     return [cell(b) for b in b_grid]
 
 
@@ -356,7 +328,7 @@ def _orbit_residual(tf: TransferFunction, b: float, amplitude: float, x_hi: floa
         x_star = 0.5 * (lo + hi)
         h_star = float(tf(b * x_star - amplitude) - x_star)
     else:
-        x_star, h_star = _golden_max_scalar(lambda x: tf(b * x - amplitude) - x, lo, hi)
+        x_star, h_star = _golden_max(lambda x: tf(b * x - amplitude) - x, lo, hi)
     # x = 0 is a trivial fixed point whenever theta(-amplitude) = 0, so the
     # residual must still see the boundary; the reported orbit prefers the
     # interior stationary point when one exists (the near-tangency orbit).
@@ -364,24 +336,6 @@ def _orbit_residual(tf: TransferFunction, b: float, amplitude: float, x_hi: floa
     if interior or h_star > h[0]:
         return r, float(x_star)
     return r, float(xs[0])
-
-
-def _golden_max_scalar(fun, a: float, b: float, xtol: float = 1e-12) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    x = 0.5 * (a + b)
-    return x, fun(x)
 
 
 def find_critical_b(

@@ -192,7 +192,7 @@ def _finish(out: Path, command: str, cfg: dict, files: list[str], exit_code: int
 
 # -- subcommands --------------------------------------------------------------
 
-def cmd_figure3(cfg: dict, out: Path, threads: int) -> int:
+def cmd_figure3(cfg: dict, out: Path) -> int:
     if "b_grid" in cfg:
         grid = [float(b) for b in cfg["b_grid"]]
     else:
@@ -210,7 +210,6 @@ def cmd_figure3(cfg: dict, out: Path, threads: int) -> int:
         renorm_interval=int(cfg["renorm_interval"]),
         eps0=float(cfg["eps0"]),
         orbit_factory=lambda b: dynamics.alternating_orbit(amp),
-        threads=threads,
     )
     analysis.write_sweep_csv(out / "figure3_lyapunov.csv", points)
     failed = [p.b for p in points if p.error is not None]
@@ -380,7 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config; defaults are built in")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="parallel sweep cells")
     return parser
 
 
@@ -393,7 +391,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "figure3":
-            return cmd_figure3(cfg, out, max(1, args.threads))
+            return cmd_figure3(cfg, out)
         if args.command == "figure45":
             return cmd_figure45(cfg, out)
         if args.command == "verify":

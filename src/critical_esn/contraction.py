@@ -20,7 +20,7 @@ their worst margin instead of proving anything symbolically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,7 +82,7 @@ class VerificationReport:
     worst_margin: float
     worst_point: tuple
     grid_spec: str
-    n_checked: int = 0
+    n_checked: int = 0  # points evaluated
 
 
 def _report(margins: np.ndarray, points, grid_spec: str) -> VerificationReport:
@@ -203,7 +203,7 @@ def verify_cover_inequality(
         worst_zeta[i] = zetas[j]
     points = list(zip(deltas, worst_zeta))
     spec = f"delta in ({delta_grid[0]},{delta_grid[1]}] step {delta_grid[2]}, zeta in [{zeta_grid[0]},{zeta_grid[1]}] step {zeta_grid[2]}"
-    return _report(margins, points, spec)
+    return replace(_report(margins, points, spec), n_checked=deltas.size * zetas.size)
 
 
 def verify_cover_inequality_vec(

@@ -13,6 +13,14 @@ single-neuron family below, x_t and u_t carry the same sign at every t.
 Distances in convergence traces use the Euclidean norm.  Once twin states
 collide (distance below 1e-300, or bitwise equality), the trace is floored
 to exactly zero from that step on and the index is recorded.
+
+Every simulation steps through one kernel, ``_stepper``: it rejects
+non-finite inputs, then advances a state with a plain-float body (k = n = 1
+twin traces and Lyapunov runs) or a GEMV body evaluating the transfer
+function through its checked ``__call__`` (everything else, including
+``run_with_inputs`` at every k).  A state that leaves the finite range
+makes trajectories and twin traces raise ``ValueError``; the Lyapunov
+estimate reports its +inf sentinel instead.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ __all__ = [
 ]
 
 ZERO_FLOOR = 1e-300
+_BLOCK = 256  # twin-trace steps between collision and finiteness checks
 
 
 @dataclass(frozen=True)
@@ -156,22 +165,66 @@ def step(res: Reservoir, x, u):
     return res.tf(x_lin), x_lin
 
 
+def _stepper(res: Reservoir, inputs: np.ndarray, floats: bool):
+    """Return advance(x, t0, t1, out=None), the package's one stepping loop.
+
+    advance applies x_t = theta(W x_{t-1} + w_in u_t), u_t = inputs[t], for
+    t0 <= t < t1 and returns the last state; with out it stores x_t in
+    out[t - t0], and it writes nothing else.  floats=True (k = n = 1 only)
+    picks a plain-float body on the math-module transfer.  The array body
+    evaluates theta through TransferFunction.__call__, so a non-finite
+    linear state raises ValueError, and it takes a further lin_out for the
+    linear states.
+    """
+    if not np.all(np.isfinite(inputs)):
+        raise ValueError("inputs must be finite")
+    W, w_in, tf = res.W, res.w_in, res.tf
+    if floats:
+        f, w = tf.scalar_fn(), float(W[0, 0])
+        drive = (inputs[:, 0] * float(w_in[0, 0])).tolist()
+
+        def advance(x, t0, t1, out=None):
+            if out is None:
+                for d in drive[t0:t1]:
+                    x = f(w * x + d)
+            else:
+                for i, d in enumerate(drive[t0:t1]):
+                    x = out[i] = f(w * x + d)
+            return x
+
+    else:
+
+        def advance(x, t0, t1, out=None, lin_out=None):
+            for i, u in enumerate(inputs[t0:t1]):
+                lin = W @ x + w_in @ u
+                x = tf(lin)
+                if out is not None:
+                    out[i] = x
+                if lin_out is not None:
+                    lin_out[i] = lin
+            return x
+
+    return advance
+
+
+def _distance(v) -> float:
+    """Euclidean norm; abs for one coordinate, where squaring could underflow."""
+    if isinstance(v, float):
+        return abs(v)
+    return abs(float(v[0])) if v.size == 1 else float(np.linalg.norm(v))
+
+
 def run_with_inputs(res: Reservoir, inputs: np.ndarray, x0=None, input_used=None) -> Trajectory:
     """Drive the reservoir with explicit input rows; inputs[i] produces states[i]."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.shape[1] != res.n:
         raise ValueError(f"inputs must have {res.n} columns")
-    x = _as_state(res, x0)
+    x0 = _as_state(res, x0)
+    advance = _stepper(res, inputs, floats=False)
     T = inputs.shape[0]
-    states = np.empty((T, res.k))
-    linear = np.empty((T, res.k))
-    W, w_in, tf = res.W, res.w_in, res.tf
-    for t in range(T):
-        xl = W @ x + w_in @ inputs[t]
-        x = tf(xl)
-        linear[t] = xl
-        states[t] = x
-    return Trajectory(states=states, linear_states=linear, input_used=input_used, x0=_as_state(res, x0))
+    states, linear = np.empty((T, res.k)), np.empty((T, res.k))
+    advance(x0, 0, T, states, linear)
+    return Trajectory(states=states, linear_states=linear, input_used=input_used, x0=x0)
 
 
 def run(res: Reservoir, input_spec: InputSequence, x0, T: int) -> Trajectory:
@@ -186,74 +239,38 @@ def run(res: Reservoir, input_spec: InputSequence, x0, T: int) -> Trajectory:
     return run_with_inputs(res, u[1:], x0, input_used=input_spec)
 
 
-def _twin_trace_scalar(res, u_x, u_y, x0, y0, shared_from, meta) -> ConvergenceTrace:
-    # k == n == 1 fast path: plain floats, math-module transfer.
-    f = res.tf.scalar_fn()
-    w = float(res.W[0, 0])
-    win = float(res.w_in[0, 0])
-    ux = u_x[:, 0].tolist()
-    uy = u_y[:, 0].tolist()
-    T = len(ux)
-    q = np.zeros(T)
-    x = float(x0[0])
-    y = float(y0[0])
-    d = abs(x - y)
-    q[0] = d if d > ZERO_FLOOR else 0.0
-    floor_at = None
-    seen_positive = q[0] > 0.0
-    collapsed = q[0] == 0.0 and shared_from <= 1
-    for t in range(1, T):
-        x = f(w * x + win * ux[t])
-        if collapsed:
-            y = x
-        else:
-            y = f(w * y + win * uy[t])
-        d = abs(x - y)
-        if d <= ZERO_FLOOR:
-            d = 0.0
-            if t >= shared_from:
-                y = x
-                collapsed = True
-            if seen_positive and floor_at is None:
-                floor_at = t
-        else:
-            seen_positive = True
-        q[t] = d
-    return ConvergenceTrace(q=q, meta=meta, floor_hit_at=floor_at)
-
-
 def _twin_trace(res, u_x, u_y, x0, y0, shared_from, meta) -> ConvergenceTrace:
     # shared_from: first step index from which both copies see identical
-    # inputs; collapsing y onto x is only sound at or after it.
-    if res.k == 1 and res.n == 1:
-        return _twin_trace_scalar(res, u_x, u_y, x0, y0, shared_from, meta)
-    tf, W, w_in = res.tf, res.W, res.w_in
+    # inputs.  A collision at or after it is permanent, so stepping stops
+    # there and the rest of q stays zero.
+    floats = res.k == res.n == 1
+    advance_x, advance_y = (_stepper(res, u, floats) for u in (u_x, u_y))
     T = u_x.shape[0]
     q = np.zeros(T)
-    x = x0.copy()
-    y = y0.copy()
-    d = float(np.linalg.norm(x - y))
-    q[0] = d if d > ZERO_FLOOR else 0.0
-    floor_at = None
-    seen_positive = q[0] > 0.0
-    collapsed = q[0] == 0.0 and shared_from <= 1
-    for t in range(1, T):
-        x = tf(W @ x + w_in @ u_x[t])
-        if collapsed:
-            y = x
-        else:
-            y = tf(W @ y + w_in @ u_y[t])
-        d = float(np.linalg.norm(x - y))
-        if d <= ZERO_FLOOR:
-            d = 0.0
-            if t >= shared_from:
-                y = x.copy()
-                collapsed = True
-            if seen_positive and floor_at is None:
-                floor_at = t
-        else:
-            seen_positive = True
-        q[t] = d
+    q[0] = _distance(x0 - y0)
+    x, y = (float(x0[0]), float(y0[0])) if floats else (x0, y0)
+    X, Y = np.empty((_BLOCK, res.k)), np.empty((_BLOCK, res.k))
+    t0, t1 = 0, 1
+    while True:
+        block = q[t0:t1]
+        block[block <= ZERO_FLOOR] = 0.0
+        hits = np.flatnonzero(block == 0.0) + t0
+        hits = hits[hits >= shared_from]
+        if hits.size:
+            q[hits[0] + 1 :] = 0.0
+            break
+        if t1 == T:
+            break
+        t0, t1 = t1, min(t1 + _BLOCK, T)
+        n = t1 - t0
+        x = advance_x(x, t0, t1, X)
+        y = advance_y(y, t0, t1, Y)
+        if not (np.all(np.isfinite(X[:n])) and np.all(np.isfinite(Y[:n]))):
+            raise ValueError("twin states must stay finite")
+        q[t0:t1] = [_distance(r) for r in X[:n] - Y[:n]]
+    positive = np.flatnonzero(q > 0.0)
+    zeros = np.flatnonzero(q[positive[0] :] == 0.0) if positive.size else positive
+    floor_at = int(positive[0] + zeros[0]) if zeros.size else None
     return ConvergenceTrace(q=q, meta=meta, floor_hit_at=floor_at)
 
 

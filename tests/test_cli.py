@@ -49,15 +49,6 @@ class TestFigure3:
             out2 / "figure3_lyapunov.csv"
         ).read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        cfg = _write_config(tmp_path, "f3.json", {"b_grid": [0.8, 1.0, 1.2], "T": 5000})
-        out1, out2 = tmp_path / "serial", tmp_path / "par"
-        assert main(["figure3", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["figure3", "--config", cfg, "--out", str(out2), "--threads", "3"]) == 0
-        assert (out1 / "figure3_lyapunov.csv").read_bytes() == (
-            out2 / "figure3_lyapunov.csv"
-        ).read_bytes()
-
     def test_resolved_config_recorded(self, tmp_path):
         cfg = _write_config(tmp_path, "f3.json", {"b_grid": [1.0], "T": 5000})
         assert main(["figure3", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -120,6 +120,7 @@ class TestCoverInequality:
     def test_tanh_certificate_holds(self):
         rep = verify_cover_inequality(TANH)
         assert rep.passed and rep.worst_margin >= 0.0
+        assert rep.n_checked == 400 * 801  # every (delta > 0, zeta) grid point
 
     def test_sine_sigmoid_certificate_holds(self):
         rep = verify_cover_inequality(SINE_SIGMOID)

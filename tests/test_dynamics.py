@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from critical_esn.analysis import lyapunov_exponent
 from critical_esn.dynamics import (
     Alternating,
     Constant,
@@ -225,6 +226,50 @@ class TestPerturbationExperiment:
             perturbation_experiment(res, Constant(0.1), 1, [0.01], T=20)
         tr = perturbation_experiment(res, Constant(0.1), 1, [0.01, 0.0], T=20)
         assert tr.q[1] > 0
+
+
+@pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID])
+def test_multi_input_runs_match_step_bitwise(tmp_path, tf):
+    # n = 3 random input weights: the projection w_in @ u_t must sum in the
+    # same order as step() does, in trajectories and in twin traces.
+    rng = np.random.default_rng(11)
+    res = Reservoir(W=make_orthogonal_reservoir(6, 3, 0.5, seed=2).W, w_in=rng.normal(size=(6, 3)), tf=tf)
+    u = rng.uniform(-1.0, 1.0, size=(300, 3))
+    x0, y0 = rng.uniform(-1.0, 1.0, size=(2, 6))
+    x, xs, lins = x0, [], []
+    for row in u:
+        x, lin = step(res, x, row)
+        xs.append(x)
+        lins.append(lin)
+    traj = run_with_inputs(res, u, x0=x0)
+    np.testing.assert_array_equal(traj.states, xs)
+    np.testing.assert_array_equal(traj.linear_states, lins)
+
+    x, y, q = x0, y0, [np.linalg.norm(x0 - y0)]
+    for row in u[1:]:  # u_0 is aligned with the initial pair
+        x, y = step(res, x, row)[0], step(res, y, row)[0]
+        q.append(np.linalg.norm(x - y))
+    np.savetxt(tmp_path / "u.csv", u, delimiter=",")
+    tr = convergence_trace(res, FileInput(str(tmp_path / "u.csv")), x0, y0, T=300)
+    np.testing.assert_array_equal(tr.q, q)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("call", ["run", "convergence_trace", "lyapunov_exponent"])
+def test_non_finite_input_row_rejected(tmp_path, k, call):
+    u = np.full((200, 1), 0.5)
+    u[50] = np.nan
+    path = tmp_path / "u.csv"
+    np.savetxt(path, u, delimiter=",")
+    spec = FileInput(str(path))
+    res = make_orthogonal_reservoir(k, 1, 0.5, seed=0)
+    calls = {
+        "run": lambda: run(res, spec, None, 150),
+        "convergence_trace": lambda: convergence_trace(res, spec, np.zeros(k), np.full(k, 0.1), 150),
+        "lyapunov_exponent": lambda: lyapunov_exponent(res, spec, T=150),
+    }
+    with pytest.raises(ValueError):
+        calls[call]()
 
 
 class TestNamedFamilies:

@@ -1,0 +1,53 @@
+"""The two bodies of the stepping kernel agree on a single neuron.
+
+A k = 1, n = 2 reservoir with w_in = [[a, 0]] driven by rows [u, 0] runs on
+the array body; the k = n = 1 reservoir [[a]] driven by u runs on the float
+body.  Both compute the same map, so their twin traces and Lyapunov
+exponents must match: exactly for transfers whose math-module and numpy
+forms agree bitwise, within rounding for tanh.
+"""
+
+import numpy as np
+import pytest
+
+from critical_esn.analysis import lyapunov_exponent
+from critical_esn.dynamics import FileInput, convergence_trace
+from critical_esn.reservoir import Reservoir
+from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH
+
+TRANSFERS = {"sine_sigmoid": SINE_SIGMOID, "linear": LINEAR, "tanh": TANH}
+
+
+def _cases(per_kind=8, seed=1411):
+    """(kind, w, a, T, x0, y0, input seed) with |w| <= 1, |a| <= 2, T <= 500."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for kind in sorted(TRANSFERS):
+        cases.append((kind, 1.0, 2.0, 500, 1.0, -1.0, 0))  # the corners of the box
+        cases.append((kind, -1.0, -2.0, 100, -1.0, 0.0, 1))
+        for _ in range(per_kind):
+            w, x0, y0 = rng.uniform(-1.0, 1.0, 3)
+            cases.append((kind, w, rng.uniform(-2.0, 2.0), int(rng.integers(100, 501)), x0, y0, int(rng.integers(2**32))))
+    # Twins that decay to zero through distances below 1.5e-154, whose squares underflow.
+    cases.append(("linear", 0.1, 0.0, 400, 0.5, -0.5, 0))
+    cases.append(("sine_sigmoid", 0.2, 0.0, 200, 0.5, -0.5, 0))
+    return cases
+
+
+@pytest.mark.parametrize("kind,w,a,T,x0,y0,seed", _cases())
+def test_float_and_array_bodies_agree(tmp_path, kind, w, a, T, x0, y0, seed):
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, T + 1)
+    np.savetxt(tmp_path / "n1.csv", u[:, None], delimiter=",")
+    np.savetxt(tmp_path / "n2.csv", np.column_stack([u, np.zeros_like(u)]), delimiter=",")
+    tf = TRANSFERS[kind]
+    floats = (Reservoir(W=[[w]], w_in=[[a]], tf=tf), FileInput(str(tmp_path / "n1.csv")))
+    arrays = (Reservoir(W=[[w]], w_in=[[a, 0.0]], tf=tf), FileInput(str(tmp_path / "n2.csv")))
+
+    tr_f, tr_a = (convergence_trace(res, spec, [x0], [y0], T) for res, spec in (floats, arrays))
+    ly_f, ly_a = (lyapunov_exponent(res, spec, T=T, x0=[x0]) for res, spec in (floats, arrays))
+    if kind == "tanh":  # math.tanh and np.tanh differ in the last bit
+        np.testing.assert_allclose(tr_a.q, tr_f.q, rtol=0.0, atol=1e-12)
+    else:
+        np.testing.assert_array_equal(tr_a.q, tr_f.q)
+        assert tr_a.floor_hit_at == tr_f.floor_hit_at
+        assert ly_a.exponent == ly_f.exponent
