@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .contraction import _golden_max
-from .dynamics import ConvergenceTrace, InputSequence, _distance, _stepper, generate_input
+from .dynamics import ConvergenceTrace, InputSequence, _as_state, _distance, _stepper, generate_input
 from .reservoir import Reservoir
 from .transfer import TransferFunction
 
@@ -74,12 +74,7 @@ def _prepare(res: Reservoir, x0, reference_orbit):
         orbit = np.atleast_2d(np.asarray(reference_orbit, dtype=float))
         if orbit.shape[1] != res.k:
             raise ValueError(f"reference orbit states must have {res.k} columns")
-    if x0 is None:
-        start = orbit[0].copy() if orbit is not None else np.zeros(res.k)
-    else:
-        start = np.atleast_1d(np.asarray(x0, dtype=float))
-        if start.shape != (res.k,):
-            raise ValueError(f"x0 must have shape ({res.k},)")
+    start = orbit[0].copy() if x0 is None and orbit is not None else _as_state(res, x0)
     return start, orbit
 
 
@@ -103,7 +98,8 @@ def lyapunov_exponent(
     +inf sentinel.
 
     jacobian_product (k = 1 only): mean of log|W theta'(x_lin_t)| along the
-    reference trajectory; agrees with two_trajectory on smooth orbits.
+    reference trajectory; agrees with two_trajectory on smooth orbits and
+    reports the same +inf sentinel on divergence.
 
     reference_orbit: optional (P, k) array of known periodic states; the
     reference then follows orbit[t mod P] exactly instead of free-running
@@ -161,16 +157,20 @@ def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
 
 def _jacobian_product(res, u, start, orbit, T, L) -> LyapunovResult:
     advance = _stepper(res, u, floats=True)
-    df = res.tf.scalar_derivative()
     w = float(res.W[0, 0])
     xs = np.empty(T + 1)  # x_0..x_T
     xs[0] = start[0]
-    if orbit is None:
-        advance(float(start[0]), 1, T + 1, out=xs[1:])
-    else:
-        xs[1:] = orbit[np.arange(1, T + 1) % len(orbit), 0]
-    x_lin = w * xs[:-1] + float(res.w_in[0, 0]) * u[1 : T + 1, 0]
-    logs = np.array([math.log(max(abs(w * df(v)), _SEP_FLOOR)) for v in x_lin.tolist()])
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+        try:
+            if orbit is None:
+                advance(float(start[0]), 1, T + 1, out=xs[1:])
+            else:
+                xs[1:] = orbit[np.arange(1, T + 1) % len(orbit), 0]
+            x_lin = w * xs[:-1] + float(res.w_in[0, 0]) * u[1 : T + 1, 0]
+            slopes = res.tf.derivative(x_lin)
+        except ValueError:  # a non-finite state met the transfer function
+            return LyapunovResult(math.inf, T, L, "jacobian_product", math.nan)
+    logs = np.log(np.maximum(np.abs(w * slopes), _SEP_FLOOR))
     exponent = float(np.mean(logs))
     stderr = float(np.std(logs) / math.sqrt(T))
     return LyapunovResult(exponent, T, L, "jacobian_product", stderr)

@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -178,27 +179,15 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _finish(out: Path, command: str, cfg: dict, files: list[str], exit_code: int) -> int:
-    _write_json(out / f"{command.replace('-', '_')}_config.json", cfg)
-    meta = {
-        "command": command,
-        "outputs": sorted(files),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "exit_code": exit_code,
-    }
-    _write_json(out / "run_meta.json", meta)
-    return exit_code
-
-
 # -- subcommands --------------------------------------------------------------
+# Each returns (files written, exit code); main records both in run_meta.json.
 
-def cmd_figure3(cfg: dict, out: Path) -> int:
+def cmd_figure3(cfg: dict, out: Path) -> tuple[list[str], int]:
     if "b_grid" in cfg:
         grid = [float(b) for b in cfg["b_grid"]]
     else:
-        lo, hi, step = float(cfg["b_lo"]), float(cfg["b_hi"]), float(cfg["b_step"])
-        n = int(round((hi - lo) / step))
-        grid = [lo + i * step for i in range(n + 1)] if hi >= lo and step > 0 else []
+        bounds = (float(cfg[key]) for key in ("b_lo", "b_hi", "b_step"))
+        grid = contraction._grid(*bounds).tolist()
     if not grid:
         raise ConfigError("empty coupling grid")
     amp = float(cfg["amplitude"])
@@ -215,10 +204,10 @@ def cmd_figure3(cfg: dict, out: Path) -> int:
     failed = [p.b for p in points if p.error is not None]
     if failed:
         print(f"figure3: {len(failed)} cells failed: {failed}", file=sys.stderr)
-    return _finish(out, "figure3", cfg, ["figure3_lyapunov.csv"], 0 if not failed else 1)
+    return ["figure3_lyapunov.csv"], 0 if not failed else 1
 
 
-def cmd_figure45(cfg: dict, out: Path) -> int:
+def cmd_figure45(cfg: dict, out: Path) -> tuple[list[str], int]:
     res = dynamics.make_alternating_neuron(float(cfg["b"]))
     amp = float(cfg["amplitude"])
     T = int(cfg["T"])
@@ -241,7 +230,7 @@ def cmd_figure45(cfg: dict, out: Path) -> int:
         files += [f"{stem}_trace.csv", f"decay_fit_{name}.json"]
         results[name] = fit.law
     print(f"figure45: alternating -> {results['alternating']}, iid -> {results['iid']}")
-    return _finish(out, "figure45", cfg, files, 0)
+    return files, 0
 
 
 def _verify_checks(cfg: dict) -> dict:
@@ -287,27 +276,18 @@ def _verify_checks(cfg: dict) -> dict:
     return checks
 
 
-def cmd_verify(cfg: dict, out: Path) -> int:
+def cmd_verify(cfg: dict, out: Path) -> tuple[list[str], int]:
     checks = _verify_checks(cfg)
-    payload = {
-        name: {
-            "passed": rep.passed,
-            "worst_margin": rep.worst_margin,
-            "worst_point": list(rep.worst_point),
-            "grid_spec": rep.grid_spec,
-            "n_checked": rep.n_checked,
-        }
-        for name, rep in checks.items()
-    }
+    payload = {name: asdict(rep) for name, rep in checks.items()}
     all_passed = all(rep.passed for rep in checks.values())
     payload["all_passed"] = all_passed
     _write_json(out / "verify_report.json", payload)
     for name, rep in sorted(checks.items()):
         print(f"{'PASS' if rep.passed else 'FAIL'}  {name}  worst_margin={rep.worst_margin:.3g}")
-    return _finish(out, "verify", cfg, ["verify_report.json"], 0 if all_passed else 1)
+    return ["verify_report.json"], 0 if all_passed else 1
 
 
-def cmd_critical_b(cfg: dict, out: Path) -> int:
+def cmd_critical_b(cfg: dict, out: Path) -> tuple[list[str], int]:
     tf = _transfer_from_config(cfg["transfer"])
     amp = float(cfg["amplitude"])
     bracket = tuple(float(v) for v in cfg["bracket"])
@@ -325,10 +305,10 @@ def cmd_critical_b(cfg: dict, out: Path) -> int:
     }
     _write_json(out / "critical_b.json", payload)
     print(f"critical-b: b*={b_star:.9g}, |x*|={orbit_amp:.9g}")
-    return _finish(out, "critical-b", cfg, ["critical_b.json"], 0)
+    return ["critical_b.json"], 0
 
 
-def cmd_mc(cfg: dict, out: Path) -> int:
+def cmd_mc(cfg: dict, out: Path) -> tuple[list[str], int]:
     res = _reservoir_from_config(cfg)
     result = readout.memory_capacity(
         res,
@@ -341,18 +321,16 @@ def cmd_mc(cfg: dict, out: Path) -> int:
     )
     readout.write_mc_csv(out / "mc.csv", result)
     print(f"mc: total={result.mc_total:.4f} over {len(result.per_delay)} delays (k={res.k})")
-    return _finish(out, "mc", cfg, ["mc.csv"], 0)
+    return ["mc.csv"], 0
 
 
-def cmd_simulate(cfg: dict, out: Path) -> int:
+def cmd_simulate(cfg: dict, out: Path) -> tuple[list[str], int]:
     res = _reservoir_from_config(cfg.get("reservoir", {}))
     input_spec = _input_from_config(cfg.get("input", {}))
     T = int(cfg["T"])
 
     def state_from(v):
-        if v == "zeros" or v is None:
-            return np.zeros(res.k)
-        return np.atleast_1d(np.asarray(v, dtype=float))
+        return dynamics._as_state(res, None if v == "zeros" else v)
 
     x0 = state_from(cfg.get("x0"))
     files = []
@@ -363,10 +341,20 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
         trace = dynamics.convergence_trace(res, input_spec, x0, state_from(cfg["y0"]), T)
         dynamics.write_trace_csv(out / "trace.csv", trace)
         files.append("trace.csv")
-    return _finish(out, "simulate", cfg, files, 0)
+    return files, 0
 
 
 # -- entry point ---------------------------------------------------------------
+
+COMMANDS = {
+    "figure3": cmd_figure3,
+    "figure45": cmd_figure45,
+    "verify": cmd_verify,
+    "critical-b": cmd_critical_b,
+    "mc": cmd_mc,
+    "simulate": cmd_simulate,
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -374,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Boundary-spectrum echo state network experiments and certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("figure3", "figure45", "verify", "critical-b", "mc", "simulate"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config; defaults are built in")
         p.add_argument("--out", default=".", help="output directory")
@@ -390,25 +378,20 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "figure3":
-            return cmd_figure3(cfg, out)
-        if args.command == "figure45":
-            return cmd_figure45(cfg, out)
-        if args.command == "verify":
-            return cmd_verify(cfg, out)
-        if args.command == "critical-b":
-            return cmd_critical_b(cfg, out)
-        if args.command == "mc":
-            return cmd_mc(cfg, out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        files, exit_code = COMMANDS[args.command](cfg, out)
+        _write_json(out / f"{args.command.replace('-', '_')}_config.json", cfg)
+        meta = {
+            "command": args.command,
+            "outputs": sorted(files),
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "exit_code": exit_code,
+        }
+        _write_json(out / "run_meta.json", meta)
+    except (ConfigError, OSError, KeyError, TypeError, ValueError) as exc:
+        reason = f"missing config key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"error: {reason}", file=sys.stderr)
         return 2
-    except (IOError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return exit_code
 
 
 if __name__ == "__main__":

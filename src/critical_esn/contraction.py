@@ -57,7 +57,6 @@ class CoverParams:
     eta: float = 1.0 / 48.0
     gamma: float = 0.5
     kappa: float = 2.0
-    n_neurons: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.eta < 1.0):
@@ -66,12 +65,12 @@ class CoverParams:
             raise ValueError("need 0 < gamma < 1")
         if self.kappa < 1.0:
             raise ValueError("need kappa >= 1")
-        if self.n_neurons < 1:
-            raise ValueError("need n_neurons >= 1")
 
     @classmethod
     def for_network(cls, n_neurons: int) -> "CoverParams":
-        return cls(eta=1.0 / (48.0 * n_neurons * n_neurons), n_neurons=n_neurons)
+        if n_neurons < 1:
+            raise ValueError("need n_neurons >= 1")
+        return cls(eta=1.0 / (48.0 * n_neurons * n_neurons))
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,8 @@ class VerificationReport:
     n_checked: int = 0  # points evaluated
 
 
-def _report(margins: np.ndarray, points, grid_spec: str) -> VerificationReport:
+def _report(margins: np.ndarray, points: np.ndarray, grid_spec: str) -> VerificationReport:
+    """Report on margins[i] >= 0, evaluated at points[i] (a scalar or a row)."""
     i = int(np.argmin(margins))
     worst = float(margins[i])
     return VerificationReport(
@@ -158,7 +158,13 @@ def omega_max_zeta(
     zeta_hi: float = 4.0,
     n_grid: int = 1601,
 ) -> tuple[float, float]:
-    """(max over zeta of omega, argmax), by coarse grid plus golden refinement."""
+    """(max over zeta of omega, argmax), by coarse grid plus golden refinement.
+
+    The worst base point of a perturbation of size delta: the paper's
+    quantity behind the cover inequality.  The certificates scan the whole
+    zeta grid instead; this refined maximum shows where the worst case
+    sits: [zeta, zeta + delta] centred on a unit-slope point.
+    """
     if delta <= 0:
         raise ValueError("need delta > 0")
     zs = np.linspace(zeta_lo, zeta_hi, n_grid)
@@ -173,6 +179,9 @@ def omega_max_zeta(
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo, lo + step, ... up to hi (to the nearest step)."""
+    if not (step > 0 and hi >= lo):
+        raise ValueError(f"grid needs step > 0 and hi >= lo, got ({lo}, {hi}, {step})")
     n = int(round((hi - lo) / step))
     return lo + step * np.arange(n + 1)
 
@@ -201,7 +210,7 @@ def verify_cover_inequality(
         j = int(np.argmax(w))
         margins[i] = phi(d * d, p) - w[j]
         worst_zeta[i] = zetas[j]
-    points = list(zip(deltas, worst_zeta))
+    points = np.column_stack([deltas, worst_zeta])
     spec = f"delta in ({delta_grid[0]},{delta_grid[1]}] step {delta_grid[2]}, zeta in [{zeta_grid[0]},{zeta_grid[1]}] step {zeta_grid[2]}"
     return replace(_report(margins, points, spec), n_checked=deltas.size * zetas.size)
 
@@ -228,9 +237,7 @@ def verify_cover_inequality_vec(
     lhs = np.sum(after * after, axis=1)
     x = np.sum(deltas * deltas, axis=1)
     rhs = x * phi_k(x, n_neurons)
-    margins = rhs - lhs
-    points = [(float(x[i]),) for i in range(n_samples)]
-    return _report(margins, points, f"{n_samples} seeded vector samples, n={n_neurons}")
+    return _report(rhs - lhs, x, f"{n_samples} seeded vector samples, n={n_neurons}")
 
 
 def check_phi_properties(
@@ -247,7 +254,7 @@ def check_phi_properties(
     m3 = np.diff(zs * ph)
     margins = np.concatenate([m1, m2, m3])
     points = np.concatenate([zs, zs[1:], zs[1:]])
-    return _report(margins, [(float(z),) for z in points], f"z in [0,{z_hi}], {n_grid} points")
+    return _report(margins, points, f"z in [0,{z_hi}], {n_grid} points")
 
 
 # -- the scalar covering sequence -------------------------------------------
@@ -293,15 +300,7 @@ def verify_dominance(q0: float, p: CoverParams = CoverParams(), T: int = 100000)
     qs = iterate_q(q0, p, T)
     ts = np.arange(T + 1)
     cover = q_star(ts, q0, p)
-    margins = cover - qs
-    i = int(np.argmin(margins))
-    return VerificationReport(
-        passed=bool(margins[i] >= -PASS_SLACK),
-        worst_margin=float(margins[i]),
-        worst_point=(int(ts[i]),),
-        grid_spec=f"t in [0,{T}], q0={q0}",
-        n_checked=T + 1,
-    )
+    return _report(cover - qs, ts, f"t in [0,{T}], q0={q0}")
 
 
 def tau_bound(
@@ -358,6 +357,5 @@ def audit_step_inequality(res, input_spec, x0, y0, T: int) -> VerificationReport
     q2 = trace.q**2
     bound = q2 * phi_k(q2, res.k)
     margins = bound[:-1] - q2[1:]
-    points = [(int(t),) for t in range(margins.size)]
     spec = f"T={T}, k={res.k}, tf={res.tf.kind}, input={input_spec!r}"
-    return _report(margins, points, spec)
+    return _report(margins, np.arange(margins.size), spec)

@@ -154,7 +154,11 @@ def _as_state(res: Reservoir, x) -> np.ndarray:
 
 
 def step(res: Reservoir, x, u):
-    """One update: returns (x_next, x_lin_next) with x_lin = W x + w_in u."""
+    """One update: returns (x_next, x_lin_next) with x_lin = W x + w_in u.
+
+    No simulation goes through it; it is the plain statement of the update
+    that the stepping-kernel tests compare ``_stepper`` against.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if x.shape != (res.k,):

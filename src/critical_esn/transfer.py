@@ -129,42 +129,18 @@ class TransferFunction:
 
     # -- scalar fast paths (math module, no ndarray overhead) --------------
     def scalar_fn(self):
-        """A plain-float theta for tight simulation loops."""
+        """A plain-float theta for tight simulation loops.
+
+        The tailored kind evaluates through ``__call__``, so the anchor
+        ownership rule lives in ``_nearest_anchor`` alone.
+        """
         if self.kind == "tanh":
             return math.tanh
         if self.kind == "sine_sigmoid":
             return lambda x: 0.5 * x - 0.25 * math.sin(2.0 * x)
         if self.kind == "linear":
             return lambda x: x
-        anchors = self.params
-        rad = _ANCHOR_RADIUS
-
-        def f(x: float) -> float:
-            best = min(anchors, key=lambda a: (abs(x - a), a))
-            if abs(x - best) <= rad:
-                return math.tanh(x - best) + math.tanh(best)
-            return math.tanh(x)
-
-        return f
-
-    def scalar_derivative(self):
-        """A plain-float theta' for tight simulation loops."""
-        if self.kind == "tanh":
-            return lambda x: 1.0 - math.tanh(x) ** 2
-        if self.kind == "sine_sigmoid":
-            return lambda x: 0.5 - 0.5 * math.cos(2.0 * x)
-        if self.kind == "linear":
-            return lambda x: 1.0
-        anchors = self.params
-        rad = _ANCHOR_RADIUS
-
-        def df(x: float) -> float:
-            best = min(anchors, key=lambda a: (abs(x - a), a))
-            if abs(x - best) <= rad:
-                return 1.0 - math.tanh(x - best) ** 2
-            return 1.0 - math.tanh(x) ** 2
-
-        return df
+        return lambda x: float(self(x))
 
     # -- epi-critical points ------------------------------------------------
     def epi_critical_points(self, lo: float, hi: float) -> list[float]:
@@ -190,7 +166,7 @@ class TransferFunction:
         # Anchors are unit-slope points of their own piece by construction;
         # Newton on theta'(x) - 1 polishes them (terminates immediately when
         # already exact).  0 is a candidate when the plain-tanh piece owns it.
-        df = self.scalar_derivative()
+        df = self.derivative
         f2 = lambda x, h=1e-6: (df(x + h) - df(x - h)) / (2 * h)
         seeds = list(self.params)
         nearest = min(self.params, key=lambda a: (abs(a), a))

@@ -83,8 +83,10 @@ class TestLyapunovExponent:
             (Reservoir(W=2.0 * np.eye(4), w_in=np.ones((4, 1)), tf=LINEAR), [0.1] * 4),
             (Reservoir(W=[[3.0]], w_in=[[1.0]], tf=SINE_SIGMOID), [0.1]),
         ):
-            r = lyapunov_exponent(res, IidSign(0.5, 0), T=10_000, x0=x0)
-            assert math.isinf(r.exponent) and r.exponent > 0
+            methods = ("two_trajectory", "jacobian_product") if res.k == 1 else ("two_trajectory",)
+            for method in methods:
+                r = lyapunov_exponent(res, IidSign(0.5, 0), T=10_000, x0=x0, method=method)
+                assert math.isinf(r.exponent) and r.exponent > 0
 
     def test_validation(self):
         res = make_alternating_neuron(1.0)

@@ -128,6 +128,8 @@ class TestVerify:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["all_passed"] is False
         assert not report["cover_linear"]["passed"]
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        assert meta["exit_code"] == 1
 
     def test_overgreedy_eta_fails_cover_but_not_dominance(self, tmp_path):
         cfg = _write_config(tmp_path, "v.json", {**FAST_VERIFY, "eta": 0.5, "audit_runs_per_case": 0})
@@ -265,3 +267,18 @@ class TestConfigHandling:
         bad = tmp_path / "arr.json"
         bad.write_text("[1, 2, 3]")
         assert main(["mc", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("figure3", {"b_step": 0}),
+            ("verify", {"delta_grid": [0, 4, 0]}),
+            ("figure45", {"T": None}),
+            ("simulate", {"input": {"kind": "constant"}}),
+        ],
+    )
+    def test_ill_formed_config_exits_2_with_one_line(self, tmp_path, capsys, command, payload):
+        cfg = _write_config(tmp_path, "bad.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -30,13 +30,12 @@ A = math.pi / 4
 class TestCoverParams:
     def test_defaults_are_single_neuron_certificate(self):
         p = CoverParams()
-        assert (p.eta, p.gamma, p.kappa, p.n_neurons) == (1 / 48, 0.5, 2.0, 1)
+        assert (p.eta, p.gamma, p.kappa) == (1 / 48, 0.5, 2.0)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 16])
     def test_for_network_scales_eta(self, n):
         p = CoverParams.for_network(n)
         assert p.eta == 1.0 / (48.0 * n * n)
-        assert p.n_neurons == n
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -46,7 +45,7 @@ class TestCoverParams:
         with pytest.raises(ValueError):
             CoverParams(kappa=0.5)
         with pytest.raises(ValueError):
-            CoverParams(n_neurons=0)
+            CoverParams.for_network(0)
 
 
 class TestPhi:

@@ -165,10 +165,9 @@ class TestTailored:
 
     def test_scalar_and_array_paths_agree(self):
         tf = tailored([-2.5, 3.0])
-        f, df = tf.scalar_fn(), tf.scalar_derivative()
+        f = tf.scalar_fn()
         xs = np.linspace(-6, 6, 301)
-        np.testing.assert_allclose([f(x) for x in xs], tf(xs), atol=1e-15)
-        np.testing.assert_allclose([df(x) for x in xs], tf.derivative(xs), atol=1e-15)
+        np.testing.assert_array_equal([f(x) for x in xs], tf(xs))
 
 
 class TestSerialization:
