@@ -140,6 +140,8 @@ def _transfer_from_config(value) -> TransferFunction:
 
 
 def _input_from_config(cfg: dict) -> dynamics.InputSequence:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"input must be a JSON object, got {cfg!r}")
     kind = cfg.get("kind")
     if kind == "alternating":
         return dynamics.Alternating(float(cfg["amplitude"]))
@@ -153,6 +155,8 @@ def _input_from_config(cfg: dict) -> dynamics.InputSequence:
 
 
 def _reservoir_from_config(cfg: dict) -> Reservoir:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"reservoir must be a JSON object, got {cfg!r}")
     tf = _transfer_from_config(cfg.get("transfer", "tanh"))
     if "w_csv" in cfg:
         W = load_matrix_csv(cfg["w_csv"])

@@ -361,13 +361,14 @@ def write_trace_csv(path, trace: ConvergenceTrace) -> None:
     """Columns t,q with full-precision floats; deterministic byte-for-byte."""
     with open(path, "w", newline="") as fh:
         fh.write("t,q\n")
-        for t, v in enumerate(trace.q):
-            fh.write(f"{t},{v:.17g}\n")
+        fh.writelines("%d,%.17g\n" % tv for tv in enumerate(trace.q.tolist()))
 
 
 def write_states_csv(path, traj: Trajectory) -> None:
     k = traj.states.shape[1]
+    line = "%d," + ",".join(["%.17g"] * k) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write("t," + ",".join(f"x{i}" for i in range(k)) + "\n")
-        for t, row in enumerate(traj.states, start=1):
-            fh.write(f"{t}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        # one row at a time: a whole-array tolist() would hold ~22 MiB of
+        # Python floats at 50 000 x 10
+        fh.writelines(line % (t, *row.tolist()) for t, row in enumerate(traj.states, start=1))

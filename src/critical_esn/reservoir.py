@@ -174,8 +174,8 @@ def save_matrix_csv(path, W: np.ndarray) -> None:
     W = np.atleast_2d(np.asarray(W, dtype=float))
     with open(path, "w", newline="") as fh:
         fh.write(f"# {W.shape[0]},{W.shape[1]}\n")
-        for row in W:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        line = ",".join(["%.17g"] * W.shape[1]) + "\n"
+        fh.writelines(line % tuple(row.tolist()) for row in W)
 
 
 def load_matrix_csv(path) -> np.ndarray:

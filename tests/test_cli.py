@@ -197,6 +197,12 @@ class TestMc:
         )
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 0
 
+    def test_reruns_are_byte_identical(self, tmp_path):
+        cfg = _write_config(tmp_path, "mc.json", {"k": 20, "max_delay": 40, "T": 4000})
+        for run in ("a", "b"):
+            assert main(["mc", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+        assert (tmp_path / "a" / "mc.csv").read_bytes() == (tmp_path / "b" / "mc.csv").read_bytes()
+
 
 class TestSimulate:
     def test_states_match_library_run(self, tmp_path):
@@ -275,6 +281,8 @@ class TestConfigHandling:
             ("verify", {"delta_grid": [0, 4, 0]}),
             ("figure45", {"T": None}),
             ("simulate", {"input": {"kind": "constant"}}),
+            ("simulate", {"input": 5}),
+            ("simulate", {"reservoir": [1]}),
         ],
     )
     def test_ill_formed_config_exits_2_with_one_line(self, tmp_path, capsys, command, payload):

@@ -9,8 +9,10 @@ from critical_esn.analysis import lyapunov_exponent
 from critical_esn.dynamics import (
     Alternating,
     Constant,
+    ConvergenceTrace,
     FileInput,
     IidSign,
+    Trajectory,
     alternating_orbit,
     convergence_trace,
     generate_input,
@@ -20,9 +22,15 @@ from critical_esn.dynamics import (
     run,
     run_with_inputs,
     step,
+    write_states_csv,
     write_trace_csv,
 )
-from critical_esn.reservoir import Reservoir, make_orthogonal_reservoir, scale_to_spectrum
+from critical_esn.reservoir import (
+    Reservoir,
+    make_orthogonal_reservoir,
+    save_matrix_csv,
+    scale_to_spectrum,
+)
 from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH
 
 A = math.pi / 4
@@ -301,3 +309,26 @@ class TestTraceCsv:
         assert len(lines) == 6
         t, q = lines[2].split(",")
         assert int(t) == 1 and float(q) == tr.q[1]
+
+    def test_writers_match_fstring_reference(self, tmp_path):
+        # the writers format whole rows with one %-format; the bytes must be
+        # those of formatting every value with f"{v:.17g}"
+        vals = np.array([-0.0, 5e-324, 1e-300, 1 / 3, 0.1, -1.0])
+        M = vals.reshape(3, 2)
+
+        def ref(v):
+            return f"{v:.17g}"
+
+        write_states_csv(tmp_path / "s.csv", Trajectory(M, M, None, np.zeros(2)))
+        expected = "t,x0,x1\n" + "".join(
+            f"{t}," + ",".join(ref(v) for v in row) + "\n" for t, row in enumerate(M, start=1)
+        )
+        assert (tmp_path / "s.csv").read_bytes() == expected.encode()
+
+        write_trace_csv(tmp_path / "t.csv", ConvergenceTrace(q=vals))
+        expected = "t,q\n" + "".join(f"{t},{ref(v)}\n" for t, v in enumerate(vals))
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+        save_matrix_csv(tmp_path / "m.csv", M)
+        expected = "# 3,2\n" + "".join(",".join(ref(v) for v in row) + "\n" for row in M)
+        assert (tmp_path / "m.csv").read_bytes() == expected.encode()

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from critical_esn import readout
+from critical_esn.dynamics import run_with_inputs
 from critical_esn.readout import (
     fit_readout,
     memory_capacity,
@@ -128,6 +130,44 @@ class TestMemoryCapacity:
         res = _scaled(4, 0.9, seed=0)
         with pytest.raises(ValueError, match="T too small"):
             memory_capacity(res, 1.0, max_delay=10, T=220)
+
+    @pytest.mark.parametrize("max_delay", [1, 7, 8, 9, 17])
+    def test_delay_blocks_match_per_delay_fits(self, monkeypatch, max_delay):
+        res = _scaled(6, 0.95, seed=4)
+        T, washout, ridge, seed = 1500, 200, 1e-8, 3
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args[1].shape[1])
+            return fit_readout(*args, **kwargs)
+
+        monkeypatch.setattr(readout, "fit_readout", counting_fit)
+        mc = memory_capacity(res, 1.0, max_delay, T, washout=washout, ridge=ridge, seed=seed)
+        # ceil(max_delay / 8) solves, each over the next block of delays
+        assert calls == [min(8, max_delay - first) for first in range(0, max_delay, 8)]
+
+        # reference: one fit per delay, as a plain loop over row indices
+        u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(T, 1))
+        rows = np.arange(max(washout, max_delay), T)
+        X = run_with_inputs(res, u).states[rows]
+        split = rows.size // 2
+        expected = []
+        for d in range(1, max_delay + 1):
+            target = u[rows - d, 0]
+            model = fit_readout(X[:split], target[:split], ridge=ridge)
+            pred = predict(model, X[split:])[:, 0]
+            r = np.corrcoef(pred, target[split:])[0, 1]
+            expected.append(r * r)
+        delays = [d for d, _ in mc.per_delay]
+        assert delays == list(range(1, max_delay + 1))
+        assert all(type(d) is int for d in delays)
+        np.testing.assert_allclose([s for _, s in mc.per_delay], expected, rtol=0, atol=1e-12)
+
+    def test_delay_blocks_keep_singular_check(self):
+        # two identical neurons: the state matrix has rank one
+        res = Reservoir(W=np.zeros((2, 2)), w_in=[[1.0], [1.0]], tf=TANH)
+        with pytest.raises(np.linalg.LinAlgError, match="ridge"):
+            memory_capacity(res, 1.0, max_delay=9, T=1000, ridge=0.0)
 
     def test_csv_format(self, tmp_path):
         res = _scaled(4, 0.9, seed=0)
