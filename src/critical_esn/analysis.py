@@ -78,6 +78,15 @@ def _prepare(res: Reservoir, x0, reference_orbit):
     return start, orbit
 
 
+def _check_run_length(T: int, renorm_interval: int, eps0: float) -> None:
+    if renorm_interval < 1:
+        raise ValueError("need renorm_interval >= 1")
+    if T < 10 * renorm_interval:
+        raise ValueError("need T >= 10 * renorm_interval")
+    if not (0.0 < eps0 <= 1e-6):
+        raise ValueError("need eps0 in (0, 1e-6]")
+
+
 def lyapunov_exponent(
     res: Reservoir,
     input_spec: InputSequence,
@@ -105,12 +114,7 @@ def lyapunov_exponent(
     reference then follows orbit[t mod P] exactly instead of free-running
     (how one measures the exponent of an unstable orbit).
     """
-    if renorm_interval < 1:
-        raise ValueError("need renorm_interval >= 1")
-    if T < 10 * renorm_interval:
-        raise ValueError("need T >= 10 * renorm_interval")
-    if not (0.0 < eps0 <= 1e-6):
-        raise ValueError("need eps0 in (0, 1e-6]")
+    _check_run_length(T, renorm_interval, eps0)
     start, orbit = _prepare(res, x0, reference_orbit)
     u = generate_input(input_spec, T + 1, res.n)
     if method == "two_trajectory":
@@ -179,7 +183,7 @@ def _jacobian_product(res, u, start, orbit, T, L) -> LyapunovResult:
 def lyapunov_sweep(
     reservoir_factory: Callable[[float], Reservoir],
     input_spec: InputSequence,
-    b_grid: Sequence[float],
+    grid: Sequence[float],
     T: int = 100_000,
     renorm_interval: int = 10,
     eps0: float = 1e-9,
@@ -188,12 +192,13 @@ def lyapunov_sweep(
 ) -> list[SweepPoint]:
     """One exponent per grid point, same input realization everywhere.
 
-    Failed cells are flagged on their SweepPoint instead of aborting the
-    sweep.  Results always come back in grid order.
+    A bad T, renorm_interval or eps0 raises before any cell runs; a failed
+    cell is flagged on its SweepPoint instead.  Results come in grid order.
     """
-    b_grid = list(b_grid)
-    if not b_grid:
-        raise ValueError("b_grid must be non-empty")
+    grid = list(grid)
+    if not grid:
+        raise ValueError("grid must be non-empty")
+    _check_run_length(T, renorm_interval, eps0)
 
     def cell(b: float) -> SweepPoint:
         try:
@@ -212,7 +217,7 @@ def lyapunov_sweep(
         except Exception as exc:  # noqa: BLE001 - cell failures are data
             return SweepPoint(b=b, exponent=math.nan, result=None, error=str(exc))
 
-    return [cell(b) for b in b_grid]
+    return [cell(b) for b in grid]
 
 
 def write_sweep_csv(path, points: Sequence[SweepPoint]) -> None:

@@ -10,7 +10,9 @@ critical-b  Critical coupling of the tanh neuron under alternating drive.
 mc          Delay-reconstruction memory capacity of a seeded reservoir.
 simulate    Free-form trajectory (and optional twin trace) from a config.
 
-Every run writes the fully resolved config next to its outputs and a
+A config sets only keys that DEFAULTS declares for its subcommand, and
+--seed replaces every seed declared there.  Every run writes the fully
+resolved config (which --config accepts back) next to its outputs and a
 run_meta.json sidecar; CSV/JSON bodies are deterministic byte-for-byte
 (timestamps live only in the sidecar).  Exit codes: 0 success, 1 failed
 verification, 2 usage/config error.
@@ -34,6 +36,10 @@ from .transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction
 
 _PI4 = math.pi / 4
 
+# Read by mc and by simulate's "reservoir": CSV matrices and a rescaling of the spectrum.
+_RESERVOIR_KEYS = {"w_csv": None, "w_in_csv": None, "spectrum_target": None, "spectrum_mode": "singular"}
+
+# Every key each subcommand reads; None marks an optional key.
 DEFAULTS: dict[str, dict] = {
     "figure3": {
         "b_lo": 0.5,
@@ -76,13 +82,13 @@ DEFAULTS: dict[str, dict] = {
         "tol": 1e-6,
     },
     "mc": {
+        **_RESERVOIR_KEYS,
         "k": 8,
         "n": 1,
         "seed": 42,
         "transfer": "tanh",
         "input_scale": 0.5,
         "spectrum_target": 0.99,
-        "spectrum_mode": "singular",
         "amplitude": 1.0,
         "max_delay": 100,
         "T": 20_000,
@@ -90,10 +96,11 @@ DEFAULTS: dict[str, dict] = {
         "ridge": 1e-8,
     },
     "simulate": {
-        "reservoir": {"k": 1, "n": 1, "seed": 0, "transfer": "tanh", "input_scale": 1.0},
-        "input": {"kind": "alternating", "amplitude": _PI4},
+        "reservoir": {**_RESERVOIR_KEYS, "k": 1, "n": 1, "seed": 0, "transfer": "tanh", "input_scale": 1.0},
+        "input": {"kind": "alternating", "amplitude": _PI4, "seed": 0, "value": None, "path": None},
         "T": 1000,
         "x0": "zeros",
+        "y0": None,
     },
 }
 
@@ -104,8 +111,27 @@ class ConfigError(Exception):
     pass
 
 
-def _load_config(path: str | None, command: str) -> dict:
-    cfg = json.loads(json.dumps(DEFAULTS[command]))  # deep copy
+def _overlay(declared: dict, user, seed: int | None, where: str = "config") -> dict:
+    """The declared keys, from user where it sets them, recursing into declared objects.
+
+    A given seed replaces every declared "seed".
+    """
+    if not isinstance(user, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {user!r}")
+    for key in user:
+        if key not in declared:
+            raise ConfigError(f"unknown config key {key!r} in {where}")
+    cfg = {**declared, **user}
+    for key, default in declared.items():
+        if isinstance(default, dict):
+            cfg[key] = _overlay(default, cfg[key], seed, f"{where}.{key}")
+        elif key == "seed" and seed is not None:
+            cfg[key] = seed
+    return cfg
+
+
+def _load_config(path: str | None, command: str, seed: int | None) -> dict:
+    user = {}
     if path is not None:
         try:
             with open(path) as fh:
@@ -116,14 +142,7 @@ def _load_config(path: str | None, command: str) -> dict:
             raise ConfigError(
                 f"config parse error in {path!r}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
-        if not isinstance(user, dict):
-            raise ConfigError(f"config {path!r} must hold a JSON object")
-        for key, val in user.items():
-            if isinstance(val, dict) and isinstance(cfg.get(key), dict):
-                cfg[key].update(val)
-            else:
-                cfg[key] = val
-    return cfg
+    return _overlay(DEFAULTS[command], user, seed)
 
 
 def _transfer_from_config(value) -> TransferFunction:
@@ -140,40 +159,36 @@ def _transfer_from_config(value) -> TransferFunction:
 
 
 def _input_from_config(cfg: dict) -> dynamics.InputSequence:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"input must be a JSON object, got {cfg!r}")
-    kind = cfg.get("kind")
+    kind = cfg["kind"]
+
+    def needed(key):
+        if cfg[key] is None:
+            raise ConfigError(f"input kind {kind!r} needs {key!r}")
+        return cfg[key]
+
     if kind == "alternating":
         return dynamics.Alternating(float(cfg["amplitude"]))
     if kind == "iid_sign":
-        return dynamics.IidSign(float(cfg["amplitude"]), int(cfg.get("seed", 0)))
+        return dynamics.IidSign(float(cfg["amplitude"]), int(cfg["seed"]))
     if kind == "constant":
-        return dynamics.Constant(float(cfg["value"]))
+        return dynamics.Constant(float(needed("value")))
     if kind == "file":
-        return dynamics.FileInput(str(cfg["path"]))
+        return dynamics.FileInput(str(needed("path")))
     raise ConfigError(f"unknown input kind {kind!r}")
 
 
 def _reservoir_from_config(cfg: dict) -> Reservoir:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"reservoir must be a JSON object, got {cfg!r}")
-    tf = _transfer_from_config(cfg.get("transfer", "tanh"))
-    if "w_csv" in cfg:
+    tf = _transfer_from_config(cfg["transfer"])
+    if cfg["w_csv"] is not None:
         W = load_matrix_csv(cfg["w_csv"])
-        if "w_in_csv" in cfg:
-            w_in = load_matrix_csv(cfg["w_in_csv"])
-        else:
-            w_in = np.ones((W.shape[0], 1))
+        w_in = np.ones((W.shape[0], 1)) if cfg["w_in_csv"] is None else load_matrix_csv(cfg["w_in_csv"])
     else:
         base = make_orthogonal_reservoir(
-            int(cfg.get("k", 1)),
-            int(cfg.get("n", 1)),
-            float(cfg.get("input_scale", 1.0)),
-            int(cfg.get("seed", 0)),
+            int(cfg["k"]), int(cfg["n"]), float(cfg["input_scale"]), int(cfg["seed"])
         )
         W, w_in = base.W, base.w_in
-    if cfg.get("spectrum_target") is not None:
-        W = scale_to_spectrum(W, float(cfg["spectrum_target"]), cfg.get("spectrum_mode", "singular"))
+    if cfg["spectrum_target"] is not None:
+        W = scale_to_spectrum(W, float(cfg["spectrum_target"]), cfg["spectrum_mode"])
     return Reservoir(W=W, w_in=w_in, tf=tf)
 
 
@@ -187,13 +202,8 @@ def _write_json(path: Path, payload: dict) -> None:
 # Each returns (files written, exit code); main records both in run_meta.json.
 
 def cmd_figure3(cfg: dict, out: Path) -> tuple[list[str], int]:
-    if "b_grid" in cfg:
-        grid = [float(b) for b in cfg["b_grid"]]
-    else:
-        bounds = (float(cfg[key]) for key in ("b_lo", "b_hi", "b_step"))
-        grid = contraction._grid(*bounds).tolist()
-    if not grid:
-        raise ConfigError("empty coupling grid")
+    bounds = (float(cfg[key]) for key in ("b_lo", "b_hi", "b_step"))
+    grid = contraction._grid(*bounds).tolist()
     amp = float(cfg["amplitude"])
     points = analysis.lyapunov_sweep(
         dynamics.make_alternating_neuron,
@@ -294,10 +304,10 @@ def cmd_verify(cfg: dict, out: Path) -> tuple[list[str], int]:
 def cmd_critical_b(cfg: dict, out: Path) -> tuple[list[str], int]:
     tf = _transfer_from_config(cfg["transfer"])
     amp = float(cfg["amplitude"])
-    bracket = tuple(float(v) for v in cfg["bracket"])
+    lo, hi = (float(v) for v in cfg["bracket"])
     tol = float(cfg["tol"])
     try:
-        b_star, orbit_amp = analysis.find_critical_b(tf, amp, bracket, tol)
+        b_star, orbit_amp = analysis.find_critical_b(tf, amp, (lo, hi), tol)
     except ValueError as exc:
         raise ConfigError(f"critical-b failed: {exc}") from exc
     x_lin = b_star * orbit_amp - amp
@@ -321,7 +331,7 @@ def cmd_mc(cfg: dict, out: Path) -> tuple[list[str], int]:
         int(cfg["T"]),
         washout=int(cfg["washout"]),
         ridge=float(cfg["ridge"]),
-        seed=int(cfg.get("mc_seed", cfg.get("seed", 0))),
+        seed=int(cfg["seed"]),
     )
     readout.write_mc_csv(out / "mc.csv", result)
     print(f"mc: total={result.mc_total:.4f} over {len(result.per_delay)} delays (k={res.k})")
@@ -329,19 +339,19 @@ def cmd_mc(cfg: dict, out: Path) -> tuple[list[str], int]:
 
 
 def cmd_simulate(cfg: dict, out: Path) -> tuple[list[str], int]:
-    res = _reservoir_from_config(cfg.get("reservoir", {}))
-    input_spec = _input_from_config(cfg.get("input", {}))
+    res = _reservoir_from_config(cfg["reservoir"])
+    input_spec = _input_from_config(cfg["input"])
     T = int(cfg["T"])
 
     def state_from(v):
         return dynamics._as_state(res, None if v == "zeros" else v)
 
-    x0 = state_from(cfg.get("x0"))
+    x0 = state_from(cfg["x0"])
     files = []
     traj = dynamics.run(res, input_spec, x0, T)
     dynamics.write_states_csv(out / "states.csv", traj)
     files.append("states.csv")
-    if cfg.get("y0") is not None:
+    if cfg["y0"] is not None:
         trace = dynamics.convergence_trace(res, input_spec, x0, state_from(cfg["y0"]), T)
         dynamics.write_trace_csv(out / "trace.csv", trace)
         files.append("trace.csv")
@@ -370,16 +380,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config; defaults are built in")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=int, default=None, help="replace every seed the config declares")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config, args.command)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        cfg = _load_config(args.config, args.command, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         files, exit_code = COMMANDS[args.command](cfg, out)
@@ -391,9 +399,8 @@ def main(argv=None) -> int:
             "exit_code": exit_code,
         }
         _write_json(out / "run_meta.json", meta)
-    except (ConfigError, OSError, KeyError, TypeError, ValueError) as exc:
-        reason = f"missing config key {exc}" if isinstance(exc, KeyError) else exc
-        print(f"error: {reason}", file=sys.stderr)
+    except (ConfigError, OSError, TypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return exit_code
 

@@ -26,7 +26,7 @@ estimate reports its +inf sentinel instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -131,7 +131,6 @@ class Trajectory:
 
     states: np.ndarray
     linear_states: np.ndarray
-    input_used: object
     x0: np.ndarray
 
 
@@ -140,7 +139,6 @@ class ConvergenceTrace:
     """Twin-trajectory distances q_t for t = 0..T-1 (q_0 from the initial pair)."""
 
     q: np.ndarray
-    meta: dict = field(default_factory=dict)
     floor_hit_at: Optional[int] = None
 
 
@@ -218,7 +216,7 @@ def _distance(v) -> float:
     return abs(float(v[0])) if v.size == 1 else float(np.linalg.norm(v))
 
 
-def run_with_inputs(res: Reservoir, inputs: np.ndarray, x0=None, input_used=None) -> Trajectory:
+def run_with_inputs(res: Reservoir, inputs: np.ndarray, x0=None) -> Trajectory:
     """Drive the reservoir with explicit input rows; inputs[i] produces states[i]."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.shape[1] != res.n:
@@ -228,7 +226,7 @@ def run_with_inputs(res: Reservoir, inputs: np.ndarray, x0=None, input_used=None
     T = inputs.shape[0]
     states, linear = np.empty((T, res.k)), np.empty((T, res.k))
     advance(x0, 0, T, states, linear)
-    return Trajectory(states=states, linear_states=linear, input_used=input_used, x0=x0)
+    return Trajectory(states=states, linear_states=linear, x0=x0)
 
 
 def run(res: Reservoir, input_spec: InputSequence, x0, T: int) -> Trajectory:
@@ -240,10 +238,10 @@ def run(res: Reservoir, input_spec: InputSequence, x0, T: int) -> Trajectory:
     if T < 1:
         raise ValueError("need T >= 1")
     u = generate_input(input_spec, T + 1, res.n)
-    return run_with_inputs(res, u[1:], x0, input_used=input_spec)
+    return run_with_inputs(res, u[1:], x0)
 
 
-def _twin_trace(res, u_x, u_y, x0, y0, shared_from, meta) -> ConvergenceTrace:
+def _twin_trace(res, u_x, u_y, x0, y0, shared_from) -> ConvergenceTrace:
     # shared_from: first step index from which both copies see identical
     # inputs.  A collision at or after it is permanent, so stepping stops
     # there and the rest of q stays zero.
@@ -267,15 +265,16 @@ def _twin_trace(res, u_x, u_y, x0, y0, shared_from, meta) -> ConvergenceTrace:
             break
         t0, t1 = t1, min(t1 + _BLOCK, T)
         n = t1 - t0
-        x = advance_x(x, t0, t1, X)
-        y = advance_y(y, t0, t1, Y)
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence raises ValueError: in tf or below
+            x = advance_x(x, t0, t1, X)
+            y = advance_y(y, t0, t1, Y)
         if not (np.all(np.isfinite(X[:n])) and np.all(np.isfinite(Y[:n]))):
             raise ValueError("twin states must stay finite")
         q[t0:t1] = [_distance(r) for r in X[:n] - Y[:n]]
     positive = np.flatnonzero(q > 0.0)
     zeros = np.flatnonzero(q[positive[0] :] == 0.0) if positive.size else positive
     floor_at = int(positive[0] + zeros[0]) if zeros.size else None
-    return ConvergenceTrace(q=q, meta=meta, floor_hit_at=floor_at)
+    return ConvergenceTrace(q=q, floor_hit_at=floor_at)
 
 
 def convergence_trace(res: Reservoir, input_spec: InputSequence, x0, y0, T: int) -> ConvergenceTrace:
@@ -285,14 +284,7 @@ def convergence_trace(res: Reservoir, input_spec: InputSequence, x0, y0, T: int)
     x0 = _as_state(res, x0)
     y0 = _as_state(res, y0)
     u = generate_input(input_spec, T, res.n)
-    meta = {
-        "kind": "convergence",
-        "input": repr(input_spec),
-        "x0": x0.tolist(),
-        "y0": y0.tolist(),
-        "k": res.k,
-    }
-    return _twin_trace(res, u, u, x0, y0, 0, meta)
+    return _twin_trace(res, u, u, x0, y0, 0)
 
 
 def perturbation_experiment(
@@ -319,15 +311,7 @@ def perturbation_experiment(
         raise ValueError(f"delta_u must have shape ({res.n},)")
     u_pert = u.copy()
     u_pert[perturb_at] += delta
-    meta = {
-        "kind": "perturbation",
-        "input": repr(base_input),
-        "perturb_at": perturb_at,
-        "delta_u": delta.tolist(),
-        "x0": x0.tolist(),
-        "k": res.k,
-    }
-    return _twin_trace(res, u, u_pert, x0, x0.copy(), perturb_at + 1, meta)
+    return _twin_trace(res, u, u_pert, x0, x0.copy(), perturb_at + 1)
 
 
 # -- named single-neuron families ------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from critical_esn.cli import main
+from critical_esn.cli import DEFAULTS, main
 
 A = math.pi / 4
 
@@ -30,18 +30,18 @@ class TestFigure3:
         assert abs(lams[1]) <= 2e-3
 
     def test_single_point(self, tmp_path):
-        cfg = _write_config(tmp_path, "f3.json", {"b_grid": [1.0], "T": 20_000})
+        cfg = _write_config(tmp_path, "f3.json", {"b_lo": 1.0, "b_hi": 1.0, "T": 20_000})
         assert main(["figure3", "--config", cfg, "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "figure3_lyapunov.csv").read_text().splitlines()
         assert len(rows) == 2
         assert abs(float(rows[1].split(",")[1])) <= 2e-3
 
     def test_empty_grid_is_usage_error(self, tmp_path):
-        cfg = _write_config(tmp_path, "f3.json", {"b_grid": []})
+        cfg = _write_config(tmp_path, "f3.json", {"b_lo": 1.0, "b_hi": 0.9})
         assert main(["figure3", "--config", cfg, "--out", str(tmp_path)]) == 2
 
     def test_reruns_are_byte_identical(self, tmp_path):
-        cfg = _write_config(tmp_path, "f3.json", {"b_grid": [0.9, 1.0], "T": 5000})
+        cfg = _write_config(tmp_path, "f3.json", {"b_lo": 0.9, "b_hi": 1.0, "b_step": 0.1, "T": 5000})
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["figure3", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["figure3", "--config", cfg, "--out", str(out2)]) == 0
@@ -50,10 +50,10 @@ class TestFigure3:
         ).read_bytes()
 
     def test_resolved_config_recorded(self, tmp_path):
-        cfg = _write_config(tmp_path, "f3.json", {"b_grid": [1.0], "T": 5000})
+        cfg = _write_config(tmp_path, "f3.json", {"b_lo": 1.0, "b_hi": 1.0, "T": 5000})
         assert main(["figure3", "--config", cfg, "--out", str(tmp_path)]) == 0
         recorded = json.loads((tmp_path / "figure3_config.json").read_text())
-        assert recorded["b_grid"] == [1.0]
+        assert recorded["b_lo"] == recorded["b_hi"] == 1.0
         assert recorded["T"] == 5000
         assert recorded["eps0"] == 1e-9  # defaults resolved into the record
         meta = json.loads((tmp_path / "run_meta.json").read_text())
@@ -257,6 +257,17 @@ class TestSimulate:
         assert rows[0] == "t,q" and len(rows) == 51
         assert float(rows[1].split(",")[1]) > 0
 
+    def test_seed_option_sets_every_declared_seed(self, tmp_path):
+        for run, seed in (("a", "1"), ("b", "2"), ("c", "1")):
+            assert main(["simulate", "--out", str(tmp_path / run), "--seed", seed]) == 0
+        states = {run: (tmp_path / run / "states.csv").read_bytes() for run in "abc"}
+        assert states["a"] != states["b"]
+        assert states["a"] == states["c"]
+        cfg = _write_config(tmp_path, "sim.json", {"input": {"kind": "iid_sign"}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "d"), "--seed", "7"]) == 0
+        recorded = json.loads((tmp_path / "d" / "simulate_config.json").read_text())
+        assert recorded["reservoir"]["seed"] == recorded["input"]["seed"] == 7
+
 
 class TestConfigHandling:
     def test_parse_error_has_line_diagnostics(self, tmp_path, capsys):
@@ -283,6 +294,10 @@ class TestConfigHandling:
             ("simulate", {"input": {"kind": "constant"}}),
             ("simulate", {"input": 5}),
             ("simulate", {"reservoir": [1]}),
+            ("critical-b", {"bracket": [1.5]}),
+            ("figure3", {"T": 50}),
+            ("figure3", {"renorm_interval": 0}),
+            ("figure3", {"eps0": 1}),
         ],
     )
     def test_ill_formed_config_exits_2_with_one_line(self, tmp_path, capsys, command, payload):
@@ -290,3 +305,56 @@ class TestConfigHandling:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("figure45", {"Tt": 5}, "Tt"),
+            ("simulate", {"reservoir": {"kk": 3}}, "kk"),
+            ("simulate", {"input": {"amplitud": 1}}, "amplitud"),
+            ("figure3", {"b_grid": [1.0]}, "b_grid"),
+            ("mc", {"mc_seed": 1}, "mc_seed"),
+        ],
+    )
+    def test_undeclared_key_exits_2_naming_it(self, tmp_path, capsys, command, payload, key):
+        cfg = _write_config(tmp_path, "bad.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("figure3", {"b_lo": 0.9, "b_hi": 1.0, "b_step": 0.1, "T": 1000}),
+            ("figure45", {"T": 300, "b": 0.9}),
+            (
+                "verify",
+                {**FAST_VERIFY, "transfer_kinds": ["tanh"], "n_list": [2], "q0_list": [0.5], "audit_k_list": [1, 4]},
+            ),
+            ("critical-b", {"tol": 1e-4}),
+            ("mc", {"k": 4, "max_delay": 8, "T": 1000}),
+            (
+                "simulate",
+                {
+                    "reservoir": {"k": 3, "transfer": "sine_sigmoid"},
+                    "input": {"kind": "iid_sign"},
+                    "T": 50,
+                    "y0": [0.1, -0.2, 0.3],
+                },
+            ),
+        ],
+    )
+    def test_recorded_config_round_trips(self, tmp_path, command, payload):
+        # The record must hold every declared key and nothing else: fed back
+        # through --config it is accepted and reproduces every artifact.
+        first, second = tmp_path / "first", tmp_path / "second"
+        cfg = _write_config(tmp_path, "cfg.json", payload)
+        assert main([command, "--config", cfg, "--out", str(first), "--seed", "7"]) == 0
+        record = first / f"{command.replace('-', '_')}_config.json"
+        assert json.loads(record.read_text()).keys() == DEFAULTS[command].keys()
+        assert main([command, "--config", str(record), "--out", str(second)]) == 0
+        names = sorted(p.name for p in first.iterdir() if p.name != "run_meta.json")
+        assert names == sorted(p.name for p in second.iterdir() if p.name != "run_meta.json")
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name

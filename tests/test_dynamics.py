@@ -319,7 +319,7 @@ class TestTraceCsv:
         def ref(v):
             return f"{v:.17g}"
 
-        write_states_csv(tmp_path / "s.csv", Trajectory(M, M, None, np.zeros(2)))
+        write_states_csv(tmp_path / "s.csv", Trajectory(M, M, np.zeros(2)))
         expected = "t,x0,x1\n" + "".join(
             f"{t}," + ",".join(ref(v) for v in row) + "\n" for t, row in enumerate(M, start=1)
         )

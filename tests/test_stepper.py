@@ -4,8 +4,12 @@ A k = 1, n = 2 reservoir with w_in = [[a, 0]] driven by rows [u, 0] runs on
 the array body; the k = n = 1 reservoir [[a]] driven by u runs on the float
 body.  Both compute the same map, so their twin traces and Lyapunov
 exponents must match: exactly for transfers whose math-module and numpy
-forms agree bitwise, within rounding for tanh.
+forms agree bitwise, within rounding for tanh.  Where the map diverges
+(linear or sine sigmoid with |w| = 3), both twin traces raise ValueError
+and both Lyapunov estimates report the +inf sentinel.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ TRANSFERS = {"sine_sigmoid": SINE_SIGMOID, "linear": LINEAR, "tanh": TANH}
 
 
 def _cases(per_kind=8, seed=1411):
-    """(kind, w, a, T, x0, y0, input seed) with |w| <= 1, |a| <= 2, T <= 500."""
+    """(kind, w, a, T, x0, y0, input seed): a seeded grid in |w| <= 1, |a| <= 2, T <= 500, and corners."""
     rng = np.random.default_rng(seed)
     cases = []
     for kind in sorted(TRANSFERS):
@@ -31,6 +35,11 @@ def _cases(per_kind=8, seed=1411):
     # Twins that decay to zero through distances below 1.5e-154, whose squares underflow.
     cases.append(("linear", 0.1, 0.0, 400, 0.5, -0.5, 0))
     cases.append(("sine_sigmoid", 0.2, 0.0, 200, 0.5, -0.5, 0))
+    # Corners outside the box: tanh stays bounded, linear grows like 3^t and
+    # sine sigmoid like 1.5^t until the state overflows.
+    for kind, T in (("tanh", 500), ("linear", 1000), ("sine_sigmoid", 2000)):
+        cases.append((kind, 3.0, 2.0, T, 1.0, -1.0, 0))
+        cases.append((kind, -3.0, -2.0, T, -1.0, 0.0, 1))
     return cases
 
 
@@ -43,6 +52,12 @@ def test_float_and_array_bodies_agree(tmp_path, kind, w, a, T, x0, y0, seed):
     floats = (Reservoir(W=[[w]], w_in=[[a]], tf=tf), FileInput(str(tmp_path / "n1.csv")))
     arrays = (Reservoir(W=[[w]], w_in=[[a, 0.0]], tf=tf), FileInput(str(tmp_path / "n2.csv")))
 
+    if kind != "tanh" and abs(w) > 1.0:
+        for res, spec in (floats, arrays):
+            with pytest.raises(ValueError):
+                convergence_trace(res, spec, [x0], [y0], T)
+            assert lyapunov_exponent(res, spec, T=T, x0=[x0]).exponent == math.inf
+        return
     tr_f, tr_a = (convergence_trace(res, spec, [x0], [y0], T) for res, spec in (floats, arrays))
     ly_f, ly_a = (lyapunov_exponent(res, spec, T=T, x0=[x0]) for res, spec in (floats, arrays))
     if kind == "tanh":  # math.tanh and np.tanh differ in the last bit
