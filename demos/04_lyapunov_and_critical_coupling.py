@@ -37,7 +37,7 @@ points = lyapunov_sweep(
     Alternating(A),
     grid,
     T=20_000,
-    orbit_factory=lambda b: alternating_orbit(A),
+    reference_orbit=alternating_orbit(A),
 )
 print("coupling sweep of the alternating-drive neuron (exponent vs ln b):")
 for p in points[::4]:

@@ -19,8 +19,9 @@ Three tool families live here:
   alternating drive: the parameter b* where the antisymmetric period-2
   orbit x = theta(b x - a) becomes marginally stable, |b theta'| = 1.
   Both conditions meet at a tangency of h_b(x) = theta(b x - a) - x, so
-  b* is found by bisection on the sign of max_x h_b(x); the inner
-  maximum's first-order condition enforces marginal stability for free.
+  b* is found by bisection on the sign of max_x h_b(x) over x in [0, 4];
+  the inner maximum's first-order condition enforces marginal stability
+  for free.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .contraction import _golden_max
-from .dynamics import ConvergenceTrace, InputSequence, _as_state, _distance, _stepper, generate_input
+from .dynamics import ZERO_FLOOR, ConvergenceTrace, InputSequence, _as_state, _distance, _stepper, generate_input
 from .reservoir import Reservoir
 from .transfer import TransferFunction
 
@@ -43,12 +44,9 @@ __all__ = [
     "lyapunov_exponent",
     "lyapunov_sweep",
     "fit_decay",
-    "decay_fit_to_dict",
     "find_critical_b",
     "write_sweep_csv",
 ]
-
-_SEP_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -147,8 +145,8 @@ def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
                 d = math.inf
             if not math.isfinite(d):
                 return LyapunovResult(math.inf, t, L, "two_trajectory", math.nan)
-            if d <= _SEP_FLOOR:
-                stretches.append(math.log(_SEP_FLOOR / eps0))
+            if d <= ZERO_FLOOR:
+                stretches.append(math.log(ZERO_FLOOR / eps0))
                 y = x + eps0 * e0
             else:
                 stretches.append(math.log(d / eps0))
@@ -174,7 +172,7 @@ def _jacobian_product(res, u, start, orbit, T, L) -> LyapunovResult:
             slopes = res.tf.derivative(x_lin)
         except ValueError:  # a non-finite state met the transfer function
             return LyapunovResult(math.inf, T, L, "jacobian_product", math.nan)
-    logs = np.log(np.maximum(np.abs(w * slopes), _SEP_FLOOR))
+    logs = np.log(np.maximum(np.abs(w * slopes), ZERO_FLOOR))
     exponent = float(np.mean(logs))
     stderr = float(np.std(logs) / math.sqrt(T))
     return LyapunovResult(exponent, T, L, "jacobian_product", stderr)
@@ -187,13 +185,14 @@ def lyapunov_sweep(
     T: int = 100_000,
     renorm_interval: int = 10,
     eps0: float = 1e-9,
-    orbit_factory: Optional[Callable[[float], np.ndarray]] = None,
-    method: str = "two_trajectory",
+    reference_orbit=None,
 ) -> list[SweepPoint]:
-    """One exponent per grid point, same input realization everywhere.
+    """Two-trajectory exponent per grid point, same input realization everywhere.
 
-    A bad T, renorm_interval or eps0 raises before any cell runs; a failed
-    cell is flagged on its SweepPoint instead.  Results come in grid order.
+    reference_orbit, as in lyapunov_exponent, pins every cell's reference
+    to the same known periodic states.  A bad T, renorm_interval or eps0
+    raises before any cell runs; a failed cell is flagged on its SweepPoint
+    instead.  Results come in grid order.
     """
     grid = list(grid)
     if not grid:
@@ -202,16 +201,13 @@ def lyapunov_sweep(
 
     def cell(b: float) -> SweepPoint:
         try:
-            res = reservoir_factory(b)
-            orbit = orbit_factory(b) if orbit_factory is not None else None
             result = lyapunov_exponent(
-                res,
+                reservoir_factory(b),
                 input_spec,
                 T=T,
                 renorm_interval=renorm_interval,
                 eps0=eps0,
-                method=method,
-                reference_orbit=orbit,
+                reference_orbit=reference_orbit,
             )
             return SweepPoint(b=b, exponent=result.exponent, result=result)
         except Exception as exc:  # noqa: BLE001 - cell failures are data
@@ -287,25 +283,13 @@ def fit_decay(trace: ConvergenceTrace, t_start: int = 10, t_end: Optional[int] =
     return DecayFit(law, slope_t, slope_logt, r2_semi, r2_log, (lo, hi), int(ts.size))
 
 
-def decay_fit_to_dict(fit: DecayFit) -> dict:
-    def clean(v):
-        return None if isinstance(v, float) and not math.isfinite(v) else v
-
-    return {
-        "law": fit.law,
-        "exponent_exp": clean(fit.exponent_exp),
-        "exponent_pow": clean(fit.exponent_pow),
-        "r2_semilog": fit.r2_semilog,
-        "r2_loglog": fit.r2_loglog,
-        "fit_window": list(fit.fit_window),
-        "n_samples": fit.n_samples,
-    }
-
-
 # -- critical coupling of the alternating-drive neuron ------------------------
 
-def _orbit_residual(tf: TransferFunction, b: float, amplitude: float, x_hi: float) -> tuple[float, float]:
-    """max over x in [0, x_hi] of theta(b x - amplitude) - x, with its argmax.
+_ORBIT_X_HI = 4.0  # the orbit search covers x in [0, _ORBIT_X_HI]
+
+
+def _orbit_residual(tf: TransferFunction, b: float, amplitude: float) -> tuple[float, float]:
+    """max over x in [0, _ORBIT_X_HI] of theta(b x - amplitude) - x, with its argmax.
 
     The interior maximum satisfies b theta'(b x - a) = 1 exactly, so when
     that derivative changes sign across the best grid cell the argmax is
@@ -313,7 +297,7 @@ def _orbit_residual(tf: TransferFunction, b: float, amplitude: float, x_hi: floa
     fallback.  A boundary maximum at x = 0 (the degenerate zero-amplitude
     case) is returned as-is.
     """
-    xs = np.linspace(0.0, x_hi, 2001)
+    xs = np.linspace(0.0, _ORBIT_X_HI, 2001)
     h = tf(b * xs - amplitude) - xs
     i = int(np.argmax(h[1:])) + 1  # best interior grid point
     lo = float(xs[i - 1])
@@ -348,7 +332,6 @@ def find_critical_b(
     input_amplitude: float,
     bracket: tuple[float, float],
     tol: float = 1e-6,
-    x_hi: float = 4.0,
 ) -> tuple[float, float]:
     """Critical coupling b* and orbit amplitude |x*| of x -> theta(b x - a).
 
@@ -357,8 +340,8 @@ def find_critical_b(
     the two conditions meet where theta(b x - a) first touches the line y=x,
     so the residual r(b) = max_x [theta(b x - a) - x] changes sign at b*.
     Bisection on b; r <= 0 counts as subcritical.  The orbit search is
-    restricted to x in [0, x_hi], adequate for bounded sigmoid-like
-    transfer functions.
+    restricted to x in [0, 4], adequate for bounded sigmoid-like transfer
+    functions.
 
     With amplitude 0 the tangency degenerates to the origin: b* = 1 and
     the orbit amplitude is 0.
@@ -369,8 +352,8 @@ def find_critical_b(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (lo < hi):
         raise ValueError("need bracket lo < hi")
-    r_lo, _ = _orbit_residual(tf, lo, a, x_hi)
-    r_hi, _ = _orbit_residual(tf, hi, a, x_hi)
+    r_lo, _ = _orbit_residual(tf, lo, a)
+    r_hi, _ = _orbit_residual(tf, hi, a)
     if not (r_lo <= 0.0 < r_hi):
         raise ValueError(
             f"bracket does not straddle the critical coupling: r({lo})={r_lo:.3g}, r({hi})={r_hi:.3g}"
@@ -379,11 +362,11 @@ def find_critical_b(
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        r_mid, _ = _orbit_residual(tf, mid, a, x_hi)
+        r_mid, _ = _orbit_residual(tf, mid, a)
         if r_mid > 0.0:
             hi = mid
         else:
             lo = mid
     b_star = 0.5 * (lo + hi)
-    _, x_star = _orbit_residual(tf, lo, a, x_hi)
+    _, x_star = _orbit_residual(tf, lo, a)
     return b_star, abs(x_star)

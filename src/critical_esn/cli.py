@@ -14,7 +14,8 @@ A config sets only keys that DEFAULTS declares for its subcommand, and
 --seed replaces every seed declared there.  Every run writes the fully
 resolved config (which --config accepts back) next to its outputs and a
 run_meta.json sidecar; CSV/JSON bodies are deterministic byte-for-byte
-(timestamps live only in the sidecar).  Exit codes: 0 success, 1 failed
+(timestamps live only in the sidecar); every JSON artifact writes a
+non-finite number as null.  Exit codes: 0 success, 1 failed
 verification, 2 usage/config error.
 """
 
@@ -24,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import analysis, contraction, dynamics, readout
 from .reservoir import Reservoir, load_matrix_csv, make_orthogonal_reservoir, scale_to_spectrum
-from .transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction
+from .transfer import TransferFunction
 
 _PI4 = math.pi / 4
 
@@ -66,7 +67,7 @@ DEFAULTS: dict[str, dict] = {
         "kappa": 2.0,
         "delta_grid": [0.0, 4.0, 1e-2],
         "zeta_grid": [-4.0, 4.0, 1e-2],
-        "n_list": [1, 2, 4],
+        "n_list": [2, 4],
         "vector_samples": 20000,
         "q0_list": [0.1, 0.5, 1.0],
         "dominance_T": 100_000,
@@ -103,9 +104,6 @@ DEFAULTS: dict[str, dict] = {
         "y0": None,
     },
 }
-
-_TF_BY_NAME = {"tanh": TANH, "sine_sigmoid": SINE_SIGMOID, "linear": LINEAR}
-
 
 class ConfigError(Exception):
     pass
@@ -147,9 +145,7 @@ def _load_config(path: str | None, command: str, seed: int | None) -> dict:
 
 def _transfer_from_config(value) -> TransferFunction:
     if isinstance(value, str):
-        if value not in _TF_BY_NAME:
-            raise ConfigError(f"unknown transfer kind {value!r}")
-        return _TF_BY_NAME[value]
+        return TransferFunction(value)
     if isinstance(value, dict):
         try:
             return TransferFunction.from_dict(value)
@@ -192,9 +188,20 @@ def _reservoir_from_config(cfg: dict) -> Reservoir:
     return Reservoir(W=W, w_in=w_in, tf=tf)
 
 
+def _jsonable(v):
+    """v with result dataclasses as dicts (asdict) and non-finite floats as None."""
+    if is_dataclass(v):
+        v = asdict(v)
+    if isinstance(v, dict):
+        return {key: _jsonable(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -212,7 +219,7 @@ def cmd_figure3(cfg: dict, out: Path) -> tuple[list[str], int]:
         T=int(cfg["T"]),
         renorm_interval=int(cfg["renorm_interval"]),
         eps0=float(cfg["eps0"]),
-        orbit_factory=lambda b: dynamics.alternating_orbit(amp),
+        reference_orbit=dynamics.alternating_orbit(amp),
     )
     analysis.write_sweep_csv(out / "figure3_lyapunov.csv", points)
     failed = [p.b for p in points if p.error is not None]
@@ -238,9 +245,7 @@ def cmd_figure45(cfg: dict, out: Path) -> tuple[list[str], int]:
         fit = analysis.fit_decay(trace, t_start=t_start)
         stem = "figure4_alternating" if name == "alternating" else "figure5_iid"
         dynamics.write_trace_csv(out / f"{stem}_trace.csv", trace)
-        payload = analysis.decay_fit_to_dict(fit)
-        payload["floor_hit_at"] = trace.floor_hit_at
-        _write_json(out / f"decay_fit_{name}.json", payload)
+        _write_json(out / f"decay_fit_{name}.json", {**asdict(fit), "floor_hit_at": trace.floor_hit_at})
         files += [f"{stem}_trace.csv", f"decay_fit_{name}.json"]
         results[name] = fit.law
     print(f"figure45: alternating -> {results['alternating']}, iid -> {results['iid']}")
@@ -251,6 +256,8 @@ def _verify_checks(cfg: dict) -> dict:
     p = contraction.CoverParams(
         eta=float(cfg["eta"]), gamma=float(cfg["gamma"]), kappa=float(cfg["kappa"])
     )
+    if any(int(n) < 2 for n in cfg["n_list"]):
+        raise ConfigError(f"n_list entries must be >= 2, got {cfg['n_list']!r}")
     delta_grid = tuple(cfg["delta_grid"])
     zeta_grid = tuple(cfg["zeta_grid"])
     checks: dict[str, contraction.VerificationReport] = {}
@@ -259,10 +266,9 @@ def _verify_checks(cfg: dict) -> dict:
         tf = _transfer_from_config(kind)
         checks[f"cover_{kind}"] = contraction.verify_cover_inequality(tf, p, delta_grid, zeta_grid)
         for n in cfg["n_list"]:
-            if n > 1:
-                checks[f"cover_vec_{kind}_n{n}"] = contraction.verify_cover_inequality_vec(
-                    tf, int(n), int(cfg["vector_samples"]), seed=int(cfg["seed"])
-                )
+            checks[f"cover_vec_{kind}_n{n}"] = contraction.verify_cover_inequality_vec(
+                tf, int(n), int(cfg["vector_samples"]), seed=int(cfg["seed"]), p=p
+            )
     checks["phi_shape"] = contraction.check_phi_properties(p)
     for q0 in cfg["q0_list"]:
         checks[f"dominance_q0_{q0}"] = contraction.verify_dominance(float(q0), p, int(cfg["dominance_T"]))
@@ -285,17 +291,15 @@ def _verify_checks(cfg: dict) -> dict:
                 x0 = rng.uniform(-1.0, 1.0, int(k))
                 y0 = rng.uniform(-1.0, 1.0, int(k))
                 checks[f"step_audit_{kind}_k{k}_{i}"] = contraction.audit_step_inequality(
-                    res, spec, x0, y0, int(cfg["audit_T"])
+                    res, spec, x0, y0, int(cfg["audit_T"]), p
                 )
     return checks
 
 
 def cmd_verify(cfg: dict, out: Path) -> tuple[list[str], int]:
     checks = _verify_checks(cfg)
-    payload = {name: asdict(rep) for name, rep in checks.items()}
     all_passed = all(rep.passed for rep in checks.values())
-    payload["all_passed"] = all_passed
-    _write_json(out / "verify_report.json", payload)
+    _write_json(out / "verify_report.json", {**checks, "all_passed": all_passed})
     for name, rep in sorted(checks.items()):
         print(f"{'PASS' if rep.passed else 'FAIL'}  {name}  worst_margin={rep.worst_margin:.3g}")
     return ["verify_report.json"], 0 if all_passed else 1

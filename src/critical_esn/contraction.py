@@ -14,7 +14,9 @@ eta = 1/(48 k^2) is available via :meth:`CoverParams.for_network`; both
 are valid covers and the audits here use the rescaled-argument form.
 
 Everything in this module is a pure function; grid verifications report
-their worst margin instead of proving anything symbolically.
+their worst margin instead of proving anything symbolically.  Each check
+takes the cover parameters ``p``; its grids and sampling ranges are the
+fixed module constants below.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ __all__ = [
 ]
 
 PASS_SLACK = 1e-12
+_ZETA_SCAN = (-4.0, 4.0, 1601)  # omega_max_zeta's coarse grid: lo, hi, points
+_VEC_DELTA_SCALE, _VEC_ZETA_SCALE = 2.0, 4.0  # sampled |Delta_i|, |zeta_i| bounds of the vector check
+_PHI_Z_HI, _PHI_POINTS = 4.0, 4001  # check_phi_properties' grid of z in [0, hi]
 
 
 @dataclass(frozen=True)
@@ -151,14 +156,8 @@ def _golden_max(fun, lo: float, hi: float, xtol: float = 1e-12) -> tuple[float, 
     return x, fun(x)
 
 
-def omega_max_zeta(
-    tf: TransferFunction,
-    delta: float,
-    zeta_lo: float = -4.0,
-    zeta_hi: float = 4.0,
-    n_grid: int = 1601,
-) -> tuple[float, float]:
-    """(max over zeta of omega, argmax), by coarse grid plus golden refinement.
+def omega_max_zeta(tf: TransferFunction, delta: float) -> tuple[float, float]:
+    """(max over zeta in [-4, 4] of omega, argmax), by coarse grid plus golden refinement.
 
     The worst base point of a perturbation of size delta: the paper's
     quantity behind the cover inequality.  The certificates scan the whole
@@ -167,11 +166,11 @@ def omega_max_zeta(
     """
     if delta <= 0:
         raise ValueError("need delta > 0")
-    zs = np.linspace(zeta_lo, zeta_hi, n_grid)
+    zs = np.linspace(*_ZETA_SCAN)
     vals = omega(tf, delta, zs)
     i = int(np.argmax(vals))
     a = zs[max(i - 1, 0)]
-    b = zs[min(i + 1, n_grid - 1)]
+    b = zs[min(i + 1, zs.size - 1)]
     z_star, v_star = _golden_max(lambda z: omega(tf, delta, z), a, b)
     if vals[i] > v_star:
         z_star, v_star = float(zs[i]), float(vals[i])
@@ -220,41 +219,42 @@ def verify_cover_inequality_vec(
     n_neurons: int,
     n_samples: int = 20000,
     seed: int = 0,
-    delta_scale: float = 2.0,
-    zeta_scale: float = 4.0,
+    p: CoverParams = CoverParams(),
 ) -> VerificationReport:
     """Sampled vector form of the cover inequality for an n-neuron state.
 
-    Draws perturbation vectors Delta and base points zeta, and checks
+    Draws perturbation vectors Delta in [-2, 2]^n and base points zeta in
+    [-4, 4]^n, and checks
 
         sum_i (theta(zeta_i + Delta_i) - theta(zeta_i))^2
-            <= (sum_i Delta_i^2) * phi_k(sum_i Delta_i^2, n).
+            <= (sum_i Delta_i^2) * phi_k(sum_i Delta_i^2, n)
+
+    with phi_k built on the one-neuron parameters p.
     """
     rng = np.random.default_rng(seed)
-    deltas = rng.uniform(-delta_scale, delta_scale, size=(n_samples, n_neurons))
-    zetas = rng.uniform(-zeta_scale, zeta_scale, size=(n_samples, n_neurons))
+    deltas = rng.uniform(-_VEC_DELTA_SCALE, _VEC_DELTA_SCALE, size=(n_samples, n_neurons))
+    zetas = rng.uniform(-_VEC_ZETA_SCALE, _VEC_ZETA_SCALE, size=(n_samples, n_neurons))
     after = tf(zetas + deltas) - tf(zetas)
     lhs = np.sum(after * after, axis=1)
     x = np.sum(deltas * deltas, axis=1)
-    rhs = x * phi_k(x, n_neurons)
+    rhs = x * phi_k(x, n_neurons, p)
     return _report(rhs - lhs, x, f"{n_samples} seeded vector samples, n={n_neurons}")
 
 
-def check_phi_properties(
-    p: CoverParams = CoverParams(), z_hi: float = 4.0, n_grid: int = 4001
-) -> VerificationReport:
+def check_phi_properties(p: CoverParams = CoverParams()) -> VerificationReport:
     """Grid check of the three cover-function facts the contraction argument uses.
 
-    phi <= 1; phi is non-increasing; z * phi(z) is non-decreasing.
+    phi <= 1; phi is non-increasing; z * phi(z) is non-decreasing; on
+    4001 points of z in [0, 4].
     """
-    zs = np.linspace(0.0, z_hi, n_grid)
+    zs = np.linspace(0.0, _PHI_Z_HI, _PHI_POINTS)
     ph = phi(zs, p)
     m1 = 1.0 - ph
     m2 = -np.diff(ph)
     m3 = np.diff(zs * ph)
     margins = np.concatenate([m1, m2, m3])
     points = np.concatenate([zs, zs[1:], zs[1:]])
-    return _report(margins, points, f"z in [0,{z_hi}], {n_grid} points")
+    return _report(margins, points, f"z in [0,{_PHI_Z_HI}], {_PHI_POINTS} points")
 
 
 # -- the scalar covering sequence -------------------------------------------
@@ -343,19 +343,22 @@ def tau_bound(
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def audit_step_inequality(res, input_spec, x0, y0, T: int) -> VerificationReport:
+def audit_step_inequality(
+    res, input_spec, x0, y0, T: int, p: CoverParams = CoverParams()
+) -> VerificationReport:
     """Per-step audit q_{t+1}^2 <= q_t^2 phi_k(q_t^2) on a simulated twin run.
 
-    Uses phi_k with the reservoir's own neuron count.  This is the
-    contraction certificate that makes a boundary-spectrum network forget:
-    every simulated step of a unit-singular-value reservoir with a covered
-    transfer function must respect it (up to 1e-12 float slack).
+    Uses phi_k on the one-neuron parameters p with the reservoir's own
+    neuron count.  This is the contraction certificate that makes a
+    boundary-spectrum network forget: every simulated step of a
+    unit-singular-value reservoir with a covered transfer function must
+    respect it (up to 1e-12 float slack).
     """
     from .dynamics import convergence_trace
 
     trace = convergence_trace(res, input_spec, x0, y0, T)
     q2 = trace.q**2
-    bound = q2 * phi_k(q2, res.k)
+    bound = q2 * phi_k(q2, res.k, p)
     margins = bound[:-1] - q2[1:]
     spec = f"T={T}, k={res.k}, tf={res.tf.kind}, input={input_spec!r}"
     return _report(margins, np.arange(margins.size), spec)

@@ -225,7 +225,10 @@ def run_with_inputs(res: Reservoir, inputs: np.ndarray, x0=None) -> Trajectory:
     advance = _stepper(res, inputs, floats=False)
     T = inputs.shape[0]
     states, linear = np.empty((T, res.k)), np.empty((T, res.k))
-    advance(x0, 0, T, states, linear)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises ValueError: in tf or below
+        last = advance(x0, 0, T, states, linear)
+    if not np.all(np.isfinite(last)):  # an earlier non-finite state would have raised in tf
+        raise ValueError("states must stay finite")
     return Trajectory(states=states, linear_states=linear, x0=x0)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transfer import TransferFunction
+from .transfer import TANH, TransferFunction
 
 __all__ = [
     "Reservoir",
@@ -35,6 +35,18 @@ __all__ = [
     "load_matrix_csv",
 ]
 
+_ESC_TOL = 1e-9  # check_esc's margin around the spectral boundary
+
+
+def _square_matrix(W) -> np.ndarray:
+    """W as a finite square float matrix, or ValueError."""
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        raise ValueError("W must be square")
+    if not np.all(np.isfinite(W)):
+        raise ValueError("W must be finite")
+    return W
+
 
 @dataclass(frozen=True)
 class Reservoir:
@@ -45,14 +57,12 @@ class Reservoir:
     tf: TransferFunction
 
     def __post_init__(self):
-        W = np.atleast_2d(np.asarray(self.W, dtype=float))
+        W = _square_matrix(self.W)
         w_in = np.atleast_2d(np.asarray(self.w_in, dtype=float))
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError("W must be square")
         if w_in.shape[0] != W.shape[0]:
             raise ValueError("w_in must have k rows")
-        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(w_in))):
-            raise ValueError("weights must be finite")
+        if not np.all(np.isfinite(w_in)):
+            raise ValueError("w_in must be finite")
         W.setflags(write=False)
         w_in.setflags(write=False)
         object.__setattr__(self, "W", W)
@@ -99,16 +109,12 @@ def make_orthogonal_reservoir(k: int, n: int, input_scale: float, seed: int) -> 
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diag(r))
     w_in = rng.uniform(-input_scale, input_scale, size=(k, n))
-    from .transfer import TANH
-
     return Reservoir(W=q, w_in=w_in, tf=TANH)
 
 
 def scale_to_spectrum(W: np.ndarray, target: float, mode: str = "singular") -> np.ndarray:
     """Uniformly rescale W so its max singular value (or max |eig|) hits target."""
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    if W.shape[0] != W.shape[1]:
-        raise ValueError("W must be square")
+    W = _square_matrix(W)
     if target <= 0:
         raise ValueError("target must be positive")
     if mode == "singular":
@@ -124,11 +130,7 @@ def scale_to_spectrum(W: np.ndarray, target: float, mode: str = "singular") -> n
 
 def spectral_summary(W: np.ndarray) -> SpectralSummary:
     """Eigen/singular spectrum plus a normality test (W W^T == W^T W)."""
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ValueError("W must be square")
-    if not np.all(np.isfinite(W)):
-        raise ValueError("W must be finite")
+    W = _square_matrix(W)
     svals = np.linalg.svd(W, compute_uv=False)
     eigs = np.linalg.eigvals(W)
     wmax = float(np.max(np.abs(W))) if W.size else 0.0
@@ -143,23 +145,21 @@ def spectral_summary(W: np.ndarray) -> SpectralSummary:
     )
 
 
-def check_esc(reservoir: Reservoir, tol: float = 1e-9) -> EscVerdict:
+def check_esc(reservoir: Reservoir) -> EscVerdict:
     """Spectral echo-state verdict for a reservoir.
 
-    Strict inequalities are certified with a tol margin (inside 1 - tol);
-    within tol of the boundary the matrix counts as critical instead, so
+    Strict inequalities are certified with a 1e-9 margin (inside 1 - 1e-9);
+    within 1e-9 of the boundary the matrix counts as critical instead, so
     critical_boundary and c2_sufficient are mutually exclusive by
     construction.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     s = spectral_summary(reservoir.W)
     critical = (
-        abs(s.max_singular_value - 1.0) <= tol
-        and abs(s.max_abs_eigenvalue - 1.0) <= tol
+        abs(s.max_singular_value - 1.0) <= _ESC_TOL
+        and abs(s.max_abs_eigenvalue - 1.0) <= _ESC_TOL
     )
-    c1 = s.max_abs_eigenvalue < 1.0 - tol
-    c2 = s.max_singular_value < 1.0 - tol
+    c1 = s.max_abs_eigenvalue < 1.0 - _ESC_TOL
+    c2 = s.max_singular_value < 1.0 - _ESC_TOL
     covered = critical and reservoir.tf.kind in ("tanh", "sine_sigmoid")
     return EscVerdict(
         c1_necessary=bool(c1),

@@ -42,6 +42,7 @@ _KINDS = ("tanh", "sine_sigmoid", "tailored", "linear")
 
 # Tailored pieces: an anchor owns the points within this distance of it.
 _ANCHOR_RADIUS = 1.0
+_DEFECT_POINTS = 20001  # continuity_defect's grid size
 
 
 def _check_finite(x) -> np.ndarray:
@@ -216,14 +217,14 @@ def tailored(anchors) -> TransferFunction:
     return TransferFunction("tailored", tuple(anchors))
 
 
-def continuity_defect(tf: TransferFunction, lo: float, hi: float, n_grid: int = 20001) -> float:
-    """Worst jump evidence on a grid: max of |delta theta| - |delta x|.
+def continuity_defect(tf: TransferFunction, lo: float, hi: float) -> float:
+    """Worst jump evidence on a 20001-point grid of [lo, hi]: max of |delta theta| - |delta x|.
 
     All kinds here are 1-Lipschitz within a piece, so any positive excess
     of a secant over the grid spacing flags a discontinuity at a piece
     boundary of a tailored transfer.  Near 0 for continuous functions.
     """
-    xs = np.linspace(lo, hi, n_grid)
+    xs = np.linspace(lo, hi, _DEFECT_POINTS)
     ys = tf(xs)
     excess = np.abs(np.diff(ys)) - np.abs(np.diff(xs))
     return float(np.max(excess))

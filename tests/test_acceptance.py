@@ -47,7 +47,7 @@ def test_criterion_1_lyapunov_zero_crossing():
         Alternating(A),
         [0.95, 1.0, 1.05],
         T=100_000,
-        orbit_factory=lambda b: alternating_orbit(A),
+        reference_orbit=alternating_orbit(A),
     )
     elapsed = time.monotonic() - t0
     lam = {p.b: p.exponent for p in pts}

@@ -105,7 +105,7 @@ class TestLyapunovSweep:
             Alternating(A),
             [0.5, 1.0],
             T=20_000,
-            orbit_factory=lambda b: alternating_orbit(A),
+            reference_orbit=alternating_orbit(A),
         )
         assert pts[0].exponent < 0
         assert pts[0].exponent == pytest.approx(math.log(0.5), abs=1e-3)
@@ -117,7 +117,7 @@ class TestLyapunovSweep:
             Alternating(A),
             [1.0],
             T=5000,
-            orbit_factory=lambda b: alternating_orbit(A),
+            reference_orbit=alternating_orbit(A),
         )
         direct = lyapunov_exponent(
             make_alternating_neuron(1.0),
@@ -133,7 +133,7 @@ class TestLyapunovSweep:
             Alternating(A),
             [1.2],
             T=20_000,
-            orbit_factory=lambda b: alternating_orbit(A),
+            reference_orbit=alternating_orbit(A),
         )
         assert pts[0].exponent > 0
         # independent check: direct twin trajectories near the orbit diverge
@@ -159,7 +159,7 @@ class TestLyapunovSweep:
     def test_csv_format(self, tmp_path):
         pts = lyapunov_sweep(
             make_alternating_neuron, Alternating(A), [0.5], T=1000,
-            orbit_factory=lambda b: alternating_orbit(A),
+            reference_orbit=alternating_orbit(A),
         )
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, pts)

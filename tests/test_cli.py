@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from critical_esn import contraction
 from critical_esn.cli import DEFAULTS, main
+from critical_esn.contraction import phi_k
 
 A = math.pi / 4
 
@@ -137,6 +139,21 @@ class TestVerify:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert not report["cover_tanh"]["passed"]
         assert report["dominance_q0_0.5"]["passed"]
+
+    def test_cover_params_reach_vector_and_step_checks(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(z, n_neurons, base=contraction.CoverParams()):
+            seen.append(base)
+            return phi_k(z, n_neurons, base)
+
+        monkeypatch.setattr(contraction, "phi_k", spy)
+        cfg = _write_config(
+            tmp_path, "v.json", {**FAST_VERIFY, "eta": 0.5, "transfer_kinds": ["tanh"], "audit_k_list": [1, 4]}
+        )
+        main(["verify", "--config", cfg, "--out", str(tmp_path)])
+        assert len(seen) == 4  # two vector checks, two step audits
+        assert all(p == contraction.CoverParams(eta=0.5) for p in seen)
 
 
 class TestCriticalB:
@@ -305,6 +322,14 @@ class TestConfigHandling:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n_list", [[1, 2], [0], [2, 4, 1]])
+    def test_n_list_entry_below_2_exits_2_naming_it(self, tmp_path, capsys, n_list):
+        cfg = _write_config(tmp_path, "bad.json", {"n_list": n_list})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "n_list" in err
+        assert not (tmp_path / "verify_report.json").exists()
 
     @pytest.mark.parametrize(
         "command, payload, key",

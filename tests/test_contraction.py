@@ -143,6 +143,11 @@ class TestCoverInequality:
         rep = verify_cover_inequality_vec(tf, n, n_samples=20000, seed=1)
         assert rep.passed and rep.worst_margin >= 0.0
 
+    def test_vector_form_uses_given_cover_params(self):
+        greedy = CoverParams(eta=0.9, gamma=0.99)
+        assert verify_cover_inequality_vec(TANH, 2, n_samples=20000, seed=1).passed
+        assert not verify_cover_inequality_vec(TANH, 2, n_samples=20000, seed=1, p=greedy).passed
+
 
 class TestIterateQ:
     def test_first_step_value(self):
@@ -275,6 +280,14 @@ class TestStepAudit:
                     res, IidSign(A, 3), rng.uniform(-1, 1, k), rng.uniform(-1, 1, k), T=300
                 )
                 assert rep.passed, rep
+
+    def test_uses_given_cover_params(self):
+        # k = 1 tanh twin run: eta = 1/48 covers every step, eta = 0.5 does not
+        res = make_orthogonal_reservoir(1, 1, 0.5, 3)
+        args = (res, IidSign(A, 3), [1.0], [-1.0], 200)
+        assert audit_step_inequality(*args).passed
+        rep = audit_step_inequality(*args, p=CoverParams(eta=0.5))
+        assert not rep.passed and rep.worst_margin < -0.01
 
     def test_identity_transfer_breaks_cover(self):
         res = Reservoir(W=[[1.0]], w_in=[[1.0]], tf=LINEAR)

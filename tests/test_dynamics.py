@@ -155,6 +155,19 @@ class TestRun:
         traj = run_with_inputs(res, u, x0=[5.0])
         np.testing.assert_array_equal(traj.states, u)
 
+    # Both raise under the suite's error::RuntimeWarning filter: the run
+    # steps with overflow ignored and reports divergence as ValueError.
+    def test_diverging_linear_run_raises(self):
+        res = Reservoir(W=2.0 * np.eye(4), w_in=np.ones((4, 1)), tf=LINEAR)
+        with pytest.raises(ValueError):
+            run(res, Constant(0.5), None, T=2000)
+
+    def test_transfer_overflow_to_nan_raises(self):
+        # finite linear state, but 2x overflows inside the sine sigmoid
+        res = Reservoir(W=[[1.0]], w_in=[[1.0]], tf=SINE_SIGMOID)
+        with pytest.raises(ValueError):
+            run(res, Constant(0.0), [1.5e308], T=1)
+
 
 class TestConvergenceTrace:
     def test_identical_starts_stay_identical(self):

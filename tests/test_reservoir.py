@@ -172,10 +172,6 @@ class TestCheckEsc:
             if v.critical_boundary:
                 assert not v.c2_sufficient
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            check_esc(Reservoir(W=[[0.5]], w_in=[[1.0]], tf=TANH), tol=0.0)
-
 
 class TestReservoirType:
     def test_shape_validation(self):
