@@ -11,19 +11,23 @@ mc          Delay-reconstruction memory capacity of a seeded reservoir.
 simulate    Free-form trajectory (and optional twin trace) from a config.
 
 A config sets only keys that DEFAULTS declares for its subcommand, and
---seed replaces every seed declared there.  Every run writes the fully
-resolved config (which --config accepts back) next to its outputs and a
-run_meta.json sidecar; CSV/JSON bodies are deterministic byte-for-byte
-(timestamps live only in the sidecar); every JSON artifact writes a
-non-finite number as null.  Exit codes: 0 success, 1 failed
-verification, 2 usage/config error.
+--seed replaces every seed declared there.  Each value must have its
+key's form, that of its default or one listed in _FORMS (an int given
+for a float is stored as a float), or the run exits 2 naming the key.
+Every run writes the fully resolved config (which --config accepts back)
+next to its outputs and a run_meta.json sidecar; CSV/JSON bodies are
+deterministic byte-for-byte (timestamps live only in the sidecar); every
+JSON artifact writes a non-finite number as null.  Exit codes: 0
+success, 1 failed verification, 2 usage/config error.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
+import platform
 import sys
 from dataclasses import asdict, is_dataclass
 from datetime import datetime, timezone
@@ -65,8 +69,8 @@ DEFAULTS: dict[str, dict] = {
         "eta": 1.0 / 48.0,
         "gamma": 0.5,
         "kappa": 2.0,
-        "delta_grid": [0.0, 4.0, 1e-2],
-        "zeta_grid": [-4.0, 4.0, 1e-2],
+        "delta_grid": (0.0, 4.0, 1e-2),
+        "zeta_grid": (-4.0, 4.0, 1e-2),
         "n_list": [2, 4],
         "vector_samples": 20000,
         "q0_list": [0.1, 0.5, 1.0],
@@ -79,7 +83,7 @@ DEFAULTS: dict[str, dict] = {
     "critical-b": {
         "transfer": "tanh",
         "amplitude": _PI4,
-        "bracket": [1.5, 3.0],
+        "bracket": (1.5, 3.0),
         "tol": 1e-6,
     },
     "mc": {
@@ -105,26 +109,85 @@ DEFAULTS: dict[str, dict] = {
     },
 }
 
+# The keys that may be null or take a second form, with every form each accepts;
+# a frozenset lists the strings allowed.  Every other key has its default's form.
+_FORMS = {
+    "w_csv": ("", None),
+    "w_in_csv": ("", None),
+    "path": ("", None),
+    "spectrum_target": (0.0, None),
+    "value": (0.0, None),
+    "x0": (frozenset({"zeros"}), [0.0]),
+    "y0": (frozenset({"zeros"}), [0.0], None),
+    "transfer": ("", {}),
+}
+
+_NOUNS = {type(None): "null", dict: "an object", str: "a string", int: "an integer", float: "a finite number"}
+
+
 class ConfigError(Exception):
     pass
+
+
+def _conform(form, value):
+    """value in the type of form; TypeError (or OverflowError) if it has another form.
+
+    An int form takes no bool, a float form takes a finite int or float, a
+    list form takes entries of its first entry's form, a tuple form its length.
+    """
+    if isinstance(form, float) and type(value) in (int, float) and math.isfinite(value):
+        return float(value)
+    if isinstance(form, list) and type(value) is list:
+        return [_conform(form[0], v) for v in value]
+    if isinstance(form, tuple) and type(value) is list and len(value) == len(form):
+        return tuple(map(_conform, form, value))
+    if isinstance(form, frozenset) and type(value) is str and value in form:
+        return value
+    if type(value) is type(form) and not isinstance(form, float):
+        return value
+    raise TypeError
+
+
+def _describe(form) -> str:
+    if isinstance(form, frozenset):
+        return " or ".join(map(repr, sorted(form)))
+    if isinstance(form, (list, tuple)):  # "a list of 2 finite numbers", "a list of integers"
+        size = f"{len(form)} " if isinstance(form, tuple) else ""
+        return f"a list of {size}{_NOUNS[type(form[0])].split(' ', 1)[1]}s"
+    return _NOUNS[type(form)]
+
+
+def _checked(key: str, value, where: str, forms: tuple):
+    """value in the first of forms it has; ConfigError naming key if it has none."""
+    for form in forms:
+        try:
+            return _conform(form, value)
+        except (TypeError, OverflowError):  # OverflowError: an int too large for a float
+            pass
+    wanted = " or ".join(map(_describe, forms))
+    raise ConfigError(f"config key {key!r} in {where} must be {wanted}, got {json.dumps(value)}")
 
 
 def _overlay(declared: dict, user, seed: int | None, where: str = "config") -> dict:
     """The declared keys, from user where it sets them, recursing into declared objects.
 
-    A given seed replaces every declared "seed".
+    Each value the user sets must have its key's form (_FORMS, else the
+    default's; see _conform) and is stored in that form's type.  A given
+    seed replaces every declared "seed".
     """
     if not isinstance(user, dict):
         raise ConfigError(f"{where} must be a JSON object, got {user!r}")
     for key in user:
         if key not in declared:
             raise ConfigError(f"unknown config key {key!r} in {where}")
-    cfg = {**declared, **user}
+    cfg = dict(declared)
     for key, default in declared.items():
         if isinstance(default, dict):
-            cfg[key] = _overlay(default, cfg[key], seed, f"{where}.{key}")
+            cfg[key] = _overlay(default, user.get(key, {}), seed, f"{where}.{key}")
         elif key == "seed" and seed is not None:
             cfg[key] = seed
+        elif key in user:
+            cfg[key] = _checked(key, user[key], where, _FORMS.get(key, (default,)))
     return cfg
 
 
@@ -146,12 +209,10 @@ def _load_config(path: str | None, command: str, seed: int | None) -> dict:
 def _transfer_from_config(value) -> TransferFunction:
     if isinstance(value, str):
         return TransferFunction(value)
-    if isinstance(value, dict):
-        try:
-            return TransferFunction.from_dict(value)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad transfer spec {value!r}: {exc}") from exc
-    raise ConfigError(f"bad transfer spec {value!r}")
+    try:
+        return TransferFunction.from_dict(value)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad transfer spec {value!r}: {exc}") from exc
 
 
 def _input_from_config(cfg: dict) -> dynamics.InputSequence:
@@ -163,13 +224,13 @@ def _input_from_config(cfg: dict) -> dynamics.InputSequence:
         return cfg[key]
 
     if kind == "alternating":
-        return dynamics.Alternating(float(cfg["amplitude"]))
+        return dynamics.Alternating(cfg["amplitude"])
     if kind == "iid_sign":
-        return dynamics.IidSign(float(cfg["amplitude"]), int(cfg["seed"]))
+        return dynamics.IidSign(cfg["amplitude"], cfg["seed"])
     if kind == "constant":
-        return dynamics.Constant(float(needed("value")))
+        return dynamics.Constant(needed("value"))
     if kind == "file":
-        return dynamics.FileInput(str(needed("path")))
+        return dynamics.FileInput(needed("path"))
     raise ConfigError(f"unknown input kind {kind!r}")
 
 
@@ -178,13 +239,13 @@ def _reservoir_from_config(cfg: dict) -> Reservoir:
     if cfg["w_csv"] is not None:
         W = load_matrix_csv(cfg["w_csv"])
         w_in = np.ones((W.shape[0], 1)) if cfg["w_in_csv"] is None else load_matrix_csv(cfg["w_in_csv"])
+    elif cfg["w_in_csv"] is not None:
+        raise ConfigError("config key 'w_in_csv' is set but 'w_csv' is not")
     else:
-        base = make_orthogonal_reservoir(
-            int(cfg["k"]), int(cfg["n"]), float(cfg["input_scale"]), int(cfg["seed"])
-        )
+        base = make_orthogonal_reservoir(cfg["k"], cfg["n"], cfg["input_scale"], cfg["seed"])
         W, w_in = base.W, base.w_in
     if cfg["spectrum_target"] is not None:
-        W = scale_to_spectrum(W, float(cfg["spectrum_target"]), cfg["spectrum_mode"])
+        W = scale_to_spectrum(W, cfg["spectrum_target"], cfg["spectrum_mode"])
     return Reservoir(W=W, w_in=w_in, tf=tf)
 
 
@@ -209,17 +270,14 @@ def _write_json(path: Path, payload: dict) -> None:
 # Each returns (files written, exit code); main records both in run_meta.json.
 
 def cmd_figure3(cfg: dict, out: Path) -> tuple[list[str], int]:
-    bounds = (float(cfg[key]) for key in ("b_lo", "b_hi", "b_step"))
-    grid = contraction._grid(*bounds).tolist()
-    amp = float(cfg["amplitude"])
     points = analysis.lyapunov_sweep(
         dynamics.make_alternating_neuron,
-        dynamics.Alternating(amp),
-        grid,
-        T=int(cfg["T"]),
-        renorm_interval=int(cfg["renorm_interval"]),
-        eps0=float(cfg["eps0"]),
-        reference_orbit=dynamics.alternating_orbit(amp),
+        dynamics.Alternating(cfg["amplitude"]),
+        contraction._grid(cfg["b_lo"], cfg["b_hi"], cfg["b_step"]).tolist(),
+        T=cfg["T"],
+        renorm_interval=cfg["renorm_interval"],
+        eps0=cfg["eps0"],
+        reference_orbit=dynamics.alternating_orbit(cfg["amplitude"]),
     )
     analysis.write_sweep_csv(out / "figure3_lyapunov.csv", points)
     failed = [p.b for p in points if p.error is not None]
@@ -229,20 +287,15 @@ def cmd_figure3(cfg: dict, out: Path) -> tuple[list[str], int]:
 
 
 def cmd_figure45(cfg: dict, out: Path) -> tuple[list[str], int]:
-    res = dynamics.make_alternating_neuron(float(cfg["b"]))
-    amp = float(cfg["amplitude"])
-    T = int(cfg["T"])
-    perturb_at = int(cfg["perturb_at"])
-    delta = float(cfg["delta_u"])
-    t_start = int(cfg["fit_t_start"])
+    res = dynamics.make_alternating_neuron(cfg["b"])
     files = []
     results = {}
     for name, spec in (
-        ("alternating", dynamics.Alternating(amp)),
-        ("iid", dynamics.IidSign(amp, int(cfg["seed"]))),
+        ("alternating", dynamics.Alternating(cfg["amplitude"])),
+        ("iid", dynamics.IidSign(cfg["amplitude"], cfg["seed"])),
     ):
-        trace = dynamics.perturbation_experiment(res, spec, perturb_at, delta, T)
-        fit = analysis.fit_decay(trace, t_start=t_start)
+        trace = dynamics.perturbation_experiment(res, spec, cfg["perturb_at"], cfg["delta_u"], cfg["T"])
+        fit = analysis.fit_decay(trace, t_start=cfg["fit_t_start"])
         stem = "figure4_alternating" if name == "alternating" else "figure5_iid"
         dynamics.write_trace_csv(out / f"{stem}_trace.csv", trace)
         _write_json(out / f"decay_fit_{name}.json", {**asdict(fit), "floor_hit_at": trace.floor_hit_at})
@@ -253,34 +306,31 @@ def cmd_figure45(cfg: dict, out: Path) -> tuple[list[str], int]:
 
 
 def _verify_checks(cfg: dict) -> dict:
-    p = contraction.CoverParams(
-        eta=float(cfg["eta"]), gamma=float(cfg["gamma"]), kappa=float(cfg["kappa"])
-    )
-    if any(int(n) < 2 for n in cfg["n_list"]):
+    p = contraction.CoverParams(eta=cfg["eta"], gamma=cfg["gamma"], kappa=cfg["kappa"])
+    if any(n < 2 for n in cfg["n_list"]):
         raise ConfigError(f"n_list entries must be >= 2, got {cfg['n_list']!r}")
-    delta_grid = tuple(cfg["delta_grid"])
-    zeta_grid = tuple(cfg["zeta_grid"])
     checks: dict[str, contraction.VerificationReport] = {}
-    kinds = list(cfg["transfer_kinds"])
-    for kind in kinds:
+    for kind in cfg["transfer_kinds"]:
         tf = _transfer_from_config(kind)
-        checks[f"cover_{kind}"] = contraction.verify_cover_inequality(tf, p, delta_grid, zeta_grid)
+        checks[f"cover_{kind}"] = contraction.verify_cover_inequality(
+            tf, p, cfg["delta_grid"], cfg["zeta_grid"]
+        )
         for n in cfg["n_list"]:
             checks[f"cover_vec_{kind}_n{n}"] = contraction.verify_cover_inequality_vec(
-                tf, int(n), int(cfg["vector_samples"]), seed=int(cfg["seed"]), p=p
+                tf, n, cfg["vector_samples"], seed=cfg["seed"], p=p
             )
     checks["phi_shape"] = contraction.check_phi_properties(p)
     for q0 in cfg["q0_list"]:
-        checks[f"dominance_q0_{q0}"] = contraction.verify_dominance(float(q0), p, int(cfg["dominance_T"]))
-    rng = np.random.default_rng(int(cfg["seed"]))
+        checks[f"dominance_q0_{q0}"] = contraction.verify_dominance(q0, p, cfg["dominance_T"])
+    rng = np.random.default_rng(cfg["seed"])
     amp = _PI4
     i = 0
     for k in cfg["audit_k_list"]:
-        for kind in kinds:
+        for kind in cfg["transfer_kinds"]:
             tf = _transfer_from_config(kind)
-            for _ in range(int(cfg["audit_runs_per_case"])):
+            for _ in range(cfg["audit_runs_per_case"]):
                 seed = int(rng.integers(0, 2**31))
-                base = make_orthogonal_reservoir(int(k), 1, 0.5, seed)
+                base = make_orthogonal_reservoir(k, 1, 0.5, seed)
                 res = Reservoir(W=base.W, w_in=base.w_in, tf=tf)
                 spec = [
                     dynamics.Alternating(amp),
@@ -288,10 +338,10 @@ def _verify_checks(cfg: dict) -> dict:
                     dynamics.Constant(0.3 * amp),
                 ][i % 3]
                 i += 1
-                x0 = rng.uniform(-1.0, 1.0, int(k))
-                y0 = rng.uniform(-1.0, 1.0, int(k))
+                x0 = rng.uniform(-1.0, 1.0, k)
+                y0 = rng.uniform(-1.0, 1.0, k)
                 checks[f"step_audit_{kind}_k{k}_{i}"] = contraction.audit_step_inequality(
-                    res, spec, x0, y0, int(cfg["audit_T"]), p
+                    res, spec, x0, y0, cfg["audit_T"], p
                 )
     return checks
 
@@ -307,14 +357,8 @@ def cmd_verify(cfg: dict, out: Path) -> tuple[list[str], int]:
 
 def cmd_critical_b(cfg: dict, out: Path) -> tuple[list[str], int]:
     tf = _transfer_from_config(cfg["transfer"])
-    amp = float(cfg["amplitude"])
-    lo, hi = (float(v) for v in cfg["bracket"])
-    tol = float(cfg["tol"])
-    try:
-        b_star, orbit_amp = analysis.find_critical_b(tf, amp, (lo, hi), tol)
-    except ValueError as exc:
-        raise ConfigError(f"critical-b failed: {exc}") from exc
-    x_lin = b_star * orbit_amp - amp
+    b_star, orbit_amp = analysis.find_critical_b(tf, cfg["amplitude"], cfg["bracket"], cfg["tol"])
+    x_lin = b_star * orbit_amp - cfg["amplitude"]
     payload = {
         "b_star": b_star,
         "orbit_amplitude": orbit_amp,
@@ -330,12 +374,12 @@ def cmd_mc(cfg: dict, out: Path) -> tuple[list[str], int]:
     res = _reservoir_from_config(cfg)
     result = readout.memory_capacity(
         res,
-        float(cfg["amplitude"]),
-        int(cfg["max_delay"]),
-        int(cfg["T"]),
-        washout=int(cfg["washout"]),
-        ridge=float(cfg["ridge"]),
-        seed=int(cfg["seed"]),
+        cfg["amplitude"],
+        cfg["max_delay"],
+        cfg["T"],
+        washout=cfg["washout"],
+        ridge=cfg["ridge"],
+        seed=cfg["seed"],
     )
     readout.write_mc_csv(out / "mc.csv", result)
     print(f"mc: total={result.mc_total:.4f} over {len(result.per_delay)} delays (k={res.k})")
@@ -345,18 +389,17 @@ def cmd_mc(cfg: dict, out: Path) -> tuple[list[str], int]:
 def cmd_simulate(cfg: dict, out: Path) -> tuple[list[str], int]:
     res = _reservoir_from_config(cfg["reservoir"])
     input_spec = _input_from_config(cfg["input"])
-    T = int(cfg["T"])
 
     def state_from(v):
         return dynamics._as_state(res, None if v == "zeros" else v)
 
     x0 = state_from(cfg["x0"])
     files = []
-    traj = dynamics.run(res, input_spec, x0, T)
+    traj = dynamics.run(res, input_spec, x0, cfg["T"])
     dynamics.write_states_csv(out / "states.csv", traj)
     files.append("states.csv")
     if cfg["y0"] is not None:
-        trace = dynamics.convergence_trace(res, input_spec, x0, state_from(cfg["y0"]), T)
+        trace = dynamics.convergence_trace(res, input_spec, x0, state_from(cfg["y0"]), cfg["T"])
         dynamics.write_trace_csv(out / "trace.csv", trace)
         files.append("trace.csv")
     return files, 0
@@ -395,10 +438,14 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         files, exit_code = COMMANDS[args.command](cfg, out)
-        _write_json(out / f"{args.command.replace('-', '_')}_config.json", cfg)
+        record = out / f"{args.command.replace('-', '_')}_config.json"
+        _write_json(record, cfg)
         meta = {
             "command": args.command,
+            "config_sha256": hashlib.sha256(record.read_bytes()).hexdigest(),
+            "numpy": np.__version__,
             "outputs": sorted(files),
+            "python": platform.python_version(),
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "exit_code": exit_code,
         }

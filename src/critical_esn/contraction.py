@@ -91,6 +91,8 @@ class VerificationReport:
 
 def _report(margins: np.ndarray, points: np.ndarray, grid_spec: str) -> VerificationReport:
     """Report on margins[i] >= 0, evaluated at points[i] (a scalar or a row)."""
+    if margins.size == 0:
+        raise ValueError(f"no points to check: {grid_spec}")
     i = int(np.argmin(margins))
     worst = float(margins[i])
     return VerificationReport(

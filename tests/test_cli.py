@@ -1,7 +1,9 @@
 """End-to-end checks of the experiment harness subcommands."""
 
+import hashlib
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -349,6 +351,56 @@ class TestConfigHandling:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("figure45", {"T": 100.7}, "T"),
+            ("figure45", {"T": math.inf}, "T"),
+            ("figure45", {"T": None}, "T"),
+            ("figure45", {"perturb_at": 1.9}, "perturb_at"),
+            ("figure3", {"b_hi": math.inf}, "b_hi"),
+            ("mc", {"k": True}, "k"),
+            ("mc", {"ridge": math.nan}, "ridge"),
+            ("simulate", {"reservoir": {"k": "3"}}, "k"),
+            ("simulate", {"x0": 0.5}, "x0"),
+            ("critical-b", {"tol": "1e-3"}, "tol"),
+            ("critical-b", {"bracket": [1.5]}, "bracket"),
+            ("verify", {"n_list": [2.5]}, "n_list"),
+            ("verify", {"audit_k_list": [4.0]}, "audit_k_list"),
+        ],
+    )
+    def test_wrong_type_exits_2_naming_it(self, tmp_path, capsys, command, payload, key):
+        cfg = _write_config(tmp_path, "bad.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("simulate", {"T": 5, "reservoir": {"w_in_csv": "win.csv"}}),
+            ("mc", {"w_in_csv": "win.csv"}),
+        ],
+    )
+    def test_w_in_csv_without_w_csv_exits_2_naming_it(self, tmp_path, capsys, command, payload):
+        cfg = _write_config(tmp_path, "bad.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'w_in_csv'" in err
+
+    def test_run_meta_records_config_hash_and_versions(self, tmp_path):
+        metas = []
+        for run, payload in (("a", {"T": 300}), ("b", {"T": 300, "b": 1})):
+            cfg = _write_config(tmp_path, f"{run}.json", payload)
+            assert main(["figure45", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+            meta = json.loads((tmp_path / run / "run_meta.json").read_text())
+            record = (tmp_path / run / "figure45_config.json").read_bytes()
+            assert meta["config_sha256"] == hashlib.sha256(record).hexdigest()
+            assert meta["python"] == platform.python_version() and meta["numpy"] == np.__version__
+            metas.append(meta)
+        assert metas[0]["config_sha256"] == metas[1]["config_sha256"]  # b = 1 is recorded as 1.0
+
+    @pytest.mark.parametrize(
         "command, payload",
         [
             ("figure3", {"b_lo": 0.9, "b_hi": 1.0, "b_step": 0.1, "T": 1000}),
@@ -368,6 +420,7 @@ class TestConfigHandling:
                     "y0": [0.1, -0.2, 0.3],
                 },
             ),
+            ("figure3", {"b_lo": 1, "b_hi": 1, "T": 1000}),
         ],
     )
     def test_recorded_config_round_trips(self, tmp_path, command, payload):
@@ -377,7 +430,10 @@ class TestConfigHandling:
         cfg = _write_config(tmp_path, "cfg.json", payload)
         assert main([command, "--config", cfg, "--out", str(first), "--seed", "7"]) == 0
         record = first / f"{command.replace('-', '_')}_config.json"
-        assert json.loads(record.read_text()).keys() == DEFAULTS[command].keys()
+        recorded = json.loads(record.read_text())
+        assert recorded.keys() == DEFAULTS[command].keys()
+        floats = [key for key, default in DEFAULTS[command].items() if isinstance(default, float)]
+        assert all(isinstance(recorded[key], float) for key in floats)  # also where an int was given
         assert main([command, "--config", str(record), "--out", str(second)]) == 0
         names = sorted(p.name for p in first.iterdir() if p.name != "run_meta.json")
         assert names == sorted(p.name for p in second.iterdir() if p.name != "run_meta.json")

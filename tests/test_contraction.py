@@ -148,6 +148,10 @@ class TestCoverInequality:
         assert verify_cover_inequality_vec(TANH, 2, n_samples=20000, seed=1).passed
         assert not verify_cover_inequality_vec(TANH, 2, n_samples=20000, seed=1, p=greedy).passed
 
+    def test_zero_points_raise_naming_the_grid(self):
+        with pytest.raises(ValueError, match="no points to check: 0 seeded vector samples"):
+            verify_cover_inequality_vec(TANH, 2, n_samples=0)
+
 
 class TestIterateQ:
     def test_first_step_value(self):

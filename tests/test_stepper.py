@@ -2,11 +2,15 @@
 
 A k = 1, n = 2 reservoir with w_in = [[a, 0]] driven by rows [u, 0] runs on
 the array body; the k = n = 1 reservoir [[a]] driven by u runs on the float
-body.  Both compute the same map, so their twin traces and Lyapunov
-exponents must match: exactly for transfers whose math-module and numpy
-forms agree bitwise, within rounding for tanh.  Where the map diverges
-(linear or sine sigmoid with |w| = 3), both twin traces raise ValueError
-and both Lyapunov estimates report the +inf sentinel.
+body.  Both compute the same map, so their twin traces (free, and from an
+input perturbation as in figure45) and Lyapunov exponents (free-running,
+and pinned to a reference orbit as in figure3) must match: exactly for
+transfers whose math-module and numpy forms agree bitwise, within rounding
+for tanh.  Where the map diverges (linear or sine sigmoid with |w| = 3),
+both free twin traces raise ValueError, both free-running Lyapunov
+estimates report the +inf sentinel, and both perturbed traces raise
+ValueError, unless their twins collide before the state overflows (sine
+sigmoid from x0 = 1), when both stop at the same collision.
 """
 
 import math
@@ -15,7 +19,7 @@ import numpy as np
 import pytest
 
 from critical_esn.analysis import lyapunov_exponent
-from critical_esn.dynamics import FileInput, convergence_trace
+from critical_esn.dynamics import FileInput, convergence_trace, perturbation_experiment
 from critical_esn.reservoir import Reservoir
 from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH
 
@@ -43,26 +47,46 @@ def _cases(per_kind=8, seed=1411):
     return cases
 
 
+def _perturbed(res, spec, du, T, x0):
+    """figure45's twin trace, perturbed at input sample 1; None where the run diverges."""
+    try:
+        return perturbation_experiment(res, spec, 1, du, T, x0=[x0])
+    except ValueError:
+        return None
+
+
 @pytest.mark.parametrize("kind,w,a,T,x0,y0,seed", _cases())
 def test_float_and_array_bodies_agree(tmp_path, kind, w, a, T, x0, y0, seed):
     u = np.random.default_rng(seed).uniform(-1.0, 1.0, T + 1)
     np.savetxt(tmp_path / "n1.csv", u[:, None], delimiter=",")
     np.savetxt(tmp_path / "n2.csv", np.column_stack([u, np.zeros_like(u)]), delimiter=",")
     tf = TRANSFERS[kind]
-    floats = (Reservoir(W=[[w]], w_in=[[a]], tf=tf), FileInput(str(tmp_path / "n1.csv")))
-    arrays = (Reservoir(W=[[w]], w_in=[[a, 0.0]], tf=tf), FileInput(str(tmp_path / "n2.csv")))
+    floats = (Reservoir(W=[[w]], w_in=[[a]], tf=tf), FileInput(str(tmp_path / "n1.csv")), [0.01])
+    arrays = (Reservoir(W=[[w]], w_in=[[a, 0.0]], tf=tf), FileInput(str(tmp_path / "n2.csv")), [0.01, 0.0])
 
+    pt_f, pt_a = (_perturbed(res, spec, du, T, x0) for res, spec, du in (floats, arrays))
+    pin_f, pin_a = (
+        lyapunov_exponent(res, spec, T=T, reference_orbit=[[x0], [y0]]).exponent for res, spec, _ in (floats, arrays)
+    )
     if kind != "tanh" and abs(w) > 1.0:
-        for res, spec in (floats, arrays):
+        for res, spec, _ in (floats, arrays):
             with pytest.raises(ValueError):
                 convergence_trace(res, spec, [x0], [y0], T)
             assert lyapunov_exponent(res, spec, T=T, x0=[x0]).exponent == math.inf
-        return
-    tr_f, tr_a = (convergence_trace(res, spec, [x0], [y0], T) for res, spec in (floats, arrays))
-    ly_f, ly_a = (lyapunov_exponent(res, spec, T=T, x0=[x0]) for res, spec in (floats, arrays))
-    if kind == "tanh":  # math.tanh and np.tanh differ in the last bit
-        np.testing.assert_allclose(tr_a.q, tr_f.q, rtol=0.0, atol=1e-12)
+        assert (pt_a is None) == (pt_f is None)
+        pairs = [] if pt_a is None else [(pt_a, pt_f)]
     else:
+        tr_f, tr_a = (convergence_trace(res, spec, [x0], [y0], T) for res, spec, _ in (floats, arrays))
+        ly_f, ly_a = (lyapunov_exponent(res, spec, T=T, x0=[x0]) for res, spec, _ in (floats, arrays))
+        pairs = [(tr_a, tr_f), (pt_a, pt_f)]
+    if kind == "tanh":  # math.tanh and np.tanh differ in the last bit
+        for tr_a, tr_f in pairs:
+            np.testing.assert_allclose(tr_a.q, tr_f.q, rtol=0.0, atol=1e-12)
+        assert pin_a == pytest.approx(pin_f, rel=0.0, abs=1e-12)
+        return
+    for tr_a, tr_f in pairs:
         np.testing.assert_array_equal(tr_a.q, tr_f.q)
         assert tr_a.floor_hit_at == tr_f.floor_hit_at
+    assert pin_a == pin_f
+    if abs(w) <= 1.0:
         assert ly_a.exponent == ly_f.exponent
