@@ -188,6 +188,8 @@ def _overlay(declared: dict, user, seed: int | None, where: str = "config") -> d
             cfg[key] = seed
         elif key in user:
             cfg[key] = _checked(key, user[key], where, _FORMS.get(key, (default,)))
+            if key == "transfer":  # built here too, so a bad spec exits before the output directory is made
+                _transfer_from_config(cfg[key])
     return cfg
 
 
@@ -210,8 +212,8 @@ def _transfer_from_config(value) -> TransferFunction:
     if isinstance(value, str):
         return TransferFunction(value)
     try:
-        return TransferFunction.from_dict(value)
-    except (KeyError, ValueError) as exc:
+        return TransferFunction(**value)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad transfer spec {value!r}: {exc}") from exc
 
 

@@ -19,8 +19,9 @@ non-finite inputs, then advances a state with a plain-float body (k = n = 1
 twin traces and Lyapunov runs) or a GEMV body evaluating the transfer
 function through its checked ``__call__`` (everything else, including
 ``run_with_inputs`` at every k).  A state that leaves the finite range
-makes trajectories and twin traces raise ``ValueError``; the Lyapunov
-estimate reports its +inf sentinel instead.
+makes trajectories raise ``ValueError("states must stay finite")`` and
+twin traces ``ValueError("twin states must stay finite")``, on either
+body; the Lyapunov estimate reports its +inf sentinel instead.
 """
 
 from __future__ import annotations
@@ -225,9 +226,12 @@ def run_with_inputs(res: Reservoir, inputs: np.ndarray, x0=None) -> Trajectory:
     advance = _stepper(res, inputs, floats=False)
     T = inputs.shape[0]
     states, linear = np.empty((T, res.k)), np.empty((T, res.k))
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises ValueError: in tf or below
-        last = advance(x0, 0, T, states, linear)
-    if not np.all(np.isfinite(last)):  # an earlier non-finite state would have raised in tf
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+        try:  # check the last state; an earlier non-finite one raises in tf
+            finite = np.all(np.isfinite(advance(x0, 0, T, states, linear)))
+        except ValueError:  # a non-finite state met the transfer function
+            finite = False
+    if not finite:
         raise ValueError("states must stay finite")
     return Trajectory(states=states, linear_states=linear, x0=x0)
 
@@ -268,10 +272,14 @@ def _twin_trace(res, u_x, u_y, x0, y0, shared_from) -> ConvergenceTrace:
             break
         t0, t1 = t1, min(t1 + _BLOCK, T)
         n = t1 - t0
-        with np.errstate(over="ignore", invalid="ignore"):  # divergence raises ValueError: in tf or below
-            x = advance_x(x, t0, t1, X)
-            y = advance_y(y, t0, t1, Y)
-        if not (np.all(np.isfinite(X[:n])) and np.all(np.isfinite(Y[:n]))):
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+            try:
+                x = advance_x(x, t0, t1, X)
+                y = advance_y(y, t0, t1, Y)
+                finite = np.all(np.isfinite(X[:n])) and np.all(np.isfinite(Y[:n]))
+            except ValueError:  # a non-finite state met the transfer function
+                finite = False
+        if not finite:
             raise ValueError("twin states must stay finite")
         q[t0:t1] = [_distance(r) for r in X[:n] - Y[:n]]
     positive = np.flatnonzero(q > 0.0)

@@ -19,6 +19,15 @@ Four kinds are provided:
                       no isolated ECPs; included as the canonical
                       counterexample that never contracts.
 
+Each fixed kind's formulas live in one row of the table ``_FORMULAS``:
+theta on arrays, theta' on arrays, and theta on plain floats (the
+math-module form behind ``scalar_fn``).  ``__call__`` and ``derivative``
+check their input is finite and read their column.  A tailored piece is
+tanh shifted to its anchor, so its derivative is the tanh row's at the
+shifted point, and its unit-slope points come in closed form: every
+anchor, plus 0 when no anchor lies within ``_ANCHOR_RADIUS`` of it (the
+plain-tanh piece then owns 0).
+
 Values are immutable after construction and safe to share across threads.
 """
 
@@ -38,7 +47,17 @@ __all__ = [
     "continuity_defect",
 ]
 
-_KINDS = ("tanh", "sine_sigmoid", "tailored", "linear")
+# Each fixed kind's formulas: (theta on arrays, theta' on arrays, theta on floats).
+_FORMULAS = {
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, math.tanh),
+    "sine_sigmoid": (
+        lambda x: 0.5 * x - 0.25 * np.sin(2.0 * x),
+        lambda x: 0.5 - 0.5 * np.cos(2.0 * x),
+        lambda x: 0.5 * x - 0.25 * math.sin(2.0 * x),
+    ),
+    "linear": (np.copy, np.ones_like, lambda x: x),
+}
+_KINDS = (*_FORMULAS, "tailored")
 
 # Tailored pieces: an anchor owns the points within this distance of it.
 _ANCHOR_RADIUS = 1.0
@@ -72,76 +91,58 @@ class TransferFunction:
                 raise ValueError("tailored transfer needs at least one anchor")
             if len(set(anchors)) != len(anchors):
                 raise ValueError("tailored anchors must be distinct")
+            if not all(map(math.isfinite, anchors)):
+                raise ValueError("tailored anchors must be finite")
         elif anchors:
             raise ValueError(f"kind {self.kind!r} takes no params")
         object.__setattr__(self, "params", anchors)
 
-    # -- piece assignment for the tailored kind ---------------------------
-    def _nearest_anchor(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Index of the owning anchor per point, and a mask of owned points.
+    def _piece(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The tailored kind's owned mask and each point's pivot (its nearest anchor).
 
-        Ownership: nearest anchor within _ANCHOR_RADIUS; ties go to the
+        An anchor owns the points within _ANCHOR_RADIUS of it; ties go to the
         smaller anchor (searchsorted-left makes the left candidate win ties).
         """
         anchors = np.asarray(self.params)
         idx = np.searchsorted(anchors, x)
-        left = np.clip(idx - 1, 0, len(anchors) - 1)
-        right = np.clip(idx, 0, len(anchors) - 1)
-        d_left = np.abs(x - anchors[left])
-        d_right = np.abs(x - anchors[right])
-        best = np.where(d_left <= d_right, left, right)
+        left = anchors[np.clip(idx - 1, 0, len(anchors) - 1)]
+        right = anchors[np.clip(idx, 0, len(anchors) - 1)]
+        d_left, d_right = np.abs(x - left), np.abs(x - right)
         owned = np.minimum(d_left, d_right) <= _ANCHOR_RADIUS
-        return best, owned
+        return owned, np.where(d_left <= d_right, left, right)
 
     # -- evaluation --------------------------------------------------------
     def __call__(self, x):
         """Evaluate theta(x); scalar in, scalar out (arrays pass through)."""
         scalar = np.ndim(x) == 0
         arr = _check_finite(x)
-        if self.kind == "tanh":
-            out = np.tanh(arr)
-        elif self.kind == "sine_sigmoid":
-            out = 0.5 * arr - 0.25 * np.sin(2.0 * arr)
-        elif self.kind == "linear":
-            out = arr.copy()
-        else:
-            anchors = np.asarray(self.params)
-            best, owned = self._nearest_anchor(arr)
-            pivot = anchors[best]
+        if self.kind == "tailored":
+            owned, pivot = self._piece(arr)
             out = np.where(owned, np.tanh(arr - pivot) + np.tanh(pivot), np.tanh(arr))
+        else:
+            out = _FORMULAS[self.kind][0](arr)
         return float(out) if scalar else out
 
     def derivative(self, x):
         """Analytic derivative theta'(x)."""
         scalar = np.ndim(x) == 0
         arr = _check_finite(x)
-        if self.kind == "tanh":
-            out = 1.0 - np.tanh(arr) ** 2
-        elif self.kind == "sine_sigmoid":
-            out = 0.5 - 0.5 * np.cos(2.0 * arr)
-        elif self.kind == "linear":
-            out = np.ones_like(arr)
+        if self.kind == "tailored":
+            owned, pivot = self._piece(arr)
+            out = _FORMULAS["tanh"][1](np.where(owned, arr - pivot, arr))
         else:
-            best, owned = self._nearest_anchor(arr)
-            pivot = np.asarray(self.params)[best]
-            shifted = np.where(owned, arr - pivot, arr)
-            out = 1.0 - np.tanh(shifted) ** 2
+            out = _FORMULAS[self.kind][1](arr)
         return float(out) if scalar else out
 
-    # -- scalar fast paths (math module, no ndarray overhead) --------------
     def scalar_fn(self):
-        """A plain-float theta for tight simulation loops.
+        """A plain-float theta (math module, no ndarray overhead) for tight simulation loops.
 
         The tailored kind evaluates through ``__call__``, so the anchor
-        ownership rule lives in ``_nearest_anchor`` alone.
+        ownership rule lives in ``_piece`` alone.
         """
-        if self.kind == "tanh":
-            return math.tanh
-        if self.kind == "sine_sigmoid":
-            return lambda x: 0.5 * x - 0.25 * math.sin(2.0 * x)
-        if self.kind == "linear":
-            return lambda x: x
-        return lambda x: float(self(x))
+        if self.kind == "tailored":
+            return lambda x: float(self(x))
+        return _FORMULAS[self.kind][2]
 
     # -- epi-critical points ------------------------------------------------
     def epi_critical_points(self, lo: float, hi: float) -> list[float]:
@@ -161,32 +162,12 @@ class TransferFunction:
             n_lo = math.ceil(lo / math.pi - 0.5)
             n_hi = math.floor(hi / math.pi - 0.5)
             return [(n + 0.5) * math.pi for n in range(n_lo, n_hi + 1)]
-        return self._tailored_ecps(lo, hi)
-
-    def _tailored_ecps(self, lo: float, hi: float) -> list[float]:
-        # Anchors are unit-slope points of their own piece by construction;
-        # Newton on theta'(x) - 1 polishes them (terminates immediately when
-        # already exact).  0 is a candidate when the plain-tanh piece owns it.
-        df = self.derivative
-        f2 = lambda x, h=1e-6: (df(x + h) - df(x - h)) / (2 * h)
-        seeds = list(self.params)
-        nearest = min(self.params, key=lambda a: (abs(a), a))
-        if abs(nearest) > _ANCHOR_RADIUS:
-            seeds.append(0.0)
-        found = []
-        for seed in seeds:
-            x = seed
-            for _ in range(50):
-                g = df(x) - 1.0
-                if abs(g) <= 1e-12:
-                    break
-                slope = f2(x)
-                if slope == 0.0:
-                    break
-                x -= g / slope
-            if abs(df(x) - 1.0) <= 1e-12 and lo <= x <= hi:
-                found.append(x)
-        return sorted(found)
+        # Each anchor owns itself and its piece has slope exactly 1 there;
+        # 0 is the plain-tanh unit-slope point unless an anchor owns it.
+        points = list(self.params)
+        if min(map(abs, self.params)) > _ANCHOR_RADIUS:
+            points.append(0.0)
+        return sorted(p for p in points if lo <= p <= hi)
 
     def max_slope_estimate(self, lo: float, hi: float, n_grid: int) -> float:
         """Max secant slope |dtheta/dx| over a uniform grid (Lipschitz audit)."""
@@ -197,14 +178,6 @@ class TransferFunction:
         xs = np.linspace(lo, hi, n_grid)
         ys = self(xs)
         return float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
-
-    # -- serialization ------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "TransferFunction":
-        return TransferFunction(d["kind"], tuple(d.get("params", ())))
 
 
 TANH = TransferFunction("tanh")

@@ -55,6 +55,15 @@ class TestLyapunovExponent:
         r2 = lyapunov_exponent(res, Constant(0.0), T=50_000, x0=[0.01], method="jacobian_product")
         assert abs(r1.exponent - r2.exponent) <= 1e-3
 
+    @pytest.mark.parametrize("b", [0.5, 1.0, 1.5])
+    def test_pinned_jacobian_product_is_log_coupling(self, b):
+        # the orbit sits on unit-slope points, so every step's factor is |-b * 1|
+        res = make_alternating_neuron(b)
+        r = lyapunov_exponent(
+            res, Alternating(A), T=2000, reference_orbit=alternating_orbit(), method="jacobian_product"
+        )
+        assert r.exponent == pytest.approx(math.log(b), rel=0.0, abs=1e-12)
+
     def test_jacobian_product_needs_single_neuron(self):
         res = make_orthogonal_reservoir(3, 1, 0.5, seed=0)
         with pytest.raises(ValueError):

@@ -325,6 +325,13 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("b", [4.0, -3.0])
+    def test_diverging_twins_exit_2_with_one_line(self, tmp_path, capsys, b):
+        # |b| > 2 sends the alternating neuron's state past the float range
+        cfg = _write_config(tmp_path, "bad.json", {"b": b})
+        assert main(["figure45", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: twin states must stay finite\n"
+
     @pytest.mark.parametrize("n_list", [[1, 2], [0], [2, 4, 1]])
     def test_n_list_entry_below_2_exits_2_naming_it(self, tmp_path, capsys, n_list):
         cfg = _write_config(tmp_path, "bad.json", {"n_list": n_list})
@@ -341,6 +348,7 @@ class TestConfigHandling:
             ("simulate", {"input": {"amplitud": 1}}, "amplitud"),
             ("figure3", {"b_grid": [1.0]}, "b_grid"),
             ("mc", {"mc_seed": 1}, "mc_seed"),
+            ("simulate", {"reservoir": {"transfer": {"kind": "tailored", "params": [0.5], "x": 1}}}, "x"),
         ],
     )
     def test_undeclared_key_exits_2_naming_it(self, tmp_path, capsys, command, payload, key):

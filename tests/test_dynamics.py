@@ -159,13 +159,13 @@ class TestRun:
     # steps with overflow ignored and reports divergence as ValueError.
     def test_diverging_linear_run_raises(self):
         res = Reservoir(W=2.0 * np.eye(4), w_in=np.ones((4, 1)), tf=LINEAR)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="states must stay finite"):
             run(res, Constant(0.5), None, T=2000)
 
     def test_transfer_overflow_to_nan_raises(self):
         # finite linear state, but 2x overflows inside the sine sigmoid
         res = Reservoir(W=[[1.0]], w_in=[[1.0]], tf=SINE_SIGMOID)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="states must stay finite"):
             run(res, Constant(0.0), [1.5e308], T=1)
 
 

@@ -7,10 +7,11 @@ input perturbation as in figure45) and Lyapunov exponents (free-running,
 and pinned to a reference orbit as in figure3) must match: exactly for
 transfers whose math-module and numpy forms agree bitwise, within rounding
 for tanh.  Where the map diverges (linear or sine sigmoid with |w| = 3),
-both free twin traces raise ValueError, both free-running Lyapunov
-estimates report the +inf sentinel, and both perturbed traces raise
-ValueError, unless their twins collide before the state overflows (sine
-sigmoid from x0 = 1), when both stop at the same collision.
+both free twin traces raise ValueError("twin states must stay finite"),
+both free-running Lyapunov estimates report the +inf sentinel, and both
+perturbed traces raise the same ValueError, unless their twins collide
+before the state overflows (sine sigmoid from x0 = 1), when both stop at
+the same collision.
 """
 
 import math
@@ -24,6 +25,7 @@ from critical_esn.reservoir import Reservoir
 from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH
 
 TRANSFERS = {"sine_sigmoid": SINE_SIGMOID, "linear": LINEAR, "tanh": TANH}
+DIVERGED = "twin states must stay finite"
 
 
 def _cases(per_kind=8, seed=1411):
@@ -51,7 +53,8 @@ def _perturbed(res, spec, du, T, x0):
     """figure45's twin trace, perturbed at input sample 1; None where the run diverges."""
     try:
         return perturbation_experiment(res, spec, 1, du, T, x0=[x0])
-    except ValueError:
+    except ValueError as exc:
+        assert str(exc) == DIVERGED
         return None
 
 
@@ -70,7 +73,7 @@ def test_float_and_array_bodies_agree(tmp_path, kind, w, a, T, x0, y0, seed):
     )
     if kind != "tanh" and abs(w) > 1.0:
         for res, spec, _ in (floats, arrays):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=DIVERGED):
                 convergence_trace(res, spec, [x0], [y0], T)
             assert lyapunov_exponent(res, spec, T=T, x0=[x0]).exponent == math.inf
         assert (pt_a is None) == (pt_f is None)

