@@ -4,7 +4,9 @@ Three tool families live here:
 
 * Largest Lyapunov exponent of an input-driven run, by the standard
   two-trajectory method with periodic renormalization (Benettin), plus a
-  Jacobian-product variant for single neurons.  For measuring the exponent
+  Jacobian-product variant for single neurons.  Off the k = n = 1 float
+  path a free-running reference and its companion step as the two
+  columns of one (k, 2) block, one GEMM per step.  For measuring the exponent
   of a *known but unstable* periodic orbit (the supercritical side of the
   coupling sweep), the reference trajectory can be pinned to the orbit;
   a free-running reference would drift off the orbit through rounding
@@ -102,7 +104,9 @@ def lyapunov_exponent(
     log-stretch per step.  If the twins collide bitwise the separation is
     floored at 1e-300 for that block and re-injected, which drives the
     estimate strongly negative; divergence to non-finite state reports the
-    +inf sentinel.
+    +inf sentinel.  A free-running run off the k = n = 1 float path (any
+    k > 1) steps the reference and the companion as one (k, 2) block, so
+    it carries GEMM rounding.
 
     jacobian_product (k = 1 only): mean of log|W theta'(x_lin_t)| along the
     reference trajectory; agrees with two_trajectory on smooth orbits and
@@ -126,7 +130,8 @@ def lyapunov_exponent(
 
 def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
     floats = res.k == res.n == 1
-    advance = _stepper(res, u, floats)
+    paired = orbit is None and not floats  # x and y step as the columns of one (k, 2) block
+    advance = _stepper(res, u[:, :, None] if paired else u, floats)
     if floats:
         x, e0 = float(start[0]), 1.0
         orbit = None if orbit is None else orbit[:, 0].tolist()
@@ -138,8 +143,11 @@ def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
         for t in range(L, T_used + 1, L):  # t: last step of the block
             try:
-                x = advance(x, t - L + 1, t + 1) if orbit is None else orbit[t % len(orbit)]
-                y = advance(y, t - L + 1, t + 1)
+                if paired:
+                    x, y = advance(np.column_stack([x, y]), t - L + 1, t + 1).T
+                else:
+                    x = advance(x, t - L + 1, t + 1) if orbit is None else orbit[t % len(orbit)]
+                    y = advance(y, t - L + 1, t + 1)
                 d = _distance(y - x)
             except ValueError:  # a non-finite state met the transfer function
                 d = math.inf

@@ -172,8 +172,9 @@ def _overlay(declared: dict, user, seed: int | None, where: str = "config") -> d
     """The declared keys, from user where it sets them, recursing into declared objects.
 
     Each value the user sets must have its key's form (_FORMS, else the
-    default's; see _conform) and is stored in that form's type.  A given
-    seed replaces every declared "seed".
+    default's; see _conform) and is stored in that form's type; a key in
+    _VALUE_CHECKS must pass its check too.  A given seed replaces every
+    declared "seed".
     """
     if not isinstance(user, dict):
         raise ConfigError(f"{where} must be a JSON object, got {user!r}")
@@ -188,8 +189,8 @@ def _overlay(declared: dict, user, seed: int | None, where: str = "config") -> d
             cfg[key] = seed
         elif key in user:
             cfg[key] = _checked(key, user[key], where, _FORMS.get(key, (default,)))
-            if key == "transfer":  # built here too, so a bad spec exits before the output directory is made
-                _transfer_from_config(cfg[key])
+            if key in _VALUE_CHECKS:  # so a bad value exits before the output directory is made
+                _VALUE_CHECKS[key](cfg[key])
     return cfg
 
 
@@ -215,6 +216,19 @@ def _transfer_from_config(value) -> TransferFunction:
         return TransferFunction(**value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad transfer spec {value!r}: {exc}") from exc
+
+
+def _check_n_list(n_list: list) -> None:
+    if any(n < 2 for n in n_list):
+        raise ConfigError(f"n_list entries must be >= 2, got {n_list!r}")
+
+
+# Keys whose values _overlay also builds or checks, beyond their form.
+_VALUE_CHECKS = {
+    "transfer": _transfer_from_config,
+    "transfer_kinds": lambda kinds: [_transfer_from_config(kind) for kind in kinds],
+    "n_list": _check_n_list,
+}
 
 
 def _input_from_config(cfg: dict) -> dynamics.InputSequence:
@@ -309,8 +323,6 @@ def cmd_figure45(cfg: dict, out: Path) -> tuple[list[str], int]:
 
 def _verify_checks(cfg: dict) -> dict:
     p = contraction.CoverParams(eta=cfg["eta"], gamma=cfg["gamma"], kappa=cfg["kappa"])
-    if any(n < 2 for n in cfg["n_list"]):
-        raise ConfigError(f"n_list entries must be >= 2, got {cfg['n_list']!r}")
     checks: dict[str, contraction.VerificationReport] = {}
     for kind in cfg["transfer_kinds"]:
         tf = _transfer_from_config(kind)

@@ -18,7 +18,10 @@ Every simulation steps through one kernel, ``_stepper``: it rejects
 non-finite inputs, then advances a state with a plain-float body (k = n = 1
 twin traces and Lyapunov runs) or a GEMV body evaluating the transfer
 function through its checked ``__call__`` (everything else, including
-``run_with_inputs`` at every k).  A state that leaves the finite range
+``run_with_inputs`` at every k).  Given the (T, n, 1) input view
+``inputs[:, :, None]``, the array body steps a (k, B) block of B states
+at once, one GEMM per step; the free-running Lyapunov pair uses this
+with B = 2.  A state that leaves the finite range
 makes trajectories raise ``ValueError("states must stay finite")`` and
 twin traces ``ValueError("twin states must stay finite")``, on either
 body; the Lyapunov estimate reports its +inf sentinel instead.
@@ -177,7 +180,8 @@ def _stepper(res: Reservoir, inputs: np.ndarray, floats: bool):
     picks a plain-float body on the math-module transfer.  The array body
     evaluates theta through TransferFunction.__call__, so a non-finite
     linear state raises ValueError, and it takes a further lin_out for the
-    linear states.
+    linear states.  Given the (T, n, 1) view inputs[:, :, None], the array
+    body steps a (k, B) block whose columns are B states driven alike.
     """
     if not np.all(np.isfinite(inputs)):
         raise ValueError("inputs must be finite")

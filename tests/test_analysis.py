@@ -13,19 +13,38 @@ from critical_esn.analysis import (
     write_sweep_csv,
 )
 from critical_esn.dynamics import (
+    ZERO_FLOOR,
     Alternating,
     Constant,
     ConvergenceTrace,
     IidSign,
     alternating_orbit,
     convergence_trace,
+    generate_input,
     make_alternating_neuron,
     perturbation_experiment,
+    step,
 )
 from critical_esn.reservoir import Reservoir, make_orthogonal_reservoir, scale_to_spectrum
-from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH
+from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction
 
 A = math.pi / 4
+
+
+def _benettin_by_step(res, spec, T, L, eps0=1e-9):
+    """Reference two-trajectory exponent: x and y each advanced by dynamics.step."""
+    u = generate_input(spec, T + 1, res.n)
+    x = np.zeros(res.k)
+    y = x + eps0 * np.eye(res.k)[0]
+    stretches = []
+    for t in range(1, T // L * L + 1):
+        x, _ = step(res, x, u[t])
+        y, _ = step(res, y, u[t])
+        if t % L == 0:
+            d = float(np.linalg.norm(y - x))
+            stretches.append(math.log(d / eps0))
+            y = x + (y - x) * (eps0 / d)
+    return float(np.mean(np.asarray(stretches) / L))
 
 
 class TestLyapunovExponent:
@@ -96,6 +115,34 @@ class TestLyapunovExponent:
             for method in methods:
                 r = lyapunov_exponent(res, IidSign(0.5, 0), T=10_000, x0=x0, method=method)
                 assert math.isinf(r.exponent) and r.exponent > 0
+
+    def test_free_running_pair_shares_one_transfer_call_per_step(self, monkeypatch):
+        shapes = []
+        call = TransferFunction.__call__
+
+        def counted(self, x):
+            shapes.append(np.shape(x))
+            return call(self, x)
+
+        monkeypatch.setattr(TransferFunction, "__call__", counted)
+        res = make_orthogonal_reservoir(4, 1, 0.5, seed=0)
+        r = lyapunov_exponent(res, IidSign(A, 0), T=1005)
+        assert len(shapes) == r.T_used == 1000
+        assert set(shapes) == {(4, 2)}
+
+    @pytest.mark.parametrize("k", [2, 16])
+    def test_paired_block_matches_per_copy_steps(self, k):
+        # GEMM rounds unlike GEMV, and the 1e-9 separation magnifies that to ~1e-7 per block
+        res = make_orthogonal_reservoir(k, 1, 0.5, seed=k)
+        r = lyapunov_exponent(res, IidSign(A, k), T=3000)
+        assert r.exponent == pytest.approx(_benettin_by_step(res, IidSign(A, k), 3000, 10), rel=1e-6)
+
+    def test_pair_colliding_every_block_reports_the_floor(self):
+        # the saturating sine sigmoid merges the twins within every 10-step block
+        base = make_orthogonal_reservoir(4, 1, 0.5, seed=0)
+        res = Reservoir(W=base.W, w_in=base.w_in, tf=SINE_SIGMOID)
+        r = lyapunov_exponent(res, IidSign(A, 3), T=2000)
+        assert r.exponent == math.log(ZERO_FLOOR / 1e-9) / 10
 
     def test_validation(self):
         res = make_alternating_neuron(1.0)

@@ -341,6 +341,22 @@ class TestConfigHandling:
         assert not (tmp_path / "verify_report.json").exists()
 
     @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"transfer_kinds": ["foo"]}, "error: unknown transfer kind 'foo'\n"),
+            ({"n_list": [1]}, "error: n_list entries must be >= 2, got [1]\n"),
+        ],
+        ids=["transfer_kinds", "n_list"],
+    )
+    def test_bad_verify_value_exits_2_before_making_the_output_directory(
+        self, tmp_path, capsys, payload, message
+    ):
+        cfg = _write_config(tmp_path, "bad.json", payload)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "command, payload, key",
         [
             ("figure45", {"Tt": 5}, "Tt"),
