@@ -14,11 +14,14 @@ A config sets only keys that DEFAULTS declares for its subcommand, and
 --seed replaces every seed declared there.  Each value must have its
 key's form, that of its default or one listed in _FORMS (an int given
 for a float is stored as a float), or the run exits 2 naming the key.
-Every run writes the fully resolved config (which --config accepts back)
-next to its outputs and a run_meta.json sidecar; CSV/JSON bodies are
-deterministic byte-for-byte (timestamps live only in the sidecar); every
-JSON artifact writes a non-finite number as null.  Exit codes: 0
-success, 1 failed verification, 2 usage/config error.
+A subcommand computes and writes nothing; main makes the output directory
+only once it has returned, so a run that exits 2 writes nothing, while a
+run that exits 1 (failed verification or failed sweep cells) still writes
+every artifact.  Every written run holds the fully resolved config (which
+--config accepts back) next to its outputs and a run_meta.json sidecar;
+CSV/JSON bodies are deterministic byte-for-byte (timestamps live only in
+the sidecar); every JSON artifact writes a non-finite number as null.
+Exit codes: 0 success, 1 failed verification, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -172,9 +175,8 @@ def _overlay(declared: dict, user, seed: int | None, where: str = "config") -> d
     """The declared keys, from user where it sets them, recursing into declared objects.
 
     Each value the user sets must have its key's form (_FORMS, else the
-    default's; see _conform) and is stored in that form's type; a key in
-    _VALUE_CHECKS must pass its check too.  A given seed replaces every
-    declared "seed".
+    default's; see _conform) and is stored in that form's type.  A given
+    seed replaces every declared "seed".
     """
     if not isinstance(user, dict):
         raise ConfigError(f"{where} must be a JSON object, got {user!r}")
@@ -189,8 +191,6 @@ def _overlay(declared: dict, user, seed: int | None, where: str = "config") -> d
             cfg[key] = seed
         elif key in user:
             cfg[key] = _checked(key, user[key], where, _FORMS.get(key, (default,)))
-            if key in _VALUE_CHECKS:  # so a bad value exits before the output directory is made
-                _VALUE_CHECKS[key](cfg[key])
     return cfg
 
 
@@ -216,19 +216,6 @@ def _transfer_from_config(value) -> TransferFunction:
         return TransferFunction(**value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad transfer spec {value!r}: {exc}") from exc
-
-
-def _check_n_list(n_list: list) -> None:
-    if any(n < 2 for n in n_list):
-        raise ConfigError(f"n_list entries must be >= 2, got {n_list!r}")
-
-
-# Keys whose values _overlay also builds or checks, beyond their form.
-_VALUE_CHECKS = {
-    "transfer": _transfer_from_config,
-    "transfer_kinds": lambda kinds: [_transfer_from_config(kind) for kind in kinds],
-    "n_list": _check_n_list,
-}
 
 
 def _input_from_config(cfg: dict) -> dynamics.InputSequence:
@@ -283,9 +270,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 # -- subcommands --------------------------------------------------------------
-# Each returns (files written, exit code); main records both in run_meta.json.
+# Each returns ({file name: (writer, payload)}, exit code) and writes nothing;
+# main calls writer(out / name, payload) for each and records both in
+# run_meta.json.  Writers are module attributes read at call time.
 
-def cmd_figure3(cfg: dict, out: Path) -> tuple[list[str], int]:
+def cmd_figure3(cfg: dict) -> tuple[dict, int]:
     points = analysis.lyapunov_sweep(
         dynamics.make_alternating_neuron,
         dynamics.Alternating(cfg["amplitude"]),
@@ -295,16 +284,15 @@ def cmd_figure3(cfg: dict, out: Path) -> tuple[list[str], int]:
         eps0=cfg["eps0"],
         reference_orbit=dynamics.alternating_orbit(cfg["amplitude"]),
     )
-    analysis.write_sweep_csv(out / "figure3_lyapunov.csv", points)
     failed = [p.b for p in points if p.error is not None]
     if failed:
         print(f"figure3: {len(failed)} cells failed: {failed}", file=sys.stderr)
-    return ["figure3_lyapunov.csv"], 0 if not failed else 1
+    return {"figure3_lyapunov.csv": (analysis.write_sweep_csv, points)}, 0 if not failed else 1
 
 
-def cmd_figure45(cfg: dict, out: Path) -> tuple[list[str], int]:
+def cmd_figure45(cfg: dict) -> tuple[dict, int]:
     res = dynamics.make_alternating_neuron(cfg["b"])
-    files = []
+    files = {}
     results = {}
     for name, spec in (
         ("alternating", dynamics.Alternating(cfg["amplitude"])),
@@ -313,19 +301,20 @@ def cmd_figure45(cfg: dict, out: Path) -> tuple[list[str], int]:
         trace = dynamics.perturbation_experiment(res, spec, cfg["perturb_at"], cfg["delta_u"], cfg["T"])
         fit = analysis.fit_decay(trace, t_start=cfg["fit_t_start"])
         stem = "figure4_alternating" if name == "alternating" else "figure5_iid"
-        dynamics.write_trace_csv(out / f"{stem}_trace.csv", trace)
-        _write_json(out / f"decay_fit_{name}.json", {**asdict(fit), "floor_hit_at": trace.floor_hit_at})
-        files += [f"{stem}_trace.csv", f"decay_fit_{name}.json"]
+        files[f"{stem}_trace.csv"] = (dynamics.write_trace_csv, trace)
+        files[f"decay_fit_{name}.json"] = (_write_json, {**asdict(fit), "floor_hit_at": trace.floor_hit_at})
         results[name] = fit.law
     print(f"figure45: alternating -> {results['alternating']}, iid -> {results['iid']}")
     return files, 0
 
 
 def _verify_checks(cfg: dict) -> dict:
+    kinds = [(kind, _transfer_from_config(kind)) for kind in cfg["transfer_kinds"]]
+    if any(n < 2 for n in cfg["n_list"]):
+        raise ConfigError(f"n_list entries must be >= 2, got {cfg['n_list']!r}")
     p = contraction.CoverParams(eta=cfg["eta"], gamma=cfg["gamma"], kappa=cfg["kappa"])
     checks: dict[str, contraction.VerificationReport] = {}
-    for kind in cfg["transfer_kinds"]:
-        tf = _transfer_from_config(kind)
+    for kind, tf in kinds:
         checks[f"cover_{kind}"] = contraction.verify_cover_inequality(
             tf, p, cfg["delta_grid"], cfg["zeta_grid"]
         )
@@ -340,8 +329,7 @@ def _verify_checks(cfg: dict) -> dict:
     amp = _PI4
     i = 0
     for k in cfg["audit_k_list"]:
-        for kind in cfg["transfer_kinds"]:
-            tf = _transfer_from_config(kind)
+        for kind, tf in kinds:
             for _ in range(cfg["audit_runs_per_case"]):
                 seed = int(rng.integers(0, 2**31))
                 base = make_orthogonal_reservoir(k, 1, 0.5, seed)
@@ -360,16 +348,15 @@ def _verify_checks(cfg: dict) -> dict:
     return checks
 
 
-def cmd_verify(cfg: dict, out: Path) -> tuple[list[str], int]:
+def cmd_verify(cfg: dict) -> tuple[dict, int]:
     checks = _verify_checks(cfg)
     all_passed = all(rep.passed for rep in checks.values())
-    _write_json(out / "verify_report.json", {**checks, "all_passed": all_passed})
     for name, rep in sorted(checks.items()):
         print(f"{'PASS' if rep.passed else 'FAIL'}  {name}  worst_margin={rep.worst_margin:.3g}")
-    return ["verify_report.json"], 0 if all_passed else 1
+    return {"verify_report.json": (_write_json, {**checks, "all_passed": all_passed})}, 0 if all_passed else 1
 
 
-def cmd_critical_b(cfg: dict, out: Path) -> tuple[list[str], int]:
+def cmd_critical_b(cfg: dict) -> tuple[dict, int]:
     tf = _transfer_from_config(cfg["transfer"])
     b_star, orbit_amp = analysis.find_critical_b(tf, cfg["amplitude"], cfg["bracket"], cfg["tol"])
     x_lin = b_star * orbit_amp - cfg["amplitude"]
@@ -379,12 +366,11 @@ def cmd_critical_b(cfg: dict, out: Path) -> tuple[list[str], int]:
         "orbit_residual": abs(tf(x_lin) - orbit_amp),
         "stability_residual": abs(abs(b_star * tf.derivative(x_lin)) - 1.0),
     }
-    _write_json(out / "critical_b.json", payload)
     print(f"critical-b: b*={b_star:.9g}, |x*|={orbit_amp:.9g}")
-    return ["critical_b.json"], 0
+    return {"critical_b.json": (_write_json, payload)}, 0
 
 
-def cmd_mc(cfg: dict, out: Path) -> tuple[list[str], int]:
+def cmd_mc(cfg: dict) -> tuple[dict, int]:
     res = _reservoir_from_config(cfg)
     result = readout.memory_capacity(
         res,
@@ -395,12 +381,11 @@ def cmd_mc(cfg: dict, out: Path) -> tuple[list[str], int]:
         ridge=cfg["ridge"],
         seed=cfg["seed"],
     )
-    readout.write_mc_csv(out / "mc.csv", result)
     print(f"mc: total={result.mc_total:.4f} over {len(result.per_delay)} delays (k={res.k})")
-    return ["mc.csv"], 0
+    return {"mc.csv": (readout.write_mc_csv, result)}, 0
 
 
-def cmd_simulate(cfg: dict, out: Path) -> tuple[list[str], int]:
+def cmd_simulate(cfg: dict) -> tuple[dict, int]:
     res = _reservoir_from_config(cfg["reservoir"])
     input_spec = _input_from_config(cfg["input"])
 
@@ -408,14 +393,10 @@ def cmd_simulate(cfg: dict, out: Path) -> tuple[list[str], int]:
         return dynamics._as_state(res, None if v == "zeros" else v)
 
     x0 = state_from(cfg["x0"])
-    files = []
-    traj = dynamics.run(res, input_spec, x0, cfg["T"])
-    dynamics.write_states_csv(out / "states.csv", traj)
-    files.append("states.csv")
+    files = {"states.csv": (dynamics.write_states_csv, dynamics.run(res, input_spec, x0, cfg["T"]))}
     if cfg["y0"] is not None:
         trace = dynamics.convergence_trace(res, input_spec, x0, state_from(cfg["y0"]), cfg["T"])
-        dynamics.write_trace_csv(out / "trace.csv", trace)
-        files.append("trace.csv")
+        files["trace.csv"] = (dynamics.write_trace_csv, trace)
     return files, 0
 
 
@@ -449,9 +430,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config, args.command, args.seed)
+        files, exit_code = COMMANDS[args.command](cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        files, exit_code = COMMANDS[args.command](cfg, out)
+        for name, (write, payload) in files.items():
+            write(out / name, payload)
         record = out / f"{args.command.replace('-', '_')}_config.json"
         _write_json(record, cfg)
         meta = {

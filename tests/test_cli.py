@@ -317,20 +317,36 @@ class TestConfigHandling:
             ("figure3", {"T": 50}),
             ("figure3", {"renorm_interval": 0}),
             ("figure3", {"eps0": 1}),
+            ("simulate", {"T": 0}),
+            ("critical-b", {"bracket": [0.1, 0.5]}),
+            ("mc", {"T": 100}),
+            ("verify", {"audit_T": 1}),
+            # the states are finite, the twin's are not: no states.csv without the rest
+            ("simulate", {"reservoir": {"transfer": "sine_sigmoid"}, "x0": [0.0], "y0": [1e308], "T": 50}),
         ],
     )
     def test_ill_formed_config_exits_2_with_one_line(self, tmp_path, capsys, command, payload):
         cfg = _write_config(tmp_path, "bad.json", payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("b", [4.0, -3.0])
     def test_diverging_twins_exit_2_with_one_line(self, tmp_path, capsys, b):
         # |b| > 2 sends the alternating neuron's state past the float range
         cfg = _write_config(tmp_path, "bad.json", {"b": b})
-        assert main(["figure45", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert main(["figure45", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: twin states must stay finite\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_out_naming_a_file_exits_2_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        assert main(["critical-b", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.read_text() == "kept\n"
 
     @pytest.mark.parametrize("n_list", [[1, 2], [0], [2, 4, 1]])
     def test_n_list_entry_below_2_exits_2_naming_it(self, tmp_path, capsys, n_list):
@@ -408,9 +424,10 @@ class TestConfigHandling:
     )
     def test_w_in_csv_without_w_csv_exits_2_naming_it(self, tmp_path, capsys, command, payload):
         cfg = _write_config(tmp_path, "bad.json", payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "'w_in_csv'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_run_meta_records_config_hash_and_versions(self, tmp_path):
         metas = []
