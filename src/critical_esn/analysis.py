@@ -131,7 +131,7 @@ def lyapunov_exponent(
 def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
     floats = res.k == res.n == 1
     paired = orbit is None and not floats  # x and y step as the columns of one (k, 2) block
-    advance = _stepper(res, u[:, :, None] if paired else u, floats)
+    advance = _stepper(res, u, floats)
     if floats:
         x, e0 = float(start[0]), 1.0
         orbit = None if orbit is None else orbit[:, 0].tolist()

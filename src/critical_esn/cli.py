@@ -15,12 +15,16 @@ A config sets only keys that DEFAULTS declares for its subcommand, and
 key's form, that of its default or one listed in _FORMS (an int given
 for a float is stored as a float), or the run exits 2 naming the key.
 A subcommand computes and writes nothing; main makes the output directory
-only once it has returned, so a run that exits 2 writes nothing, while a
-run that exits 1 (failed verification or failed sweep cells) still writes
-every artifact.  Every written run holds the fully resolved config (which
---config accepts back) next to its outputs and a run_meta.json sidecar;
-CSV/JSON bodies are deterministic byte-for-byte (timestamps live only in
-the sidecar); every JSON artifact writes a non-finite number as null.
+only once it has returned, and prints the subcommand's stdout summary only
+after every file is written.  So a run that exits 2 writes nothing and
+prints only its error line, while a run that exits 1 (failed verification
+or failed sweep cells) still writes every artifact.  Every written run
+holds the fully resolved config (which --config accepts back) next to its
+outputs and a run_meta.json sidecar;
+CSV/JSON bodies are deterministic byte-for-byte for one numpy/BLAS build
+and thread count; the sidecar records both, with the timestamp, the wall
+time of each phase (config, compute, write) and the config's hash.  Every
+JSON artifact writes a non-finite number as null.
 Exit codes: 0 success, 1 failed verification, 2 usage/config error.
 """
 
@@ -30,8 +34,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import platform
 import sys
+import time
 from dataclasses import asdict, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -270,11 +276,12 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 # -- subcommands --------------------------------------------------------------
-# Each returns ({file name: (writer, payload)}, exit code) and writes nothing;
-# main calls writer(out / name, payload) for each and records both in
-# run_meta.json.  Writers are module attributes read at call time.
+# Each returns ({file name: (writer, payload)}, stdout summary, exit code) and
+# writes nothing; main calls writer(out / name, payload) for each, records
+# both in run_meta.json, then prints the summary.  Writers are module
+# attributes read at call time.
 
-def cmd_figure3(cfg: dict) -> tuple[dict, int]:
+def cmd_figure3(cfg: dict) -> tuple[dict, str, int]:
     points = analysis.lyapunov_sweep(
         dynamics.make_alternating_neuron,
         dynamics.Alternating(cfg["amplitude"]),
@@ -287,10 +294,10 @@ def cmd_figure3(cfg: dict) -> tuple[dict, int]:
     failed = [p.b for p in points if p.error is not None]
     if failed:
         print(f"figure3: {len(failed)} cells failed: {failed}", file=sys.stderr)
-    return {"figure3_lyapunov.csv": (analysis.write_sweep_csv, points)}, 0 if not failed else 1
+    return {"figure3_lyapunov.csv": (analysis.write_sweep_csv, points)}, "", 0 if not failed else 1
 
 
-def cmd_figure45(cfg: dict) -> tuple[dict, int]:
+def cmd_figure45(cfg: dict) -> tuple[dict, str, int]:
     res = dynamics.make_alternating_neuron(cfg["b"])
     files = {}
     results = {}
@@ -304,8 +311,7 @@ def cmd_figure45(cfg: dict) -> tuple[dict, int]:
         files[f"{stem}_trace.csv"] = (dynamics.write_trace_csv, trace)
         files[f"decay_fit_{name}.json"] = (_write_json, {**asdict(fit), "floor_hit_at": trace.floor_hit_at})
         results[name] = fit.law
-    print(f"figure45: alternating -> {results['alternating']}, iid -> {results['iid']}")
-    return files, 0
+    return files, f"figure45: alternating -> {results['alternating']}, iid -> {results['iid']}", 0
 
 
 def _verify_checks(cfg: dict) -> dict:
@@ -348,15 +354,18 @@ def _verify_checks(cfg: dict) -> dict:
     return checks
 
 
-def cmd_verify(cfg: dict) -> tuple[dict, int]:
+def cmd_verify(cfg: dict) -> tuple[dict, str, int]:
     checks = _verify_checks(cfg)
     all_passed = all(rep.passed for rep in checks.values())
-    for name, rep in sorted(checks.items()):
-        print(f"{'PASS' if rep.passed else 'FAIL'}  {name}  worst_margin={rep.worst_margin:.3g}")
-    return {"verify_report.json": (_write_json, {**checks, "all_passed": all_passed})}, 0 if all_passed else 1
+    summary = "\n".join(
+        f"{'PASS' if rep.passed else 'FAIL'}  {name}  worst_margin={rep.worst_margin:.3g}"
+        for name, rep in sorted(checks.items())
+    )
+    files = {"verify_report.json": (_write_json, {**checks, "all_passed": all_passed})}
+    return files, summary, 0 if all_passed else 1
 
 
-def cmd_critical_b(cfg: dict) -> tuple[dict, int]:
+def cmd_critical_b(cfg: dict) -> tuple[dict, str, int]:
     tf = _transfer_from_config(cfg["transfer"])
     b_star, orbit_amp = analysis.find_critical_b(tf, cfg["amplitude"], cfg["bracket"], cfg["tol"])
     x_lin = b_star * orbit_amp - cfg["amplitude"]
@@ -366,11 +375,11 @@ def cmd_critical_b(cfg: dict) -> tuple[dict, int]:
         "orbit_residual": abs(tf(x_lin) - orbit_amp),
         "stability_residual": abs(abs(b_star * tf.derivative(x_lin)) - 1.0),
     }
-    print(f"critical-b: b*={b_star:.9g}, |x*|={orbit_amp:.9g}")
-    return {"critical_b.json": (_write_json, payload)}, 0
+    summary = f"critical-b: b*={b_star:.9g}, |x*|={orbit_amp:.9g}"
+    return {"critical_b.json": (_write_json, payload)}, summary, 0
 
 
-def cmd_mc(cfg: dict) -> tuple[dict, int]:
+def cmd_mc(cfg: dict) -> tuple[dict, str, int]:
     res = _reservoir_from_config(cfg)
     result = readout.memory_capacity(
         res,
@@ -381,11 +390,11 @@ def cmd_mc(cfg: dict) -> tuple[dict, int]:
         ridge=cfg["ridge"],
         seed=cfg["seed"],
     )
-    print(f"mc: total={result.mc_total:.4f} over {len(result.per_delay)} delays (k={res.k})")
-    return {"mc.csv": (readout.write_mc_csv, result)}, 0
+    summary = f"mc: total={result.mc_total:.4f} over {len(result.per_delay)} delays (k={res.k})"
+    return {"mc.csv": (readout.write_mc_csv, result)}, summary, 0
 
 
-def cmd_simulate(cfg: dict) -> tuple[dict, int]:
+def cmd_simulate(cfg: dict) -> tuple[dict, str, int]:
     res = _reservoir_from_config(cfg["reservoir"])
     input_spec = _input_from_config(cfg["input"])
 
@@ -397,7 +406,7 @@ def cmd_simulate(cfg: dict) -> tuple[dict, int]:
     if cfg["y0"] is not None:
         trace = dynamics.convergence_trace(res, input_spec, x0, state_from(cfg["y0"]), cfg["T"])
         files["trace.csv"] = (dynamics.write_trace_csv, trace)
-    return files, 0
+    return files, "", 0
 
 
 # -- entry point ---------------------------------------------------------------
@@ -426,22 +435,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _blas() -> dict | None:
+    """Name and version of the BLAS numpy was built against; None where numpy does not say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):  # numpy < 1.26 has no mode="dicts"
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    marks = [time.perf_counter()]
     try:
         cfg = _load_config(args.config, args.command, args.seed)
-        files, exit_code = COMMANDS[args.command](cfg)
+        marks.append(time.perf_counter())
+        files, summary, exit_code = COMMANDS[args.command](cfg)
+        marks.append(time.perf_counter())
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for name, (write, payload) in files.items():
             write(out / name, payload)
         record = out / f"{args.command.replace('-', '_')}_config.json"
         _write_json(record, cfg)
+        marks.append(time.perf_counter())
+        threads = {var: val for var, val in sorted(os.environ.items()) if var.endswith("_NUM_THREADS")}
         meta = {
             "command": args.command,
             "config_sha256": hashlib.sha256(record.read_bytes()).hexdigest(),
             "numpy": np.__version__,
+            "blas": _blas(),
+            "num_threads": threads,
+            "cpu_count": os.cpu_count(),
             "outputs": sorted(files),
+            "phase_s": dict(zip(("config", "compute", "write"), np.diff(marks).tolist())),
             "python": platform.python_version(),
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "exit_code": exit_code,
@@ -450,6 +477,8 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if summary:
+        print(summary)
     return exit_code
 
 

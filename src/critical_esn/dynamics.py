@@ -16,15 +16,18 @@ to exactly zero from that step on and the index is recorded.
 
 Every simulation steps through one kernel, ``_stepper``: it rejects
 non-finite inputs, then advances a state with a plain-float body (k = n = 1
-twin traces and Lyapunov runs) or a GEMV body evaluating the transfer
-function through its checked ``__call__`` (everything else, including
-``run_with_inputs`` at every k).  Given the (T, n, 1) input view
-``inputs[:, :, None]``, the array body steps a (k, B) block of B states
-at once, one GEMM per step; the free-running Lyapunov pair uses this
-with B = 2.  A state that leaves the finite range
-makes trajectories raise ``ValueError("states must stay finite")`` and
-twin traces ``ValueError("twin states must stay finite")``, on either
-body; the Lyapunov estimate reports its +inf sentinel instead.
+twin traces and Lyapunov runs) or an array body (everything else,
+including ``run_with_inputs`` at every k).  The array body works in place:
+it computes a span's drive ``w_in u_t`` up front, bit for bit the per-step
+product, in the linear-state rows when it keeps them; each step adds
+``W x`` onto its drive row and makes one checked ``TransferFunction``
+call, writing into the output row.  Given a (k, B) block of B states, it
+steps them at once, one GEMM per step; the free-running Lyapunov pair
+uses this with B = 2.  Twin traces take a block's distances in one
+stacked matmul, bit for bit the per-row norm.  A state that leaves the
+finite range makes trajectories raise ``ValueError("states must stay
+finite")`` and twin traces ``ValueError("twin states must stay finite")``,
+on either body; the Lyapunov estimate reports its +inf sentinel instead.
 """
 
 from __future__ import annotations
@@ -178,10 +181,13 @@ def _stepper(res: Reservoir, inputs: np.ndarray, floats: bool):
     t0 <= t < t1 and returns the last state; with out it stores x_t in
     out[t - t0], and it writes nothing else.  floats=True (k = n = 1 only)
     picks a plain-float body on the math-module transfer.  The array body
-    evaluates theta through TransferFunction.__call__, so a non-finite
-    linear state raises ValueError, and it takes a further lin_out for the
-    linear states.  Given the (T, n, 1) view inputs[:, :, None], the array
-    body steps a (k, B) block whose columns are B states driven alike.
+    takes a further lin_out for the linear states.  It computes the span's
+    drive w_in u_t in one stacked matmul, into lin_out when given, adds
+    W x_{t-1} onto each drive row in place (d + Wx is Wx + d bit for bit)
+    and writes theta of that row into out[t - t0] through one checked
+    TransferFunction.__call__ per step, so a non-finite linear state
+    raises ValueError.  Given a (k, B) block x, it steps B states driven
+    alike, one GEMM per step.
     """
     if not np.all(np.isfinite(inputs)):
         raise ValueError("inputs must be finite")
@@ -202,13 +208,14 @@ def _stepper(res: Reservoir, inputs: np.ndarray, floats: bool):
     else:
 
         def advance(x, t0, t1, out=None, lin_out=None):
-            for i, u in enumerate(inputs[t0:t1]):
-                lin = W @ x + w_in @ u
-                x = tf(lin)
-                if out is not None:
-                    out[i] = x
-                if lin_out is not None:
-                    lin_out[i] = lin
+            # the drive w_in u_t for the whole span: one stacked matmul, bit for
+            # bit the per-step product, written into lin_out when given
+            drive_out = None if lin_out is None else lin_out[: t1 - t0, :, None]
+            lin = np.matmul(w_in, inputs[t0:t1, :, None], out=drive_out)
+            lin = lin[:, :, 0] if x.ndim == 1 else lin.repeat(x.shape[1], axis=2)
+            for i, row in enumerate(lin):
+                row += W @ x
+                x = tf(row, out=None if out is None else out[i])
             return x
 
     return advance
@@ -285,7 +292,8 @@ def _twin_trace(res, u_x, u_y, x0, y0, shared_from) -> ConvergenceTrace:
                 finite = False
         if not finite:
             raise ValueError("twin states must stay finite")
-        q[t0:t1] = [_distance(r) for r in X[:n] - Y[:n]]
+        D = X[:n] - Y[:n]  # row norms in one stacked matmul, bit for bit _distance of each row
+        q[t0:t1] = np.abs(D[:, 0]) if res.k == 1 else np.sqrt(np.matmul(D[:, None], D[:, :, None])[:, 0, 0])
     positive = np.flatnonzero(q > 0.0)
     zeros = np.flatnonzero(q[positive[0] :] == 0.0) if positive.size else positive
     floor_at = int(positive[0] + zeros[0]) if zeros.size else None

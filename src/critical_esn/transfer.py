@@ -22,7 +22,13 @@ Four kinds are provided:
 Each fixed kind's formulas live in one row of the table ``_FORMULAS``:
 theta on arrays, theta' on arrays, and theta on plain floats (the
 math-module form behind ``scalar_fn``).  ``__call__`` and ``derivative``
-check their input is finite and read their column.  A tailored piece is
+check their input is finite and read their column; ``__call__(x, out=)``
+writes theta(x), bit for bit, into ``out`` and returns it.  The finite
+check is one reduction: NaN and +-inf propagate through a sum, so a finite
+sum proves every entry finite, and only a non-finite sum (a NaN or inf
+entry, or finite entries whose sum overflows) runs the exact elementwise
+check.  That sum follows numpy's errstate like any ufunc: outside one that
+ignores them, inf - inf and an overflowing sum warn.  A tailored piece is
 tanh shifted to its anchor, so its derivative is the tanh row's at the
 shifted point, and its unit-slope points come in closed form: every
 anchor, plus 0 when no anchor lies within ``_ANCHOR_RADIUS`` of it (the
@@ -48,14 +54,15 @@ __all__ = [
 ]
 
 # Each fixed kind's formulas: (theta on arrays, theta' on arrays, theta on floats).
+# theta on arrays takes out= like a ufunc.
 _FORMULAS = {
     "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, math.tanh),
     "sine_sigmoid": (
-        lambda x: 0.5 * x - 0.25 * np.sin(2.0 * x),
+        lambda x, out=None: np.subtract(0.5 * x, 0.25 * np.sin(2.0 * x), out=out),
         lambda x: 0.5 - 0.5 * np.cos(2.0 * x),
         lambda x: 0.5 * x - 0.25 * math.sin(2.0 * x),
     ),
-    "linear": (np.copy, np.ones_like, lambda x: x),
+    "linear": (np.positive, np.ones_like, lambda x: x),
 }
 _KINDS = (*_FORMULAS, "tailored")
 
@@ -66,7 +73,7 @@ _DEFECT_POINTS = 20001  # continuity_defect's grid size
 
 def _check_finite(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
         raise ValueError("transfer function input must be finite")
     return arr
 
@@ -112,15 +119,22 @@ class TransferFunction:
         return owned, np.where(d_left <= d_right, left, right)
 
     # -- evaluation --------------------------------------------------------
-    def __call__(self, x):
-        """Evaluate theta(x); scalar in, scalar out (arrays pass through)."""
-        scalar = np.ndim(x) == 0
+    def __call__(self, x, out=None):
+        """Evaluate theta(x); scalar in, scalar out (arrays pass through).
+
+        With out, theta(x) is written into out, which is returned.
+        """
+        scalar = np.ndim(x) == 0 and out is None
         arr = _check_finite(x)
         if self.kind == "tailored":
             owned, pivot = self._piece(arr)
-            out = np.where(owned, np.tanh(arr - pivot) + np.tanh(pivot), np.tanh(arr))
+            theta = np.where(owned, np.tanh(arr - pivot) + np.tanh(pivot), np.tanh(arr))
+            if out is None:
+                out = theta
+            else:
+                out[...] = theta
         else:
-            out = _FORMULAS[self.kind][0](arr)
+            out = _FORMULAS[self.kind][0](arr, out=out)
         return float(out) if scalar else out
 
     def derivative(self, x):

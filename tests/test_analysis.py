@@ -120,9 +120,9 @@ class TestLyapunovExponent:
         shapes = []
         call = TransferFunction.__call__
 
-        def counted(self, x):
+        def counted(self, x, out=None):
             shapes.append(np.shape(x))
-            return call(self, x)
+            return call(self, x, out=out)
 
         monkeypatch.setattr(TransferFunction, "__call__", counted)
         res = make_orthogonal_reservoir(4, 1, 0.5, seed=0)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import platform
 
 import numpy as np
@@ -344,8 +345,9 @@ class TestConfigHandling:
         out = tmp_path / "out"
         out.write_text("kept\n")
         assert main(["critical-b", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""  # the summary is printed only after the writes
         assert out.read_text() == "kept\n"
 
     @pytest.mark.parametrize("n_list", [[1, 2], [0], [2, 4, 1]])
@@ -438,6 +440,12 @@ class TestConfigHandling:
             record = (tmp_path / run / "figure45_config.json").read_bytes()
             assert meta["config_sha256"] == hashlib.sha256(record).hexdigest()
             assert meta["python"] == platform.python_version() and meta["numpy"] == np.__version__
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            assert meta["blas"] == {"name": blas["name"], "version": blas["version"]}
+            assert meta["num_threads"] == {v: os.environ[v] for v in sorted(os.environ) if v.endswith("_NUM_THREADS")}
+            assert meta["cpu_count"] == os.cpu_count()
+            assert list(meta["phase_s"]) == ["compute", "config", "write"]  # sort_keys
+            assert all(s >= 0.0 for s in meta["phase_s"].values())
             metas.append(meta)
         assert metas[0]["config_sha256"] == metas[1]["config_sha256"]  # b = 1 is recorded as 1.0
 

@@ -1,6 +1,7 @@
 """Input generation, simulation, and twin-trajectory experiments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,20 @@ class TestRun:
             run(res, Constant(0.0), [1.5e308], T=1)
 
 
+    def test_run_with_inputs_allocates_no_drive_temporary(self):
+        # the drive goes straight into the linear-state rows; a (T, k)
+        # temporary for it would add half again to the peak
+        res = make_orthogonal_reservoir(200, 1, 0.5, seed=0)
+        u = generate_input(IidSign(A, 0), 2000)
+        tracemalloc.start()
+        try:
+            traj = run_with_inputs(res, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (traj.states.nbytes + traj.linear_states.nbytes)
+
+
 class TestConvergenceTrace:
     def test_identical_starts_stay_identical(self):
         res = make_alternating_neuron(1.0)
@@ -199,6 +214,16 @@ class TestConvergenceTrace:
                     res, IidSign(A, seed), rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6), T=200
                 )
                 assert np.all(np.diff(tr.q) <= 1e-12)
+
+    def test_distances_match_per_row_norm_bitwise(self):
+        res = make_orthogonal_reservoir(16, 1, 0.5, seed=5)
+        rng = np.random.default_rng(5)
+        x0, y0 = rng.uniform(-1, 1, 16), rng.uniform(-1, 1, 16)
+        tr = convergence_trace(res, IidSign(A, 5), x0, y0, T=600)  # three blocks, the last one partial
+        u = generate_input(IidSign(A, 5), 600)[1:]
+        X, Y = (run_with_inputs(res, u, z).states for z in (x0, y0))
+        assert tr.floor_hit_at is None
+        np.testing.assert_array_equal(tr.q, [np.linalg.norm(x0 - y0)] + [np.linalg.norm(r) for r in X - Y])
 
     def test_subcritical_exponential_envelope(self):
         base = make_orthogonal_reservoir(5, 1, 0.5, seed=8)

@@ -42,6 +42,35 @@ class TestEval:
             SINE_SIGMOID(np.array([0.0, math.nan]))
 
 
+class TestOut:
+    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR, tailored([-2.5, 3.0])], ids=lambda tf: tf.kind)
+    def test_out_is_filled_and_returned_bitwise(self, tf):
+        xs = GRID.reshape(-1, 1)
+        rows = np.full((3, xs.size), np.nan)
+        buf = rows[1]  # a row view, as the stepping body passes
+        assert tf(GRID, out=buf) is buf
+        assert buf.tobytes() == tf(GRID).tobytes()
+        assert np.isnan(rows[[0, 2]]).all()
+        block = np.empty_like(xs)
+        assert tf(xs, out=block) is block and block.tobytes() == tf(xs).tobytes()
+
+
+class TestFiniteCheck:
+    # numpy reports the check's own sum overflowing or meeting inf - inf under
+    # its errstate, as it does for any ufunc; the stepping bodies ignore both.
+    def test_finite_entries_with_an_overflowing_sum_pass(self):
+        x = np.array([1e308, 1e308, -1e308])
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(LINEAR(x), x)
+            np.testing.assert_array_equal(LINEAR.derivative(x), 1.0)
+
+    @pytest.mark.parametrize("bad", [[math.nan], [math.inf], [1.0, -math.inf], [math.inf, -math.inf]])
+    def test_non_finite_entries_raise(self, bad):
+        for f in (TANH, TANH.derivative):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^transfer function input must be finite$"):
+                f(np.array(bad))
+
+
 class TestDerivative:
     def test_tanh_origin(self):
         assert TANH.derivative(0.0) == 1.0
