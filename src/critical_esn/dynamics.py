@@ -17,10 +17,13 @@ to exactly zero from that step on and the index is recorded.
 Every simulation steps through one kernel, ``_stepper``: it rejects
 non-finite inputs, then advances a state with a plain-float body (k = n = 1
 twin traces and Lyapunov runs) or an array body (everything else,
-including ``run_with_inputs`` at every k).  The array body works in place:
-it computes a span's drive ``w_in u_t`` up front, bit for bit the per-step
-product, in the linear-state rows when it keeps them; each step adds
-``W x`` onto its drive row and makes one checked ``TransferFunction``
+including ``run_with_inputs`` at every k).  The float body precomputes the
+drive as a list of floats and runs the transfer's plain-float stepping
+loop over it (``transfer._FORMULAS``), which evaluates the sine sigmoid
+and the identity without a Python call per step.  The array body works in
+place: it computes a span's drive ``w_in u_t`` up front, bit for bit the
+per-step product, in the linear-state rows when it keeps them; each step
+adds ``W x`` onto its drive row and makes one checked ``TransferFunction``
 call, writing into the output row.  Given a (k, B) block of B states, it
 steps them at once, one GEMM per step; the free-running Lyapunov pair
 uses this with B = 2.  Twin traces take a block's distances in one
@@ -105,9 +108,9 @@ def generate_input(spec: InputSequence, T: int, n: int = 1) -> np.ndarray:
     if T < 1:
         raise ValueError("need T >= 1")
     if isinstance(spec, Alternating):
-        signs = np.where(np.arange(T) % 2 == 0, 1.0, -1.0)
-        col = signs * spec.amplitude
-        return np.tile(col[:, None], (1, n))
+        a, u = float(spec.amplitude), np.empty((T, n))
+        u[0::2], u[1::2] = a, -a
+        return u
     if isinstance(spec, IidSign):
         rng = np.random.default_rng(spec.seed)
         signs = rng.integers(0, 2, size=(T, n)) * 2.0 - 1.0
@@ -180,7 +183,8 @@ def _stepper(res: Reservoir, inputs: np.ndarray, floats: bool):
     advance applies x_t = theta(W x_{t-1} + w_in u_t), u_t = inputs[t], for
     t0 <= t < t1 and returns the last state; with out it stores x_t in
     out[t - t0], and it writes nothing else.  floats=True (k = n = 1 only)
-    picks a plain-float body on the math-module transfer.  The array body
+    picks a plain-float body: the transfer's float stepping loop over the
+    drive w_in u_t, precomputed as a list of floats.  The array body
     takes a further lin_out for the linear states.  It computes the span's
     drive w_in u_t in one stacked matmul, into lin_out when given, adds
     W x_{t-1} onto each drive row in place (d + Wx is Wx + d bit for bit)
@@ -193,17 +197,11 @@ def _stepper(res: Reservoir, inputs: np.ndarray, floats: bool):
         raise ValueError("inputs must be finite")
     W, w_in, tf = res.W, res.w_in, res.tf
     if floats:
-        f, w = tf.scalar_fn(), float(W[0, 0])
+        steps, w = tf._float_steps(), float(W[0, 0])
         drive = (inputs[:, 0] * float(w_in[0, 0])).tolist()
 
         def advance(x, t0, t1, out=None):
-            if out is None:
-                for d in drive[t0:t1]:
-                    x = f(w * x + d)
-            else:
-                for i, d in enumerate(drive[t0:t1]):
-                    x = out[i] = f(w * x + d)
-            return x
+            return steps(x, w, drive[t0:t1], out)
 
     else:
 

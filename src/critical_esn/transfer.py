@@ -20,19 +20,23 @@ Four kinds are provided:
                       counterexample that never contracts.
 
 Each fixed kind's formulas live in one row of the table ``_FORMULAS``:
-theta on arrays, theta' on arrays, and theta on plain floats (the
-math-module form behind ``scalar_fn``).  ``__call__`` and ``derivative``
+theta on arrays, theta' on arrays, and theta's plain-float stepping loop,
+which the k = n = 1 body of ``dynamics._stepper`` runs.  That loop holds
+the sine-sigmoid and linear formulas in its body, so no step pays a
+Python call; tanh's calls the ``math.tanh`` builtin, and the tailored
+kind's calls the checked ``__call__``.  ``__call__`` and ``derivative``
 check their input is finite and read their column; ``__call__(x, out=)``
-writes theta(x), bit for bit, into ``out`` and returns it.  The finite
-check is one reduction: NaN and +-inf propagate through a sum, so a finite
-sum proves every entry finite, and only a non-finite sum (a NaN or inf
-entry, or finite entries whose sum overflows) runs the exact elementwise
-check.  That sum follows numpy's errstate like any ufunc: outside one that
-ignores them, inf - inf and an overflowing sum warn.  A tailored piece is
-tanh shifted to its anchor, so its derivative is the tanh row's at the
-shifted point, and its unit-slope points come in closed form: every
-anchor, plus 0 when no anchor lies within ``_ANCHOR_RADIUS`` of it (the
-plain-tanh piece then owns 0).
+writes theta(x), bit for bit, into ``out`` and returns it.  A float64
+ndarray is checked as it stands; any other input is converted first.  The
+finite check is one reduction: NaN and +-inf propagate through a sum, so a
+finite sum proves every entry finite, and only a non-finite sum (a NaN or
+inf entry, or finite entries whose sum overflows) runs the exact
+elementwise check.  That sum follows numpy's errstate like any ufunc:
+outside one that ignores them, inf - inf and an overflowing sum warn.  A
+tailored piece is tanh shifted to its anchor, so its derivative is the
+tanh row's at the shifted point, and its unit-slope points come in closed
+form: every anchor, plus 0 when no anchor lies within ``_ANCHOR_RADIUS``
+of it (the plain-tanh piece then owns 0).
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -53,16 +57,58 @@ __all__ = [
     "continuity_defect",
 ]
 
-# Each fixed kind's formulas: (theta on arrays, theta' on arrays, theta on floats).
-# theta on arrays takes out= like a ufunc.
+
+def _steps_calling(theta):
+    """The plain-float stepping loop x_t = theta(w x_{t-1} + d_t) around a callable theta."""
+
+    def steps(x, w, drive, out=None):
+        if out is None:
+            for d in drive:
+                x = theta(w * x + d)
+        else:
+            for i, d in enumerate(drive):
+                x = out[i] = theta(w * x + d)
+        return x
+
+    return steps
+
+
+def _sine_sigmoid_steps(x, w, drive, out=None):
+    sin = math.sin
+    if out is None:
+        for d in drive:
+            z = w * x + d
+            x = 0.5 * z - 0.25 * sin(2.0 * z)
+    else:
+        for i, d in enumerate(drive):
+            z = w * x + d
+            x = out[i] = 0.5 * z - 0.25 * sin(2.0 * z)
+    return x
+
+
+def _linear_steps(x, w, drive, out=None):
+    if out is None:
+        for d in drive:
+            x = w * x + d
+    else:
+        for i, d in enumerate(drive):
+            x = out[i] = w * x + d
+    return x
+
+
+# Each fixed kind's formulas: (theta on arrays, theta' on arrays, theta's
+# plain-float stepping loop).  theta on arrays takes out= like a ufunc.  The
+# loop is steps(x, w, drive, out=None): x_t = theta(w x_{t-1} + d_t) for each
+# float d_t in drive, x_t stored in out[t] when out is given, the last x_t
+# returned.
 _FORMULAS = {
-    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, math.tanh),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, _steps_calling(math.tanh)),
     "sine_sigmoid": (
         lambda x, out=None: np.subtract(0.5 * x, 0.25 * np.sin(2.0 * x), out=out),
         lambda x: 0.5 - 0.5 * np.cos(2.0 * x),
-        lambda x: 0.5 * x - 0.25 * math.sin(2.0 * x),
+        _sine_sigmoid_steps,
     ),
-    "linear": (np.positive, np.ones_like, lambda x: x),
+    "linear": (np.positive, np.ones_like, _linear_steps),
 }
 _KINDS = (*_FORMULAS, "tailored")
 
@@ -71,8 +117,12 @@ _ANCHOR_RADIUS = 1.0
 _DEFECT_POINTS = 20001  # continuity_defect's grid size
 
 
+_FLOAT64 = np.dtype(float)
+
+
 def _check_finite(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    # a float64 ndarray, as the array stepping body passes, needs no conversion
+    arr = x if type(x) is np.ndarray and x.dtype is _FLOAT64 else np.asarray(x, dtype=float)
     if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
         raise ValueError("transfer function input must be finite")
     return arr
@@ -124,8 +174,8 @@ class TransferFunction:
 
         With out, theta(x) is written into out, which is returned.
         """
-        scalar = np.ndim(x) == 0 and out is None
         arr = _check_finite(x)
+        scalar = out is None and arr.ndim == 0
         if self.kind == "tailored":
             owned, pivot = self._piece(arr)
             theta = np.where(owned, np.tanh(arr - pivot) + np.tanh(pivot), np.tanh(arr))
@@ -139,8 +189,8 @@ class TransferFunction:
 
     def derivative(self, x):
         """Analytic derivative theta'(x)."""
-        scalar = np.ndim(x) == 0
         arr = _check_finite(x)
+        scalar = arr.ndim == 0
         if self.kind == "tailored":
             owned, pivot = self._piece(arr)
             out = _FORMULAS["tanh"][1](np.where(owned, arr - pivot, arr))
@@ -148,14 +198,14 @@ class TransferFunction:
             out = _FORMULAS[self.kind][1](arr)
         return float(out) if scalar else out
 
-    def scalar_fn(self):
-        """A plain-float theta (math module, no ndarray overhead) for tight simulation loops.
+    def _float_steps(self):
+        """theta's plain-float stepping loop steps(x, w, drive, out=None); see _FORMULAS.
 
-        The tailored kind evaluates through ``__call__``, so the anchor
-        ownership rule lives in ``_piece`` alone.
+        The tailored kind steps through the checked ``__call__``, so the
+        anchor ownership rule lives in ``_piece`` alone.
         """
         if self.kind == "tailored":
-            return lambda x: float(self(x))
+            return _steps_calling(self)
         return _FORMULAS[self.kind][2]
 
     # -- epi-critical points ------------------------------------------------

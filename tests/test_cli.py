@@ -5,10 +5,14 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import critical_esn
 from critical_esn import contraction
 from critical_esn.cli import DEFAULTS, main
 from critical_esn.contraction import phi_k
@@ -488,3 +492,49 @@ class TestConfigHandling:
         assert names == sorted(p.name for p in second.iterdir() if p.name != "run_meta.json")
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+class TestDeterminismScope:
+    # README: bodies are byte-identical for one numpy/BLAS build and thread
+    # count.  At these small configs they are identical across thread counts
+    # too; one subprocess per count runs all six subcommands.
+    CONFIGS = {
+        "figure3": {"b_lo": 0.9, "b_hi": 1.1, "b_step": 0.1, "T": 20_000},
+        "figure45": {},
+        "verify": {},
+        "critical-b": {},
+        "mc": {},
+        "simulate": {"reservoir": {"k": 16}, "input": {"kind": "iid_sign"}, "T": 2000, "y0": [0.1] * 16},
+    }
+    SCRIPT = (
+        "import json, sys\n"
+        "from critical_esn.cli import main\n"
+        "configs, out = json.loads(sys.argv[1]), sys.argv[2]\n"
+        "codes = [main([c, '--config', p, '--seed', '7', '--out', f'{out}/{c}']) for c, p in configs.items()]\n"
+        "sys.exit(max(codes))\n"
+    )
+
+    def test_bodies_match_under_one_and_two_blas_threads(self, tmp_path):
+        configs = {c: _write_config(tmp_path, f"{c}.json", cfg) for c, cfg in self.CONFIGS.items()}
+        # the children import the package this test imported
+        env = dict(os.environ, PYTHONPATH=str(Path(critical_esn.__file__).parents[1]))
+        procs = {
+            n: subprocess.Popen(
+                [sys.executable, "-c", self.SCRIPT, json.dumps(configs), str(tmp_path / f"threads{n}")],
+                env={**env, "OPENBLAS_NUM_THREADS": str(n)},
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+            for n in (1, 2)
+        }
+        for proc in procs.values():
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err.decode()
+        one, two = tmp_path / "threads1", tmp_path / "threads2"
+        bodies = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file() and p.name != "run_meta.json")
+        assert {p.parent.name for p in bodies} == set(self.CONFIGS)
+        assert bodies == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file() and p.name != "run_meta.json")
+        for rel in bodies:
+            assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+        threads = [json.loads((d / "mc" / "run_meta.json").read_text())["num_threads"] for d in (one, two)]
+        assert [t["OPENBLAS_NUM_THREADS"] for t in threads] == ["1", "2"]

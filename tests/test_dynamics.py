@@ -42,6 +42,15 @@ class TestGenerateInput:
         u = generate_input(Alternating(A), 4)
         np.testing.assert_array_equal(u[:, 0], [A, -A, A, -A])
 
+    @pytest.mark.parametrize("a", [A, -1.25, 0])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("T", [1, 6, 7])
+    def test_alternating_matches_tiled_signs_bitwise(self, T, n, a):
+        # the sign column times the amplitude, tiled: -1.0 * 0 is -0.0
+        ref = np.tile(np.where(np.arange(T) % 2 == 0, 1.0, -1.0)[:, None] * a, (1, n))
+        u = generate_input(Alternating(a), T, n)
+        assert u.shape == ref.shape and u.dtype == ref.dtype and u.tobytes() == ref.tobytes()
+
     def test_constant_zero(self):
         np.testing.assert_array_equal(generate_input(Constant(0.0), 3), np.zeros((3, 1)))
 

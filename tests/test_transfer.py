@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from critical_esn.dynamics import _stepper
+from critical_esn.reservoir import Reservoir
 from critical_esn.transfer import (
     LINEAR,
     SINE_SIGMOID,
@@ -69,6 +71,41 @@ class TestFiniteCheck:
         for f in (TANH, TANH.derivative):
             with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^transfer function input must be finite$"):
                 f(np.array(bad))
+
+    # Every input form __call__ accepts: a float64 ndarray is checked as it
+    # stands, any other form is converted first.  The reference is the same
+    # values as a list, which always takes the conversion.
+    FORMS = {
+        "int array": lambda v: np.array(v, dtype=np.int64),
+        "float32 array": lambda v: np.array(v, dtype=np.float32),
+        "list": list,
+        "python float": lambda v: float(v[0]),
+        "0-d array": lambda v: np.array(v[0]),
+        "strided float64 view": lambda v: np.repeat(np.array(v, dtype=float), 2)[::2],
+        "column of a 2-d array": lambda v: np.column_stack([v, np.full(len(v), np.inf)])[:, 0],
+    }
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR, tailored([-2.5, 3.0])], ids=lambda tf: tf.kind)
+    def test_every_input_form_gives_the_converted_values(self, tf, form):
+        values = [-3, 0, 2, 5]
+        x = self.FORMS[form](values)
+        ref = tf(np.asarray(x, dtype=float).tolist())
+        got = tf(x)
+        assert type(got) is type(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+        if np.ndim(x):
+            buf = np.empty(np.shape(x))
+            assert tf(x, out=buf) is buf and buf.tobytes() == ref.tobytes()
+        assert np.asarray(tf.derivative(x)).tobytes() == np.asarray(tf.derivative(np.asarray(x, dtype=float).tolist())).tobytes()
+
+    @pytest.mark.parametrize("form", [f for f in FORMS if f != "int array"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_input_form_rejects_non_finite(self, form, bad):
+        x = self.FORMS[form]([bad, 1.0])
+        buf = np.empty(np.shape(x)) if np.ndim(x) else None
+        for f in (lambda x: TANH(x, out=buf), TANH.derivative):
+            with pytest.raises(ValueError, match="^transfer function input must be finite$"):
+                f(x)
 
 
 class TestDerivative:
@@ -195,13 +232,19 @@ class TestTailored:
 
     @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR, tailored([-2.5, 3.0])], ids=lambda tf: tf.kind)
     def test_scalar_and_array_paths_agree(self, tf):
-        f = tf.scalar_fn()
+        # the float body of a k = n = 1 stepper with w = 0 and unit input
+        # weight steps x_t = theta(u_t); run it with out= over the whole
+        # grid, and without out= one step at a time
         xs = np.linspace(-6, 6, 301)
-        scalar = np.array([f(x) for x in xs.tolist()])
-        if tf is TANH:  # math.tanh and np.tanh differ in the last bit
-            np.testing.assert_array_max_ulp(scalar, tf(xs), maxulp=1)
-        else:
-            np.testing.assert_array_equal(scalar, tf(xs))
+        advance = _stepper(Reservoir(W=[[0.0]], w_in=[[1.0]], tf=tf), xs[:, None], floats=True)
+        stored = np.full(xs.size, np.nan)
+        assert advance(0.5, 0, xs.size, out=stored) == stored[-1]
+        returned = np.array([advance(0.5, t, t + 1) for t in range(xs.size)])
+        for floats in (stored, returned):
+            if tf is TANH:  # math.tanh and np.tanh differ in the last bit
+                np.testing.assert_array_max_ulp(floats, tf(xs), maxulp=1)
+            else:
+                assert floats.tobytes() == tf(xs).tobytes()
 
     def test_origin_at_radius_boundary(self):
         # an anchor exactly _ANCHOR_RADIUS from 0 owns it; one just beyond does not
