@@ -20,10 +20,10 @@ twin traces and Lyapunov runs) or an array body (everything else,
 including ``run_with_inputs`` at every k).  The float body precomputes the
 drive as a list of floats and runs the transfer's plain-float stepping
 loop over it (``transfer._FORMULAS``), which evaluates the sine sigmoid
-and the identity without a Python call per step.  The array body works in
-place: it computes a span's drive ``w_in u_t`` up front, bit for bit the
-per-step product, in the linear-state rows when it keeps them; each step
-adds ``W x`` onto its drive row and makes one checked ``TransferFunction``
+without a Python call per step.  The array body works in place: it
+computes a span's drive ``w_in u_t`` up front, bit for bit the per-step
+product, in the linear-state rows when it keeps them; each step adds
+``W x`` onto its drive row and makes one checked ``TransferFunction``
 call, writing into the output row.  Given a (k, B) block of B states, it
 steps them at once, one GEMM per step; the free-running Lyapunov pair
 uses this with B = 2.  Twin traces take a block's distances in one

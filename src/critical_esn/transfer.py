@@ -21,22 +21,21 @@ Four kinds are provided:
 
 Each fixed kind's formulas live in one row of the table ``_FORMULAS``:
 theta on arrays, theta' on arrays, and theta's plain-float stepping loop,
-which the k = n = 1 body of ``dynamics._stepper`` runs.  That loop holds
-the sine-sigmoid and linear formulas in its body, so no step pays a
-Python call; tanh's calls the ``math.tanh`` builtin, and the tailored
-kind's calls the checked ``__call__``.  ``__call__`` and ``derivative``
-check their input is finite and read their column; ``__call__(x, out=)``
-writes theta(x), bit for bit, into ``out`` and returns it.  A float64
-ndarray is checked as it stands; any other input is converted first.  The
-finite check is one reduction: NaN and +-inf propagate through a sum, so a
-finite sum proves every entry finite, and only a non-finite sum (a NaN or
-inf entry, or finite entries whose sum overflows) runs the exact
-elementwise check.  That sum follows numpy's errstate like any ufunc:
-outside one that ignores them, inf - inf and an overflowing sum warn.  A
-tailored piece is tanh shifted to its anchor, so its derivative is the
-tanh row's at the shifted point, and its unit-slope points come in closed
-form: every anchor, plus 0 when no anchor lies within ``_ANCHOR_RADIUS``
-of it (the plain-tanh piece then owns 0).
+which the k = n = 1 body of ``dynamics._stepper`` runs.  The sine-sigmoid
+loop holds its formula in its body, so no step pays a Python call; the
+others call theta each step: ``math.tanh`` (a builtin), the identity, and
+for the tailored kind the checked ``__call__``.  ``__call__`` and
+``derivative`` check their input is finite and read their column;
+``__call__(x, out=)`` writes theta(x), bit for bit, into ``out`` and
+returns it.  The finite check is one reduction: NaN and +-inf propagate
+through a sum, so a finite sum proves every entry finite, and only a
+non-finite sum (a NaN or inf entry, or finite entries whose sum overflows)
+runs the exact elementwise check.  That sum follows numpy's errstate like
+any ufunc: outside one that ignores them, inf - inf and an overflowing sum
+warn.  A tailored piece is tanh shifted to its anchor, so its derivative
+is the tanh row's at the shifted point, and its unit-slope points come in
+closed form: every anchor, plus 0 when no anchor lies within
+``_ANCHOR_RADIUS`` of it (the plain-tanh piece then owns 0).
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -86,16 +85,6 @@ def _sine_sigmoid_steps(x, w, drive, out=None):
     return x
 
 
-def _linear_steps(x, w, drive, out=None):
-    if out is None:
-        for d in drive:
-            x = w * x + d
-    else:
-        for i, d in enumerate(drive):
-            x = out[i] = w * x + d
-    return x
-
-
 # Each fixed kind's formulas: (theta on arrays, theta' on arrays, theta's
 # plain-float stepping loop).  theta on arrays takes out= like a ufunc.  The
 # loop is steps(x, w, drive, out=None): x_t = theta(w x_{t-1} + d_t) for each
@@ -108,7 +97,7 @@ _FORMULAS = {
         lambda x: 0.5 - 0.5 * np.cos(2.0 * x),
         _sine_sigmoid_steps,
     ),
-    "linear": (np.positive, np.ones_like, _linear_steps),
+    "linear": (np.positive, np.ones_like, _steps_calling(lambda x: x)),
 }
 _KINDS = (*_FORMULAS, "tailored")
 
@@ -117,12 +106,8 @@ _ANCHOR_RADIUS = 1.0
 _DEFECT_POINTS = 20001  # continuity_defect's grid size
 
 
-_FLOAT64 = np.dtype(float)
-
-
 def _check_finite(x) -> np.ndarray:
-    # a float64 ndarray, as the array stepping body passes, needs no conversion
-    arr = x if type(x) is np.ndarray and x.dtype is _FLOAT64 else np.asarray(x, dtype=float)
+    arr = np.asarray(x, dtype=float)
     if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
         raise ValueError("transfer function input must be finite")
     return arr

@@ -516,20 +516,27 @@ class TestDeterminismScope:
 
     def test_bodies_match_under_one_and_two_blas_threads(self, tmp_path):
         configs = {c: _write_config(tmp_path, f"{c}.json", cfg) for c, cfg in self.CONFIGS.items()}
-        # the children import the package this test imported
-        env = dict(os.environ, PYTHONPATH=str(Path(critical_esn.__file__).parents[1]))
-        procs = {
-            n: subprocess.Popen(
-                [sys.executable, "-c", self.SCRIPT, json.dumps(configs), str(tmp_path / f"threads{n}")],
-                env={**env, "OPENBLAS_NUM_THREADS": str(n)},
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-            )
-            for n in (1, 2)
-        }
-        for proc in procs.values():
-            _, err = proc.communicate(timeout=120)
-            assert proc.returncode == 0, err.decode()
+        # the children import the package this test imported first
+        src = str(Path(critical_esn.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        procs = []
+        try:
+            for n in (1, 2):
+                procs.append(
+                    subprocess.Popen(
+                        [sys.executable, "-c", self.SCRIPT, json.dumps(configs), str(tmp_path / f"threads{n}")],
+                        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(n)),
+                        stdout=subprocess.PIPE,
+                        stderr=subprocess.PIPE,
+                    )
+                )
+            for proc in procs:
+                _, err = proc.communicate(timeout=120)
+                assert proc.returncode == 0, err.decode()
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait()
         one, two = tmp_path / "threads1", tmp_path / "threads2"
         bodies = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file() and p.name != "run_meta.json")
         assert {p.parent.name for p in bodies} == set(self.CONFIGS)

@@ -72,9 +72,8 @@ class TestFiniteCheck:
             with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^transfer function input must be finite$"):
                 f(np.array(bad))
 
-    # Every input form __call__ accepts: a float64 ndarray is checked as it
-    # stands, any other form is converted first.  The reference is the same
-    # values as a list, which always takes the conversion.
+    # Every input form __call__ accepts gives the values, and the error, of
+    # the same values passed as a list.
     FORMS = {
         "int array": lambda v: np.array(v, dtype=np.int64),
         "float32 array": lambda v: np.array(v, dtype=np.float32),
