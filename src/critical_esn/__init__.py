@@ -54,7 +54,6 @@ from .contraction import (
     check_phi_properties,
     iterate_q,
     omega,
-    omega_max_zeta,
     phi,
     phi_k,
     q_star,

@@ -3,15 +3,15 @@
 Three tool families live here:
 
 * Largest Lyapunov exponent of an input-driven run, by the standard
-  two-trajectory method with periodic renormalization (Benettin), plus a
-  Jacobian-product variant for single neurons.  Off the k = n = 1 float
-  path a free-running reference and its companion step as the two
-  columns of one (k, 2) block, one GEMM per step.  For measuring the exponent
-  of a *known but unstable* periodic orbit (the supercritical side of the
-  coupling sweep), the reference trajectory can be pinned to the orbit;
-  a free-running reference would drift off the orbit through rounding
-  noise within ~37/ln(b) steps and settle on a coexisting stable orbit,
-  reporting that orbit's (negative) exponent instead.
+  two-trajectory method with periodic renormalization (Benettin).  Off
+  the k = n = 1 float path a free-running reference and its companion
+  step as the two columns of one (k, 2) block, one GEMM per step.  For
+  measuring the exponent of a *known but unstable* periodic orbit (the
+  supercritical side of the coupling sweep), the reference trajectory can
+  be pinned to the orbit; a free-running reference would drift off the
+  orbit through rounding noise within ~37/ln(b) steps and settle on a
+  coexisting stable orbit, reporting that orbit's (negative) exponent
+  instead.
 
 * Decay-law classification of a convergence trace: straight-line fits of
   log q against t (exponential) and against log t (power law), decided by
@@ -34,7 +34,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .contraction import _golden_max
 from .dynamics import ZERO_FLOOR, ConvergenceTrace, InputSequence, _as_state, _distance, _stepper, generate_input
 from .reservoir import Reservoir
 from .transfer import TransferFunction
@@ -56,7 +55,6 @@ class LyapunovResult:
     exponent: float
     T_used: int
     renorm_interval: int
-    method: str
     stderr: float
 
 
@@ -94,23 +92,18 @@ def lyapunov_exponent(
     renorm_interval: int = 10,
     eps0: float = 1e-9,
     x0=None,
-    method: str = "two_trajectory",
     reference_orbit=None,
 ) -> LyapunovResult:
     """Largest Lyapunov exponent (natural log per step) of the driven run.
 
-    two_trajectory: a companion started eps0 away is renormalized back to
-    separation eps0 every renorm_interval steps; the exponent is the mean
-    log-stretch per step.  If the twins collide bitwise the separation is
-    floored at 1e-300 for that block and re-injected, which drives the
-    estimate strongly negative; divergence to non-finite state reports the
-    +inf sentinel.  A free-running run off the k = n = 1 float path (any
-    k > 1) steps the reference and the companion as one (k, 2) block, so
-    it carries GEMM rounding.
-
-    jacobian_product (k = 1 only): mean of log|W theta'(x_lin_t)| along the
-    reference trajectory; agrees with two_trajectory on smooth orbits and
-    reports the same +inf sentinel on divergence.
+    A companion started eps0 away is renormalized back to separation eps0
+    every renorm_interval steps; the exponent is the mean log-stretch per
+    step.  If the twins collide bitwise the separation is floored at
+    1e-300 for that block and re-injected, which drives the estimate
+    strongly negative; divergence to non-finite state reports the +inf
+    sentinel.  A free-running run off the k = n = 1 float path (any k > 1)
+    steps the reference and the companion as one (k, 2) block, so it
+    carries GEMM rounding.
 
     reference_orbit: optional (P, k) array of known periodic states; the
     reference then follows orbit[t mod P] exactly instead of free-running
@@ -119,13 +112,7 @@ def lyapunov_exponent(
     _check_run_length(T, renorm_interval, eps0)
     start, orbit = _prepare(res, x0, reference_orbit)
     u = generate_input(input_spec, T + 1, res.n)
-    if method == "two_trajectory":
-        return _benettin(res, u, start, orbit, T, renorm_interval, eps0)
-    if method == "jacobian_product":
-        if res.k != 1 or res.n != 1:
-            raise ValueError("jacobian_product method is defined for k = n = 1")
-        return _jacobian_product(res, u, start, orbit, T, renorm_interval)
-    raise ValueError(f"unknown method {method!r}")
+    return _benettin(res, u, start, orbit, T, renorm_interval, eps0)
 
 
 def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
@@ -152,7 +139,7 @@ def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
             except ValueError:  # a non-finite state met the transfer function
                 d = math.inf
             if not math.isfinite(d):
-                return LyapunovResult(math.inf, t, L, "two_trajectory", math.nan)
+                return LyapunovResult(math.inf, t, L, math.nan)
             if d <= ZERO_FLOOR:
                 stretches.append(math.log(ZERO_FLOOR / eps0))
                 y = x + eps0 * e0
@@ -162,28 +149,7 @@ def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
     per_step = np.asarray(stretches) / L
     exponent = float(np.mean(per_step))
     stderr = float(np.std(per_step) / math.sqrt(len(per_step)))
-    return LyapunovResult(exponent, T_used, L, "two_trajectory", stderr)
-
-
-def _jacobian_product(res, u, start, orbit, T, L) -> LyapunovResult:
-    advance = _stepper(res, u, floats=True)
-    w = float(res.W[0, 0])
-    xs = np.empty(T + 1)  # x_0..x_T
-    xs[0] = start[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
-        try:
-            if orbit is None:
-                advance(float(start[0]), 1, T + 1, out=xs[1:])
-            else:
-                xs[1:] = orbit[np.arange(1, T + 1) % len(orbit), 0]
-            x_lin = w * xs[:-1] + float(res.w_in[0, 0]) * u[1 : T + 1, 0]
-            slopes = res.tf.derivative(x_lin)
-        except ValueError:  # a non-finite state met the transfer function
-            return LyapunovResult(math.inf, T, L, "jacobian_product", math.nan)
-    logs = np.log(np.maximum(np.abs(w * slopes), ZERO_FLOOR))
-    exponent = float(np.mean(logs))
-    stderr = float(np.std(logs) / math.sqrt(T))
-    return LyapunovResult(exponent, T, L, "jacobian_product", stderr)
+    return LyapunovResult(exponent, T_used, L, stderr)
 
 
 def lyapunov_sweep(
@@ -294,6 +260,27 @@ def fit_decay(trace: ConvergenceTrace, t_start: int = 10, t_end: Optional[int] =
 # -- critical coupling of the alternating-drive neuron ------------------------
 
 _ORBIT_X_HI = 4.0  # the orbit search covers x in [0, _ORBIT_X_HI]
+_ORBIT_GRID = np.linspace(0.0, _ORBIT_X_HI, 2001)
+
+
+def _golden_max(fun, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximization on [lo, hi] to width 1e-12; returns (x, fun(x))."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    while (b - a) > 1e-12:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    x = 0.5 * (a + b)
+    return x, fun(x)
 
 
 def _orbit_residual(tf: TransferFunction, b: float, amplitude: float) -> tuple[float, float]:
@@ -305,7 +292,7 @@ def _orbit_residual(tf: TransferFunction, b: float, amplitude: float) -> tuple[f
     fallback.  A boundary maximum at x = 0 (the degenerate zero-amplitude
     case) is returned as-is.
     """
-    xs = np.linspace(0.0, _ORBIT_X_HI, 2001)
+    xs = _ORBIT_GRID
     h = tf(b * xs - amplitude) - xs
     i = int(np.argmax(h[1:])) + 1  # best interior grid point
     lo = float(xs[i - 1])
@@ -349,7 +336,8 @@ def find_critical_b(
     so the residual r(b) = max_x [theta(b x - a) - x] changes sign at b*.
     Bisection on b; r <= 0 counts as subcritical.  The orbit search is
     restricted to x in [0, 4], adequate for bounded sigmoid-like transfer
-    functions.
+    functions; an orbit located in the last grid cell before x = 4 is the
+    search bound, not a tangency, and raises ValueError.
 
     With amplitude 0 the tangency degenerates to the origin: b* = 1 and
     the orbit amplitude is 0.
@@ -377,4 +365,6 @@ def find_critical_b(
             lo = mid
     b_star = 0.5 * (lo + hi)
     _, x_star = _orbit_residual(tf, lo, a)
+    if x_star >= _ORBIT_GRID[-2]:
+        raise ValueError(f"orbit at x={x_star:.6g} is the edge of the search range [0, {_ORBIT_X_HI:g}]")
     return b_star, abs(x_star)

@@ -9,9 +9,7 @@ which upper-bounds the squared per-step contraction factor of a
 boundary-spectrum network.  For tanh and the sine sigmoid the parameters
 eta = 1/48, gamma = 1/2, kappa = 2 work for a single neuron, and a
 k-neuron network is covered by the same function with its argument
-rescaled by 1/k^2 (:func:`phi_k`).  The literal k-neuron parameter set
-eta = 1/(48 k^2) is available via :meth:`CoverParams.for_network`; both
-are valid covers and the audits here use the rescaled-argument form.
+rescaled by 1/k^2 (:func:`phi_k`).
 
 Everything in this module is a pure function; grid verifications report
 their worst margin instead of proving anything symbolically.  Each check
@@ -34,7 +32,6 @@ __all__ = [
     "phi",
     "phi_k",
     "omega",
-    "omega_max_zeta",
     "verify_cover_inequality",
     "verify_cover_inequality_vec",
     "check_phi_properties",
@@ -46,7 +43,6 @@ __all__ = [
 ]
 
 PASS_SLACK = 1e-12
-_ZETA_SCAN = (-4.0, 4.0, 1601)  # omega_max_zeta's coarse grid: lo, hi, points
 _VEC_DELTA_SCALE, _VEC_ZETA_SCALE = 2.0, 4.0  # sampled |Delta_i|, |zeta_i| bounds of the vector check
 _PHI_Z_HI, _PHI_POINTS = 4.0, 4001  # check_phi_properties' grid of z in [0, hi]
 
@@ -55,8 +51,8 @@ _PHI_Z_HI, _PHI_POINTS = 4.0, 4001  # check_phi_properties' grid of z in [0, hi]
 class CoverParams:
     """Parameters (eta, gamma, kappa) of the cover function.
 
-    The default instance is the single-neuron certificate; for a k-neuron
-    network :meth:`for_network` gives eta = 1/(48 k^2).
+    The default instance is the single-neuron certificate; a k-neuron
+    network uses it through :func:`phi_k`.
     """
 
     eta: float = 1.0 / 48.0
@@ -70,12 +66,6 @@ class CoverParams:
             raise ValueError("need 0 < gamma < 1")
         if self.kappa < 1.0:
             raise ValueError("need kappa >= 1")
-
-    @classmethod
-    def for_network(cls, n_neurons: int) -> "CoverParams":
-        if n_neurons < 1:
-            raise ValueError("need n_neurons >= 1")
-        return cls(eta=1.0 / (48.0 * n_neurons * n_neurons))
 
 
 @dataclass(frozen=True)
@@ -136,47 +126,6 @@ def omega(tf: TransferFunction, delta, zeta):
     ratio = (tf(delta + zeta) - tf(zeta)) / delta
     out = ratio * ratio
     return float(out) if scalar else out
-
-
-def _golden_max(fun, lo: float, hi: float, xtol: float = 1e-12) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns (x, fun(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    x = 0.5 * (a + b)
-    return x, fun(x)
-
-
-def omega_max_zeta(tf: TransferFunction, delta: float) -> tuple[float, float]:
-    """(max over zeta in [-4, 4] of omega, argmax), by coarse grid plus golden refinement.
-
-    The worst base point of a perturbation of size delta: the paper's
-    quantity behind the cover inequality.  The certificates scan the whole
-    zeta grid instead; this refined maximum shows where the worst case
-    sits: [zeta, zeta + delta] centred on a unit-slope point.
-    """
-    if delta <= 0:
-        raise ValueError("need delta > 0")
-    zs = np.linspace(*_ZETA_SCAN)
-    vals = omega(tf, delta, zs)
-    i = int(np.argmax(vals))
-    a = zs[max(i - 1, 0)]
-    b = zs[min(i + 1, zs.size - 1)]
-    z_star, v_star = _golden_max(lambda z: omega(tf, delta, z), a, b)
-    if vals[i] > v_star:
-        z_star, v_star = float(zs[i]), float(vals[i])
-    return v_star, z_star
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:

@@ -39,10 +39,12 @@ _ESC_TOL = 1e-9  # check_esc's margin around the spectral boundary
 
 
 def _square_matrix(W) -> np.ndarray:
-    """W as a finite square float matrix, or ValueError."""
+    """W as a finite, non-empty square float matrix, or ValueError."""
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError("W must be square")
+    if W.size == 0:
+        raise ValueError("W must be non-empty")
     if not np.all(np.isfinite(W)):
         raise ValueError("W must be finite")
     return W
@@ -133,9 +135,9 @@ def spectral_summary(W: np.ndarray) -> SpectralSummary:
     W = _square_matrix(W)
     svals = np.linalg.svd(W, compute_uv=False)
     eigs = np.linalg.eigvals(W)
-    wmax = float(np.max(np.abs(W))) if W.size else 0.0
+    wmax = float(np.max(np.abs(W)))
     commutator = W @ W.T - W.T @ W
-    residual = float(np.max(np.abs(commutator))) if W.size else 0.0
+    residual = float(np.max(np.abs(commutator)))
     is_normal = residual <= 1e-9 * (1.0 + wmax * wmax)
     return SpectralSummary(
         max_abs_eigenvalue=float(np.max(np.abs(eigs))),

@@ -182,6 +182,19 @@ class TestReservoirType:
         with pytest.raises(ValueError):
             Reservoir(W=[[np.inf]], w_in=[[1.0]], tf=TANH)
 
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda W: Reservoir(W=W, w_in=np.zeros((0, 1)), tf=TANH),
+            spectral_summary,
+            lambda W: scale_to_spectrum(W, 1.0),
+        ],
+        ids=["Reservoir", "spectral_summary", "scale_to_spectrum"],
+    )
+    def test_empty_matrix_rejected(self, use):
+        with pytest.raises(ValueError, match="^W must be non-empty$"):
+            use(np.zeros((0, 0)))
+
     def test_weights_frozen(self):
         res = make_orthogonal_reservoir(3, 1, 1.0, seed=0)
         with pytest.raises(ValueError):
