@@ -27,14 +27,12 @@ others call theta each step: ``math.tanh`` (a builtin), the identity, and
 for the tailored kind the checked ``__call__``.  ``__call__`` and
 ``derivative`` check their input is finite and read their column;
 ``__call__(x, out=)`` writes theta(x), bit for bit, into ``out`` and
-returns it.  The finite check is one reduction: NaN and +-inf propagate
-through a sum of squares, which never meets inf - inf and so warns about
-nothing; a finite sum proves every entry finite, and only a non-finite sum
-(or an array longer than ``_DOT_MAX``) runs the exact elementwise check.
-A tailored piece is tanh shifted to its anchor, so its derivative is the
-tanh row's at the shifted point, and its unit-slope points come in closed
-form: every anchor, plus 0 when no anchor lies within ``_ANCHOR_RADIUS``
-of it (the plain-tanh piece then owns 0).
+returns it.  The finite check is the elementwise ``np.isfinite``, which
+warns about nothing whatever the entries.  A tailored piece is tanh
+shifted to its anchor, so its derivative is the tanh row's at the shifted
+point, and its unit-slope points come in closed form: every anchor, plus 0
+when no anchor lies within ``_ANCHOR_RADIUS`` of it (the plain-tanh piece
+then owns 0).
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -103,14 +101,11 @@ _KINDS = (*_FORMULAS, "tailored")
 # Tailored pieces: an anchor owns the points within this distance of it.
 _ANCHOR_RADIUS = 1.0
 _DEFECT_POINTS = 20001  # continuity_defect's grid size
-# OpenBLAS splits a longer dot across threads that then spin against the caller's
-# next work (verify ran ~110 ms slower on a 2-core host), so such arrays skip the dot.
-_DOT_MAX = 10_000
 
 
 def _check_finite(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if (arr.size > _DOT_MAX or not math.isfinite(np.vdot(arr, arr))) and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise ValueError("transfer function input must be finite")
     return arr
 

@@ -58,17 +58,14 @@ class TestOut:
 
 
 class TestFiniteCheck:
-    # The check's own reduction warns about nothing (the suite turns
-    # RuntimeWarnings into errors), whatever the entries.
+    # The check warns about nothing (the suite turns RuntimeWarnings into
+    # errors), whatever the entries.
     def test_finite_entries_with_an_overflowing_sum_pass(self):
         x = np.array([1e308, 1e308, -1e308])
         np.testing.assert_array_equal(LINEAR(x), x)
         np.testing.assert_array_equal(LINEAR.derivative(x), 1.0)
 
-    # the last is longer than _DOT_MAX, so it skips the sum of squares
-    @pytest.mark.parametrize(
-        "bad", [[math.nan], [math.inf], [1.0, -math.inf], [math.inf, -math.inf], [0.5] * 20_000 + [math.nan]]
-    )
+    @pytest.mark.parametrize("bad", [[math.nan], [math.inf], [1.0, -math.inf], [math.inf, -math.inf]])
     def test_non_finite_entries_raise(self, bad):
         for f in (TANH, TANH.derivative):
             with pytest.raises(ValueError, match="^transfer function input must be finite$"):
