@@ -28,21 +28,8 @@ class ReadoutModel:
     training_error: float  # RMS over all output entries on the training set
 
 
-def fit_readout(states: np.ndarray, targets: np.ndarray, ridge: float = 0.0) -> ReadoutModel:
-    """Solve the (optionally ridge-regularized) normal equations.
-
-    states is (T, k), targets is (T,) or (T, m).  With ridge = 0 this is
-    plain linear regression and requires a well-conditioned state matrix;
-    a singular one raises with advice to use ridge > 0.
-    """
-    X = np.atleast_2d(np.asarray(states, dtype=float))
-    Y = np.asarray(targets, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError("states and targets must have the same number of rows")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+def _normal_matrix(X: np.ndarray, ridge: float) -> np.ndarray:
+    """X.T @ X + ridge * I; with ridge = 0, raise if it is singular."""
     k = X.shape[1]
     G = X.T @ X
     if ridge > 0:
@@ -51,6 +38,34 @@ def fit_readout(states: np.ndarray, targets: np.ndarray, ridge: float = 0.0) -> 
         raise np.linalg.LinAlgError(
             "normal matrix is singular; refit with ridge > 0"
         )
+    return G
+
+
+def fit_readout(
+    states: np.ndarray, targets: np.ndarray, ridge: float = 0.0, *, normal: np.ndarray | None = None
+) -> ReadoutModel:
+    """Solve the (optionally ridge-regularized) normal equations.
+
+    states is (T, k), targets is (T,) or (T, m).  With ridge = 0 this is
+    plain linear regression and requires a well-conditioned state matrix;
+    a singular one raises with advice to use ridge > 0.
+
+    normal, when given, is the (k, k) matrix states.T @ states + ridge * I,
+    formed (and, for ridge = 0, checked) once by a caller that fits many
+    targets on the same states; without it the matrix is formed here.
+    """
+    X = np.atleast_2d(np.asarray(states, dtype=float))
+    Y = np.asarray(targets, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    if X.shape[0] != Y.shape[0]:
+        raise ValueError("states and targets must have the same number of rows")
+    if not ridge >= 0:
+        raise ValueError("ridge must be nonnegative")
+    k = X.shape[1]
+    if normal is not None and np.shape(normal) != (k, k):
+        raise ValueError(f"normal matrix must be ({k}, {k}), got {np.shape(normal)}")
+    G = _normal_matrix(X, ridge) if normal is None else normal
     coef = np.linalg.solve(G, X.T @ Y)  # (k, m)
     resid = X @ coef - Y
     training_error = float(np.sqrt(np.mean(resid**2)))
@@ -101,12 +116,19 @@ def memory_capacity(
 
     Each delay is still its own least-squares problem, but the delays are
     fitted ``_DELAY_BLOCK`` at a time: one multi-target ``fit_readout`` and
-    one ``predict`` per block share the normal matrix.  The scores agree with
-    one-delay-at-a-time fits to a few ulps (the GEMM and the multi-column
-    solve sum in another order than GEMV).
+    one ``predict`` per block.  Every block has the same training states, so
+    the normal matrix (and, for ridge = 0, its singularity check) is formed
+    once per run and handed to each block's fit; the scores are bit for bit
+    those of blocks that each form it.  They agree with one-delay-at-a-time
+    fits to a few ulps (the GEMM and the multi-column solve sum in another
+    order than GEMV).
     """
     if max_delay < 1:
         raise ValueError("need max_delay >= 1")
+    if not ridge >= 0:
+        raise ValueError("ridge must be nonnegative")
+    if washout < 0:
+        raise ValueError("washout must be nonnegative")
     t_start = max(washout, max_delay)
     n_rows = T - t_start
     if n_rows < 2 * (res.k + 10):
@@ -119,12 +141,13 @@ def memory_capacity(
     X = run_with_inputs(res, u, x0=None).states[t_start:]
     split = n_rows // 2
     X_train, X_test = X[:split], X[split:]
+    G = _normal_matrix(X_train, ridge)
     drive = u[:, 0]
     scores = []
     for first in range(1, max_delay + 1, _DELAY_BLOCK):
         delays = range(first, min(first + _DELAY_BLOCK, max_delay + 1))
         targets = np.stack([drive[t_start - d : T - d] for d in delays], axis=1)
-        model = fit_readout(X_train, targets[:split], ridge=ridge)
+        model = fit_readout(X_train, targets[:split], ridge=ridge, normal=G)
         pred = predict(model, X_test)
         scores.extend(
             (d, _squared_correlation(pred[:, j], targets[split:, j]))

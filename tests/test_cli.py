@@ -330,6 +330,9 @@ class TestConfigHandling:
             ("simulate", {"reservoir": {"transfer": "sine_sigmoid"}, "x0": [0.0], "y0": [1e308], "T": 50}),
             # the identity's orbit search ends on its bound x = 4, not on a tangency
             ("critical-b", {"transfer": "linear", "bracket": [0.5, 3.0]}),
+            # rejected before the simulation, not after it
+            ("mc", {"ridge": -1.0}),
+            ("mc", {"washout": -1}),
         ],
     )
     def test_ill_formed_config_exits_2_with_one_line(self, tmp_path, capsys, command, payload):

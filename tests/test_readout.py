@@ -51,8 +51,26 @@ class TestFitReadout:
     def test_validation(self):
         with pytest.raises(ValueError):
             fit_readout(np.ones((10, 2)), np.ones(9))
-        with pytest.raises(ValueError):
-            fit_readout(np.ones((10, 2)), np.ones(10), ridge=-1.0)
+        for ridge in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="ridge"):
+                fit_readout(np.ones((10, 2)), np.ones(10), ridge=ridge)
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-3])
+    def test_given_normal_matrix_gives_the_same_bits(self, ridge):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((120, 4))
+        Y = rng.standard_normal((120, 3))
+        G = X.T @ X + ridge * np.eye(4)
+        a = fit_readout(X, Y, ridge=ridge)
+        b = fit_readout(X, Y, ridge=ridge, normal=G)
+        assert a.w_out.tobytes() == b.w_out.tobytes()
+        assert a.training_error == b.training_error
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 5), (4,), (16,)])
+    def test_normal_matrix_of_the_wrong_shape_rejected(self, shape):
+        X = np.random.default_rng(7).standard_normal((50, 4))
+        with pytest.raises(ValueError, match=r"normal matrix must be \(4, 4\)"):
+            fit_readout(X, np.ones(50), ridge=1e-8, normal=np.ones(shape))
 
 
 class TestPredict:
@@ -163,11 +181,64 @@ class TestMemoryCapacity:
         assert all(type(d) is int for d in delays)
         np.testing.assert_allclose([s for _, s in mc.per_delay], expected, rtol=0, atol=1e-12)
 
-    def test_delay_blocks_keep_singular_check(self):
+    def test_delay_blocks_keep_singular_check(self, monkeypatch):
         # two identical neurons: the state matrix has rank one
         res = Reservoir(W=np.zeros((2, 2)), w_in=[[1.0], [1.0]], tf=TANH)
+        calls = []
+        monkeypatch.setattr(readout, "fit_readout", lambda *a, **kw: calls.append(a))
         with pytest.raises(np.linalg.LinAlgError, match="ridge"):
             memory_capacity(res, 1.0, max_delay=9, T=1000, ridge=0.0)
+        assert calls == []  # raised before any block was fitted
+
+    @pytest.mark.parametrize("max_delay", [1, 9, 17])
+    def test_normal_matrix_formed_once_per_run(self, monkeypatch, max_delay):
+        res = _scaled(6, 0.95, seed=4)
+        formed, given = [], []
+        normal_matrix, fit = readout._normal_matrix, readout.fit_readout
+
+        def counting_normal(*args):
+            formed.append(normal_matrix(*args))
+            return formed[-1]
+
+        def recording_fit(*args, normal=None, **kwargs):
+            given.append(normal)
+            return fit(*args, normal=normal, **kwargs)
+
+        monkeypatch.setattr(readout, "_normal_matrix", counting_normal)
+        monkeypatch.setattr(readout, "fit_readout", recording_fit)
+        memory_capacity(res, 1.0, max_delay, T=1500, seed=3)
+        assert len(formed) == 1
+        # one fit per block of 8 delays, each handed that one matrix
+        assert len(given) == -(-max_delay // 8) and all(g is formed[0] for g in given)
+
+    @pytest.mark.parametrize("ridge", [1e-8, 0.0])
+    def test_shared_normal_matrix_keeps_every_bit(self, monkeypatch, ridge):
+        # reference: each block's fit_readout forms its own normal matrix
+        res = _scaled(6, 0.95, seed=4)
+        shared = memory_capacity(res, 1.0, max_delay=17, T=1500, ridge=ridge, seed=3)
+        fit = readout.fit_readout
+        monkeypatch.setattr(
+            readout, "fit_readout", lambda states, targets, ridge, normal=None: fit(states, targets, ridge)
+        )
+        per_block = memory_capacity(res, 1.0, max_delay=17, T=1500, ridge=ridge, seed=3)
+        assert shared.per_delay == per_block.per_delay
+        assert shared.mc_total == per_block.mc_total
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"ridge": -1.0}, "ridge"),
+            ({"ridge": np.nan}, "ridge"),
+            ({"washout": -1}, "washout"),
+        ],
+    )
+    def test_bad_ridge_or_washout_rejected_before_simulating(self, monkeypatch, kwargs, message):
+        res = _scaled(4, 0.9, seed=0)
+        runs = []
+        monkeypatch.setattr(readout, "run_with_inputs", lambda *a, **kw: runs.append(a))
+        with pytest.raises(ValueError, match=message):
+            memory_capacity(res, 1.0, max_delay=10, T=2000, **kwargs)
+        assert runs == []
 
     def test_csv_format(self, tmp_path):
         res = _scaled(4, 0.9, seed=0)

@@ -71,6 +71,13 @@ class TestFiniteCheck:
             with pytest.raises(ValueError, match="^transfer function input must be finite$"):
                 f(np.array(bad))
 
+    def test_empty_input_passes(self):
+        empty = np.empty(0)
+        for tf in (TANH, SINE_SIGMOID, LINEAR, tailored([-2.5, 3.0])):
+            assert tf(empty).shape == (0,) and tf.derivative(empty).shape == (0,)
+            buf = np.empty(0)
+            assert tf(empty, out=buf) is buf
+
     # Every input form __call__ accepts gives the values, and the error, of
     # the same values passed as a list.
     FORMS = {
