@@ -11,7 +11,14 @@ Three tool families live here:
   be pinned to the orbit; a free-running reference would drift off the
   orbit through rounding noise within ~37/ln(b) steps and settle on a
   coexisting stable orbit, reporting that orbit's (negative) exponent
-  instead.
+  instead.  A pinned one-neuron run (k = 1, any n) has no Python loop
+  over steps: its blocks depend on each other only through the sign of
+  the companion's restart, so both candidate companions of every block
+  step as one (T/L, 2) array and a short loop over the blocks picks the
+  one that ran.  It costs O(L) array steps plus an O(T/L) chain, where
+  the per-block loop costs O(T) float steps, so it would be the slower
+  of the two once T/L drops below about 50-100; the default L = 10 is
+  far from that.
 
 * Decay-law classification of a convergence trace: straight-line fits of
   log q against t (exponential) and against log t (power law), decided by
@@ -34,7 +41,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import ZERO_FLOOR, ConvergenceTrace, InputSequence, _as_state, _distance, _stepper, generate_input
+from .dynamics import ZERO_FLOOR, ConvergenceTrace, InputSequence, _as_state, _check_inputs, _distance, _stepper
+from .dynamics import generate_input
 from .reservoir import Reservoir
 from .transfer import TransferFunction
 
@@ -66,13 +74,22 @@ class SweepPoint:
     error: Optional[str] = None
 
 
+def _as_orbit(reference_orbit) -> np.ndarray:
+    orbit = np.atleast_2d(np.asarray(reference_orbit, dtype=float))
+    if not np.all(np.isfinite(orbit)):
+        raise ValueError("reference orbit must be finite")
+    return orbit
+
+
 def _prepare(res: Reservoir, x0, reference_orbit):
     orbit = None
     if reference_orbit is not None:
-        orbit = np.atleast_2d(np.asarray(reference_orbit, dtype=float))
+        orbit = _as_orbit(reference_orbit)
         if orbit.shape[1] != res.k:
             raise ValueError(f"reference orbit states must have {res.k} columns")
     start = orbit[0].copy() if x0 is None and orbit is not None else _as_state(res, x0)
+    if not np.all(np.isfinite(start)):
+        raise ValueError("x0 must be finite")
     return start, orbit
 
 
@@ -107,7 +124,13 @@ def lyapunov_exponent(
 
     reference_orbit: optional (P, k) array of known periodic states; the
     reference then follows orbit[t mod P] exactly instead of free-running
-    (how one measures the exponent of an unstable orbit).
+    (how one measures the exponent of an unstable orbit).  At k = 1 a
+    pinned run steps every block at once (see the module docstring) and
+    restarts the companion at x +/- eps0 rather than at
+    x + (y - x) eps0/|y - x|.  The two differ by at most one ulp of eps0,
+    which rounds away whenever |x| >> eps0, so on figure 3's orbit
+    (|x| = pi/4) the result is bit-identical to the per-block loop's.  A
+    non-finite x0, reference_orbit or input raises ValueError.
     """
     _check_run_length(T, renorm_interval, eps0)
     start, orbit = _prepare(res, x0, reference_orbit)
@@ -116,12 +139,13 @@ def lyapunov_exponent(
 
 
 def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
+    if orbit is not None and res.k == 1:
+        return _benettin_pinned_neuron(res, u, start, orbit, T, L, eps0)
     floats = res.k == res.n == 1
     paired = orbit is None and not floats  # x and y step as the columns of one (k, 2) block
     advance = _stepper(res, u, floats)
     if floats:
         x, e0 = float(start[0]), 1.0
-        orbit = None if orbit is None else orbit[:, 0].tolist()
     else:
         x, e0 = start, np.eye(res.k)[0]
     y = x + eps0 * e0
@@ -146,6 +170,54 @@ def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
             else:
                 stretches.append(math.log(d / eps0))
                 y = x + (y - x) * (eps0 / d)
+    return _summary(stretches, T_used, L)
+
+
+def _benettin_pinned_neuron(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
+    """_benettin for k = 1 with a pinned reference: every block in one array.
+
+    The reference at each block boundary is orbit[t mod P], and a block's
+    companion starts at x + s eps0: s = +1 at the start and after a floor
+    hit, otherwise the sign of y - x at the end of the previous block.
+    Column 0 of the (T_used/L, 2) array steps s = +1, column 1 s = -1, and
+    a loop over bytes walks the chain of signs.  A candidate whose linear
+    state left the finite range at any step counts as non-finite; the
+    transfer runs unchecked because a candidate not chosen may diverge.
+    """
+    _check_inputs(u)
+    blocks = T // L
+    T_used = blocks * L
+    drive = np.matmul(res.w_in, u[1 : T_used + 1, :, None]).reshape(blocks, L)
+    ref = orbit[np.arange(0, T_used + 1, L) % len(orbit), 0]  # the reference at every block boundary
+    ref[0] = start[0]  # block 0 starts from x0 when one is given
+    Y = ref[:-1, None] + np.array([eps0, -eps0])
+    w, finite = float(res.W[0, 0]), np.ones(Y.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+        for i in range(L):
+            Y *= w
+            Y += drive[:, i, None]
+            finite &= np.isfinite(Y)
+            res.tf._theta(Y, out=Y)
+        diff = Y - ref[1:, None]
+    D = np.abs(diff)
+    # each candidate's successor column: 0 (s = +1) after a floor hit or
+    # y > x, 1 (s = -1) after y < x, 2 when it left the finite range
+    succ = ((diff < 0.0) & (D > ZERO_FLOOR)).astype(np.uint8)
+    succ[~(finite & np.isfinite(D))] = 2
+    succ = succ.tobytes()
+    chosen, c = bytearray(blocks), 0
+    for j in range(blocks):
+        chosen[j] = c
+        c = succ[2 * j + c]
+        if c == 2:
+            return LyapunovResult(math.inf, (j + 1) * L, L, math.nan)
+    floor = math.log(ZERO_FLOOR / eps0)
+    d = D[np.arange(blocks), np.frombuffer(chosen, dtype=np.uint8)].tolist()
+    return _summary([math.log(di / eps0) if di > ZERO_FLOOR else floor for di in d], T_used, L)
+
+
+def _summary(stretches: list, T_used: int, L: int) -> LyapunovResult:
+    """Mean log-stretch per step over the blocks, with its standard error."""
     per_step = np.asarray(stretches) / L
     exponent = float(np.mean(per_step))
     stderr = float(np.std(per_step) / math.sqrt(len(per_step)))
@@ -172,6 +244,8 @@ def lyapunov_sweep(
     if not grid:
         raise ValueError("grid must be non-empty")
     _check_run_length(T, renorm_interval, eps0)
+    if reference_orbit is not None:
+        reference_orbit = _as_orbit(reference_orbit)
 
     def cell(b: float) -> SweepPoint:
         try:

@@ -16,11 +16,13 @@ to exactly zero from that step on and the index is recorded.
 
 Every simulation steps through one kernel, ``_stepper``: it rejects
 non-finite inputs, then advances a state with a plain-float body (k = n = 1
-twin traces and Lyapunov runs) or an array body (everything else,
-including ``run_with_inputs`` at every k).  The float body precomputes the
-drive as a list of floats and runs the transfer's plain-float stepping
-loop over it (``transfer._FORMULAS``), which evaluates the sine sigmoid
-without a Python call per step.  The array body works in place: it
+twin traces and *free-running* k = n = 1 Lyapunov runs) or an array body
+(everything else, including ``run_with_inputs`` at every k).  The one
+exception is a one-neuron Lyapunov run pinned to a reference orbit, which
+steps all its renormalization blocks at once (see ``analysis``).  The
+float body precomputes the drive as a list of floats and runs the
+transfer's plain-float stepping loop over it (``transfer._FORMULAS``),
+which evaluates the sine sigmoid without a Python call per step.  The array body works in place: it
 computes a span's drive ``w_in u_t`` up front, bit for bit the per-step
 product, in the linear-state rows when it keeps them; each step adds
 ``W x`` onto its drive row and makes one checked ``TransferFunction``
@@ -67,6 +69,7 @@ __all__ = [
 
 ZERO_FLOOR = 1e-300
 _BLOCK = 256  # twin-trace steps between collision and finiteness checks
+_CSV_ROWS = 256  # CSV rows formatted by one % operation
 
 
 @dataclass(frozen=True)
@@ -177,8 +180,13 @@ def step(res: Reservoir, x, u):
     return res.tf(x_lin), x_lin
 
 
+def _check_inputs(inputs: np.ndarray) -> None:
+    if not np.all(np.isfinite(inputs)):
+        raise ValueError("inputs must be finite")
+
+
 def _stepper(res: Reservoir, inputs: np.ndarray, floats: bool):
-    """Return advance(x, t0, t1, out=None), the package's one stepping loop.
+    """Return advance(x, t0, t1, out=None), the package's stepping loop.
 
     advance applies x_t = theta(W x_{t-1} + w_in u_t), u_t = inputs[t], for
     t0 <= t < t1 and returns the last state; with out it stores x_t in
@@ -193,8 +201,7 @@ def _stepper(res: Reservoir, inputs: np.ndarray, floats: bool):
     raises ValueError.  Given a (k, B) block x, it steps B states driven
     alike, one GEMM per step.
     """
-    if not np.all(np.isfinite(inputs)):
-        raise ValueError("inputs must be finite")
+    _check_inputs(inputs)
     W, w_in, tf = res.W, res.w_in, res.tf
     if floats:
         steps, w = tf._float_steps(), float(W[0, 0])
@@ -362,18 +369,32 @@ def make_overtuned_neuron(b: float) -> Reservoir:
 
 # -- CSV export --------------------------------------------------------------
 
+def _write_rows(fh, t0: int, values: np.ndarray) -> None:
+    """Rows "t,v_1,...,v_k" for t = t0, t0 + 1, ..., formatted _CSV_ROWS rows per % operation.
+
+    t sits as an integral float in column 0 of a float block, and %d prints
+    it as the int; the bytes are those of formatting each row on its own.
+    Only one block of Python floats is alive at a time.
+    """
+    rows, k = values.shape
+    line = "%d," + ",".join(["%.17g"] * k) + "\n"
+    block = np.empty((_CSV_ROWS, k + 1))
+    for i in range(0, rows, _CSV_ROWS):
+        n = min(_CSV_ROWS, rows - i)
+        block[:n, 0] = np.arange(t0 + i, t0 + i + n)
+        block[:n, 1:] = values[i : i + n]
+        fh.write((line * n) % tuple(block[:n].ravel().tolist()))
+
+
 def write_trace_csv(path, trace: ConvergenceTrace) -> None:
     """Columns t,q with full-precision floats; deterministic byte-for-byte."""
     with open(path, "w", newline="") as fh:
         fh.write("t,q\n")
-        fh.writelines("%d,%.17g\n" % tv for tv in enumerate(trace.q.tolist()))
+        _write_rows(fh, 0, trace.q[:, None])
 
 
 def write_states_csv(path, traj: Trajectory) -> None:
     k = traj.states.shape[1]
-    line = "%d," + ",".join(["%.17g"] * k) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write("t," + ",".join(f"x{i}" for i in range(k)) + "\n")
-        # one row at a time: a whole-array tolist() would hold ~22 MiB of
-        # Python floats at 50 000 x 10
-        fh.writelines(line % (t, *row.tolist()) for t, row in enumerate(traj.states, start=1))
+        _write_rows(fh, 1, traj.states)

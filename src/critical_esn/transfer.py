@@ -26,10 +26,14 @@ loop holds its formula in its body, so no step pays a Python call; the
 others call theta each step: ``math.tanh`` (a builtin), the identity, and
 for the tailored kind the checked ``__call__``.  ``__call__`` and
 ``derivative`` check their input is finite and read their column;
-``__call__(x, out=)`` writes theta(x), bit for bit, into ``out`` and
-returns it.  The finite check counts the entries that ``np.isfinite``
-passes against the size: exact, free of BLAS, and it warns about nothing
-whatever the entries.  A tailored piece is tanh shifted to its anchor, so
+``__call__(x, out=)`` is that check followed by ``_theta(arr, out=None)``,
+the unchecked evaluation, which writes theta(x), bit for bit, into
+``out`` and returns it.  The pinned one-neuron Lyapunov body of
+``analysis`` calls ``_theta`` directly under ``np.errstate``, because a
+candidate companion that it does not choose may go non-finite.  The
+finite check counts the entries that ``np.isfinite`` passes against the
+size: exact, free of BLAS, and it warns about nothing whatever the
+entries.  A tailored piece is tanh shifted to its anchor, so
 its derivative is the tanh row's at the shifted point, and its unit-slope
 points come in closed form: every anchor, plus 0 when no anchor lies
 within ``_ANCHOR_RADIUS`` of it (the plain-tanh piece then owns 0).
@@ -158,16 +162,23 @@ class TransferFunction:
         """
         arr = _check_finite(x)
         scalar = out is None and arr.ndim == 0
-        if self.kind == "tailored":
-            owned, pivot = self._piece(arr)
-            theta = np.where(owned, np.tanh(arr - pivot) + np.tanh(pivot), np.tanh(arr))
-            if out is None:
-                out = theta
-            else:
-                out[...] = theta
-        else:
-            out = _FORMULAS[self.kind][0](arr, out=out)
+        out = self._theta(arr, out)
         return float(out) if scalar else out
+
+    def _theta(self, arr: np.ndarray, out=None) -> np.ndarray:
+        """theta of a float array, unchecked, written into out when given.
+
+        Non-finite entries give whatever the formula gives; callers that
+        let them through run under ``np.errstate`` and judge the result.
+        """
+        if self.kind != "tailored":
+            return _FORMULAS[self.kind][0](arr, out=out)
+        owned, pivot = self._piece(arr)
+        theta = np.where(owned, np.tanh(arr - pivot) + np.tanh(pivot), np.tanh(arr))
+        if out is None:
+            return theta
+        out[...] = theta
+        return out
 
     def derivative(self, x):
         """Analytic derivative theta'(x)."""

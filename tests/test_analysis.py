@@ -26,25 +26,43 @@ from critical_esn.dynamics import (
     step,
 )
 from critical_esn.reservoir import Reservoir, make_orthogonal_reservoir, scale_to_spectrum
-from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction
+from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction, tailored
 
 A = math.pi / 4
 
 
-def _benettin_by_step(res, spec, T, L, eps0=1e-9):
-    """Reference two-trajectory exponent: x and y each advanced by dynamics.step."""
+def _benettin_by_step(res, spec, T, L, eps0=1e-9, x0=None, orbit=None):
+    """Reference two-trajectory (exponent, T_used): x and y each advanced by dynamics.step.
+
+    With orbit, x follows orbit[t mod P] instead of stepping, from x0 or
+    orbit[0].  A collision floors the block's stretch and restarts the
+    companion at x + eps0; a non-finite state reports +inf at its block's end.
+    """
     u = generate_input(spec, T + 1, res.n)
-    x = np.zeros(res.k)
-    y = x + eps0 * np.eye(res.k)[0]
+    e0 = np.eye(res.k)[0]
+    if x0 is None:
+        x0 = np.zeros(res.k) if orbit is None else orbit[0]
+    x = np.asarray(x0, float)
+    y = x + eps0 * e0
     stretches = []
-    for t in range(1, T // L * L + 1):
-        x, _ = step(res, x, u[t])
-        y, _ = step(res, y, u[t])
-        if t % L == 0:
-            d = float(np.linalg.norm(y - x))
-            stretches.append(math.log(d / eps0))
-            y = x + (y - x) * (eps0 / d)
-    return float(np.mean(np.asarray(stretches) / L))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, T // L * L + 1):
+            try:
+                y, _ = step(res, y, u[t])
+            except ValueError:  # a non-finite state met the transfer function
+                return math.inf, -(-t // L) * L
+            x = step(res, x, u[t])[0] if orbit is None else np.asarray(orbit[t % len(orbit)], float)
+            if t % L == 0:
+                d = math.hypot(*(y - x))  # no overflow in the squares
+                if not math.isfinite(d):
+                    return math.inf, t
+                if d <= ZERO_FLOOR:
+                    stretches.append(math.log(ZERO_FLOOR / eps0))
+                    y = x + eps0 * e0
+                else:
+                    stretches.append(math.log(d / eps0))
+                    y = x + (y - x) * (eps0 / d)
+    return float(np.mean(np.asarray(stretches) / L)), T // L * L
 
 
 class TestLyapunovExponent:
@@ -113,7 +131,7 @@ class TestLyapunovExponent:
         # GEMM rounds unlike GEMV, and the 1e-9 separation magnifies that to ~1e-7 per block
         res = make_orthogonal_reservoir(k, 1, 0.5, seed=k)
         r = lyapunov_exponent(res, IidSign(A, k), T=3000)
-        assert r.exponent == pytest.approx(_benettin_by_step(res, IidSign(A, k), 3000, 10), rel=1e-6)
+        assert r.exponent == pytest.approx(_benettin_by_step(res, IidSign(A, k), 3000, 10)[0], rel=1e-6)
 
     def test_pair_colliding_every_block_reports_the_floor(self):
         # the saturating sine sigmoid merges the twins within every 10-step block
@@ -128,6 +146,95 @@ class TestLyapunovExponent:
             lyapunov_exponent(res, Alternating(A), T=50, renorm_interval=10)
         with pytest.raises(ValueError):
             lyapunov_exponent(res, Alternating(A), T=1000, eps0=1e-3)
+
+    @pytest.mark.parametrize("orbit", [None, [[A], [-A]]])
+    def test_non_finite_x0_raises(self, orbit):
+        for x0 in ([math.nan], [math.inf]):
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                lyapunov_exponent(make_alternating_neuron(1.0), Alternating(A), T=1000, x0=x0, reference_orbit=orbit)
+
+    @pytest.mark.parametrize("L", [10, 11])
+    def test_non_finite_reference_orbit_raises(self, L):
+        # at L = 10 no block boundary reads the nan state
+        with pytest.raises(ValueError, match="reference orbit must be finite"):
+            lyapunov_exponent(
+                make_alternating_neuron(1.0), Alternating(A), T=1000, renorm_interval=L, reference_orbit=[[0.5], [math.nan]]
+            )
+
+
+PINNED_TRANSFERS = {  # couplings that keep each kind's run finite
+    "sine_sigmoid": (SINE_SIGMOID, -1.3),
+    "tanh": (TANH, 0.9),
+    "linear": (LINEAR, 0.6),
+    "tailored": (tailored([-0.5, 0.7]), 1.1),
+}
+
+
+def _neuron(tf, w, n):
+    return Reservoir(W=[[w]], w_in=[[0.8]] if n == 1 else [[0.8, -0.3]], tf=tf)
+
+
+class TestPinnedNeuron:
+    """One-neuron runs pinned to a reference orbit step every block at once."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("L", [1, 3, 10, 37])
+    @pytest.mark.parametrize("kind", sorted(PINNED_TRANSFERS))
+    def test_matches_per_step_reference(self, kind, L, n):
+        tf, w = PINNED_TRANSFERS[kind]
+        res, spec, T = _neuron(tf, w, n), IidSign(0.7, L), 50 * L + 2
+        orbit, x0 = [[0.4], [-0.6], [0.1]], (None if n == 1 else [0.2])
+        r = lyapunov_exponent(res, spec, T=T, renorm_interval=L, x0=x0, reference_orbit=orbit)
+        exponent, T_used = _benettin_by_step(res, spec, T, L, x0=x0, orbit=orbit)
+        assert r.T_used == T_used == T // L * L
+        assert r.exponent == pytest.approx(exponent, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("tf,w", [(LINEAR, 3.0), (SINE_SIGMOID, -3.0)], ids=["linear", "sine_sigmoid"])
+    def test_divergent_run_reports_the_sentinel_at_the_reference_block(self, tf, w, n):
+        # the companion restarts near the orbit every block, so only the block
+        # from t = 7 (orbit[7 % 3] = 1e307) overflows within its 7 steps
+        res, spec, orbit = _neuron(tf, w, n), IidSign(0.5, 1), [[0.3], [1e307], [-0.2]]
+        r = lyapunov_exponent(res, spec, T=5000, renorm_interval=7, reference_orbit=orbit)
+        exponent, T_used = _benettin_by_step(res, spec, 5000, 7, orbit=orbit)
+        assert r.exponent == exponent == math.inf
+        assert r.T_used == T_used == 14 and math.isnan(r.stderr)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_overflowing_linear_state_reports_the_sentinel(self, n):
+        # tanh maps the overflowed linear state back to 1.0; the checked
+        # per-step reference still sees the divergence in the first block
+        res = Reservoir(W=[[1.5e308]], w_in=[[1e308]] if n == 1 else [[1e308, 0.0]], tf=TANH)
+        r = lyapunov_exponent(res, IidSign(0.7, 1), T=100, reference_orbit=[[0.3], [-0.2]])
+        assert (r.exponent, r.T_used) == _benettin_by_step(res, IidSign(0.7, 1), 100, 10, orbit=[[0.3], [-0.2]])
+        assert r.exponent == math.inf and r.T_used == 10
+
+    @pytest.mark.parametrize("L", [1, 3, 10, 37])
+    def test_collision_every_block_reports_the_floor(self, L):
+        # with W = 0 the companion lands bitwise on the orbit 0.5 u_t at every step
+        res = Reservoir(W=[[0.0]], w_in=[[0.5]], tf=LINEAR)
+        r = lyapunov_exponent(res, Alternating(A), T=2000, renorm_interval=L, reference_orbit=[[0.5 * A], [-0.5 * A]])
+        assert r.exponent == pytest.approx(math.log(ZERO_FLOOR / 1e-9) / L, rel=1e-15, abs=0.0)
+        assert r.stderr <= 1e-12
+
+    @pytest.mark.parametrize("L", [1, 10, 37])
+    def test_one_transfer_evaluation_per_step_of_the_block(self, monkeypatch, L):
+        shapes = []
+        theta = TransferFunction._theta
+
+        def counted(self, arr, out=None):
+            shapes.append(arr.shape)
+            return theta(self, arr, out)
+
+        monkeypatch.setattr(TransferFunction, "_theta", counted)
+        r = lyapunov_exponent(
+            make_alternating_neuron(1.0), Alternating(A), T=100 * L + 5, renorm_interval=L, reference_orbit=alternating_orbit(A)
+        )
+        assert shapes == [(r.T_used // L, 2)] * L
+
+    def test_non_finite_input_raises(self):
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            lyapunov_exponent(make_alternating_neuron(1.0), Constant(math.nan), T=100, reference_orbit=alternating_orbit(A))
 
 
 class TestLyapunovSweep:
@@ -187,6 +294,17 @@ class TestLyapunovSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             lyapunov_sweep(make_alternating_neuron, Alternating(A), [], T=1000)
+
+    def test_non_finite_reference_orbit_raises_before_any_cell(self):
+        built = []
+
+        def factory(b):
+            built.append(b)
+            return make_alternating_neuron(b)
+
+        with pytest.raises(ValueError, match="reference orbit must be finite"):
+            lyapunov_sweep(factory, Alternating(A), [0.5, 1.0], T=1000, reference_orbit=[[0.5], [math.nan]])
+        assert built == []
 
     def test_csv_format(self, tmp_path):
         pts = lyapunov_sweep(

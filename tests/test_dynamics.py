@@ -357,6 +357,23 @@ class TestTraceCsv:
         t, q = lines[2].split(",")
         assert int(t) == 1 and float(q) == tr.q[1]
 
+    @pytest.mark.parametrize("T", [1, 255, 256, 257, 513])
+    def test_block_formatting_matches_per_row_formatting(self, tmp_path, T):
+        # the writers format 256 rows per % operation; every block boundary
+        # must give the bytes of formatting each row on its own
+        vals = np.random.default_rng(T).standard_normal((T, 3))
+        vals.flat[:3] = -0.0, 1e-300, 1e17
+        vals.flat[-1] = 1e17
+        write_states_csv(tmp_path / "s.csv", Trajectory(vals, vals, np.zeros(3)))
+        line = "%d,%.17g,%.17g,%.17g\n"
+        expected = "t,x0,x1,x2\n" + "".join(line % (t, *row) for t, row in enumerate(vals.tolist(), start=1))
+        assert (tmp_path / "s.csv").read_bytes() == expected.encode()
+
+        q = vals[:, 0].copy()
+        write_trace_csv(tmp_path / "t.csv", ConvergenceTrace(q=q))
+        expected = "t,q\n" + "".join("%d,%.17g\n" % tv for tv in enumerate(q.tolist()))
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
     def test_writers_match_fstring_reference(self, tmp_path):
         # the writers format whole rows with one %-format; the bytes must be
         # those of formatting every value with f"{v:.17g}"
