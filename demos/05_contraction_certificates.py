@@ -8,11 +8,15 @@ The guarantee rests on four checkable facts:
 2. shape facts: phi <= 1, phi non-increasing, z phi(z) non-decreasing;
 3. dominance: the recursion q <- q (1 - eta q^2) stays below the closed
    form q*(t) = [(eta/2) t + q0^-2]^(-1/2), which vanishes, so distances
-   vanish too (power-law slow, never slower);
+   vanish too (power-law slow, never slower).  This one is proved for
+   every t: Bernoulli's inequality gives q_{t+1}^-2 >= q_t^-2 + 2 eta,
+   so q_t <= B(t) = [2 eta t + q0^-2]^(-1/2) <= q*(t);
 4. per-step audit: simulated boundary reservoirs actually respect the
    cover at every step, for any neuron count via phi_k(z) = phi(z / k^2).
 
-Each check reports its worst margin over a grid or run, not a proof.
+Each check reports its worst margin and its status: dominance is
+"proved" and its margins only tabulate q* - B; the others are "sampled"
+over a grid or run, not a proof.
 """
 
 import math
@@ -48,10 +52,10 @@ rep = check_phi_properties(p)
 print(f"2. cover shape facts: passed={rep.passed}, worst margin {rep.worst_margin:+.2e}")
 
 print()
-print("3. dominance of the closed form over the recursion (10^5 steps):")
+print("3. dominance of the closed form over the recursion (Bernoulli bound, proved for every t):")
 for q0 in (0.1, 0.5, 1.0):
     rep = verify_dominance(q0, p, T=100_000)
-    print(f"   q0={q0}: passed={rep.passed}, min gap {rep.worst_margin:+.2e}")
+    print(f"   q0={q0}: {rep.status}, passed={rep.passed}, min gap q* - B over t <= 10^5 {rep.worst_margin:+.2e}")
 print(f"   closed form at t=10^5 from q0=1: q* = {q_star(100_000, 1.0, p):.5f} (still > 0: power law)")
 
 print()

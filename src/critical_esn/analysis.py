@@ -150,7 +150,7 @@ def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
         x, e0 = start, np.eye(res.k)[0]
     y = x + eps0 * e0
     T_used = T // L * L
-    stretches = []
+    dists = []
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
         for t in range(L, T_used + 1, L):  # t: last step of the block
             try:
@@ -164,13 +164,12 @@ def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
                 d = math.inf
             if not math.isfinite(d):
                 return LyapunovResult(math.inf, t, L, math.nan)
+            dists.append(d)
             if d <= ZERO_FLOOR:
-                stretches.append(math.log(ZERO_FLOOR / eps0))
                 y = x + eps0 * e0
             else:
-                stretches.append(math.log(d / eps0))
                 y = x + (y - x) * (eps0 / d)
-    return _summary(stretches, T_used, L)
+    return _summary(dists, eps0, T_used, L)
 
 
 def _benettin_pinned_neuron(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
@@ -211,13 +210,22 @@ def _benettin_pinned_neuron(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
         c = succ[2 * j + c]
         if c == 2:
             return LyapunovResult(math.inf, (j + 1) * L, L, math.nan)
-    floor = math.log(ZERO_FLOOR / eps0)
-    d = D[np.arange(blocks), np.frombuffer(chosen, dtype=np.uint8)].tolist()
-    return _summary([math.log(di / eps0) if di > ZERO_FLOOR else floor for di in d], T_used, L)
+    return _summary(D[np.arange(blocks), np.frombuffer(chosen, dtype=np.uint8)], eps0, T_used, L)
 
 
-def _summary(stretches: list, T_used: int, L: int) -> LyapunovResult:
-    """Mean log-stretch per step over the blocks, with its standard error."""
+def _summary(dists, eps0: float, T_used: int, L: int) -> LyapunovResult:
+    """Mean log-stretch per step over the blocks' end distances, with its standard error.
+
+    A block's log-stretch is math.log(max(d, ZERO_FLOOR) / eps0).  Where
+    that quotient overflows (d above about 1.8e299 at eps0 = 1e-9) it is
+    log(d) - log(eps0) instead, so every finite quotient keeps its bits.
+    """
+    d = np.maximum(dists, ZERO_FLOOR)
+    with np.errstate(over="ignore"):
+        ratio = d / eps0
+    stretches = list(map(math.log, ratio.tolist()))
+    for i in np.flatnonzero(np.isinf(ratio)).tolist():
+        stretches[i] = math.log(d[i]) - math.log(eps0)
     per_step = np.asarray(stretches) / L
     exponent = float(np.mean(per_step))
     stderr = float(np.std(per_step) / math.sqrt(len(per_step)))

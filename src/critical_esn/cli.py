@@ -25,7 +25,8 @@ CSV/JSON bodies are deterministic byte-for-byte for one numpy/BLAS build
 and thread count; the sidecar records both, with the timestamp, the wall
 time of each phase (config, compute, write) and the config's hash.  Every
 JSON artifact writes a non-finite number as null.
-Exit codes: 0 success, 1 failed verification, 2 usage/config error.
+Exit codes: 0 success, 1 failed verification, 2 usage/config error
+(including a run too large for memory).
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ DEFAULTS: dict[str, dict] = {
         "n_list": [2, 4],
         "vector_samples": 20000,
         "q0_list": [0.1, 0.5, 1.0],
-        "dominance_T": 100_000,
         "audit_k_list": [1, 4, 16],
         "audit_runs_per_case": 2,
         "audit_T": 200,
@@ -315,6 +315,9 @@ def cmd_figure45(cfg: dict) -> tuple[dict, str, int]:
 
 
 def _verify_checks(cfg: dict) -> dict:
+    for key in ("transfer_kinds", "n_list", "q0_list"):
+        if not cfg[key]:
+            raise ConfigError(f"config key {key!r} must name at least one entry")
     kinds = [(kind, _transfer_from_config(kind)) for kind in cfg["transfer_kinds"]]
     if any(n < 2 for n in cfg["n_list"]):
         raise ConfigError(f"n_list entries must be >= 2, got {cfg['n_list']!r}")
@@ -330,7 +333,7 @@ def _verify_checks(cfg: dict) -> dict:
             )
     checks["phi_shape"] = contraction.check_phi_properties(p)
     for q0 in cfg["q0_list"]:
-        checks[f"dominance_q0_{q0}"] = contraction.verify_dominance(q0, p, cfg["dominance_T"])
+        checks[f"dominance_q0_{q0}"] = contraction.verify_dominance(q0, p)
     rng = np.random.default_rng(cfg["seed"])
     amp = _PI4
     i = 0
@@ -474,8 +477,8 @@ def main(argv=None) -> int:
             "exit_code": exit_code,
         }
         _write_json(out / "run_meta.json", meta)
-    except (ConfigError, OSError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError, OSError, TypeError, ValueError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     if summary:
         print(summary)

@@ -22,9 +22,12 @@ Four kinds are provided:
 Each fixed kind's formulas live in one row of the table ``_FORMULAS``:
 theta on arrays, theta' on arrays, and theta's plain-float stepping loop,
 which the k = n = 1 body of ``dynamics._stepper`` runs.  The sine-sigmoid
-loop holds its formula in its body, so no step pays a Python call; the
-others call theta each step: ``math.tanh`` (a builtin), the identity, and
-for the tailored kind the checked ``__call__``.  ``__call__`` and
+and tanh loops hold their formula in their body, so no step pays a call
+to a Python function; the others call theta each step: the identity, and
+for the tailored kind the checked ``__call__``.  As in the array body, a
+non-finite linear state raises ``ValueError`` in every bounded kind's
+loop: the tanh loop checks it (``math.tanh(inf)`` is 1.0), ``math.sin``
+raises on it, and the tailored ``__call__`` checks it.  ``__call__`` and
 ``derivative`` check their input is finite and read their column;
 ``__call__(x, out=)`` is that check followed by ``_theta(arr, out=None)``,
 the unchecked evaluation, which writes theta(x), bit for bit, into
@@ -73,6 +76,24 @@ def _steps_calling(theta):
     return steps
 
 
+def _tanh_steps(x, w, drive, out=None):
+    # math.tanh(inf) is 1.0, so the linear state is checked as the array body checks it
+    tanh, isfinite = math.tanh, math.isfinite
+    if out is None:
+        for d in drive:
+            z = w * x + d
+            if not isfinite(z):
+                raise ValueError("transfer function input must be finite")
+            x = tanh(z)
+    else:
+        for i, d in enumerate(drive):
+            z = w * x + d
+            if not isfinite(z):
+                raise ValueError("transfer function input must be finite")
+            x = out[i] = tanh(z)
+    return x
+
+
 def _sine_sigmoid_steps(x, w, drive, out=None):
     sin = math.sin
     if out is None:
@@ -92,7 +113,7 @@ def _sine_sigmoid_steps(x, w, drive, out=None):
 # float d_t in drive, x_t stored in out[t] when out is given, the last x_t
 # returned.
 _FORMULAS = {
-    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, _steps_calling(math.tanh)),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, _tanh_steps),
     "sine_sigmoid": (
         lambda x, out=None: np.subtract(0.5 * x, 0.25 * np.sin(2.0 * x), out=out),
         lambda x: 0.5 - 0.5 * np.cos(2.0 * x),

@@ -14,6 +14,8 @@ from critical_esn.analysis import find_critical_b, fit_decay, lyapunov_sweep
 from critical_esn.contraction import (
     CoverParams,
     audit_step_inequality,
+    iterate_q,
+    q_star,
     tau_bound,
     verify_cover_inequality,
     verify_dominance,
@@ -129,13 +131,15 @@ def test_criterion_5_cover_inequality_certificate():
 
 
 def test_criterion_6_dominance_certificate():
-    """Closed-form covering sequence dominates the recursion for 1e5 steps."""
+    """Closed-form covering sequence dominates the recursion: proved, and checked for 1e5 steps."""
     gaps = {}
     ok = True
+    ts = np.arange(100_001)
     for q0 in (0.1, 0.5, 1.0):
         rep = verify_dominance(q0, CoverParams(), T=100_000)
         gaps[q0] = rep.worst_margin
-        ok = ok and rep.passed and rep.worst_margin >= -1e-12
+        ok = ok and rep.passed and rep.worst_margin >= -1e-12 and rep.status == "proved"
+        ok = ok and bool(np.all(iterate_q(q0, CoverParams(), 100_000) <= q_star(ts, q0, CoverParams())))
     _verdict(6, ok, "min gaps " + ", ".join(f"q0={q}: {g:.2e}" for q, g in gaps.items()))
 
 

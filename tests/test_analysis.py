@@ -59,8 +59,8 @@ def _benettin_by_step(res, spec, T, L, eps0=1e-9, x0=None, orbit=None):
                 if d <= ZERO_FLOOR:
                     stretches.append(math.log(ZERO_FLOOR / eps0))
                     y = x + eps0 * e0
-                else:
-                    stretches.append(math.log(d / eps0))
+                else:  # d / eps0 may overflow for a finite d
+                    stretches.append(math.log(d) - math.log(eps0))
                     y = x + (y - x) * (eps0 / d)
     return float(np.mean(np.asarray(stretches) / L)), T // L * L
 
@@ -153,6 +153,24 @@ class TestLyapunovExponent:
             with pytest.raises(ValueError, match="x0 must be finite"):
                 lyapunov_exponent(make_alternating_neuron(1.0), Alternating(A), T=1000, x0=x0, reference_orbit=orbit)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_overflowing_tanh_linear_state_reports_the_sentinel(self, n):
+        # math.tanh(inf) is 1.0, so the k = n = 1 float body checks the linear
+        # state as the array body (n = 2) does
+        res = Reservoir(W=[[1.5e308]], w_in=[[1e308]] if n == 1 else [[1e308, 0.0]], tf=TANH)
+        r = lyapunov_exponent(res, IidSign(0.7, 1), T=100, x0=[0.3])
+        assert (r.exponent, r.T_used) == (math.inf, 10) and math.isnan(r.stderr)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_free_running_stretch_past_the_float_range_stays_finite(self, n):
+        # x stays at 0 and the companion grows from 1e-9 to 1e300 in each block,
+        # so d / eps0 overflows though d is finite
+        res = Reservoir(W=[[10.0]], w_in=[[1.0]] if n == 1 else [[1.0, 0.0]], tf=LINEAR)
+        r = lyapunov_exponent(res, Constant(0.0), T=3090, renorm_interval=309, x0=[0.0])
+        assert r.T_used == 3090
+        assert r.exponent == pytest.approx(math.log(10.0), rel=1e-12)
+        assert math.isfinite(r.stderr) and r.stderr <= 1e-12
+
     @pytest.mark.parametrize("L", [10, 11])
     def test_non_finite_reference_orbit_raises(self, L):
         # at L = 10 no block boundary reads the nan state
@@ -208,6 +226,17 @@ class TestPinnedNeuron:
         r = lyapunov_exponent(res, IidSign(0.7, 1), T=100, reference_orbit=[[0.3], [-0.2]])
         assert (r.exponent, r.T_used) == _benettin_by_step(res, IidSign(0.7, 1), 100, 10, orbit=[[0.3], [-0.2]])
         assert r.exponent == math.inf and r.T_used == 10
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stretch_past_the_float_range_stays_finite(self, n):
+        # blocks ending at orbit[1] = 1e307 are about 1e307 from the tanh companion,
+        # so d / eps0 overflows though d is finite
+        res, spec, orbit = _neuron(TANH, 0.5, n), IidSign(0.7, 1), [[0.3], [1e307]]
+        r = lyapunov_exponent(res, spec, T=1000, renorm_interval=7, reference_orbit=orbit)
+        exponent, T_used = _benettin_by_step(res, spec, 1000, 7, orbit=orbit)
+        assert r.T_used == T_used == 994
+        assert r.exponent == pytest.approx(exponent, rel=1e-12)
+        assert math.isfinite(r.exponent) and math.isfinite(r.stderr)
 
     @pytest.mark.parametrize("L", [1, 3, 10, 37])
     def test_collision_every_block_reports_the_floor(self, L):

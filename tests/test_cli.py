@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import critical_esn
-from critical_esn import contraction
+from critical_esn import contraction, readout
 from critical_esn.cli import DEFAULTS, main
 from critical_esn.contraction import phi_k
 
@@ -114,7 +114,6 @@ FAST_VERIFY = {
     "delta_grid": [0.0, 4.0, 0.05],
     "zeta_grid": [-4.0, 4.0, 0.05],
     "vector_samples": 2000,
-    "dominance_T": 10_000,
     "audit_runs_per_case": 1,
     "audit_T": 120,
 }
@@ -128,6 +127,9 @@ class TestVerify:
         assert report["all_passed"] is True
         assert report["cover_tanh"]["passed"] and report["cover_sine_sigmoid"]["passed"]
         assert any(name.startswith("step_audit_") for name in report)
+        statuses = {name: rep["status"] for name, rep in report.items() if name != "all_passed"}
+        assert statuses == {name: "proved" if name.startswith("dominance_") else "sampled" for name in statuses}
+        assert sum(s == "proved" for s in statuses.values()) == 3  # one per default q0
 
     def test_identity_transfer_fails_with_nonzero_exit(self, tmp_path):
         cfg = _write_config(
@@ -368,12 +370,34 @@ class TestConfigHandling:
         assert not (tmp_path / "verify_report.json").exists()
 
     @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"),
+             "error: Unable to allocate 74.5 GiB for an array with shape (100000, 100000)\n"),
+            (MemoryError(), "error: MemoryError\n"),
+        ],
+        ids=["numpy_message", "bare"],
+    )
+    def test_memory_error_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, exc, line):
+        def too_large(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(readout, "memory_capacity", too_large)
+        assert main(["mc", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", line)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "payload, message",
         [
             ({"transfer_kinds": ["foo"]}, "error: unknown transfer kind 'foo'\n"),
             ({"n_list": [1]}, "error: n_list entries must be >= 2, got [1]\n"),
+            # an empty list would leave a report that passes over fewer checks
+            ({"transfer_kinds": []}, "error: config key 'transfer_kinds' must name at least one entry\n"),
+            ({"n_list": []}, "error: config key 'n_list' must name at least one entry\n"),
+            ({"q0_list": []}, "error: config key 'q0_list' must name at least one entry\n"),
         ],
-        ids=["transfer_kinds", "n_list"],
+        ids=["transfer_kinds", "n_list", "empty_transfer_kinds", "empty_n_list", "empty_q0_list"],
     )
     def test_bad_verify_value_exits_2_before_making_the_output_directory(
         self, tmp_path, capsys, payload, message
@@ -392,6 +416,7 @@ class TestConfigHandling:
             ("figure3", {"b_grid": [1.0]}, "b_grid"),
             ("mc", {"mc_seed": 1}, "mc_seed"),
             ("simulate", {"reservoir": {"transfer": {"kind": "tailored", "params": [0.5], "x": 1}}}, "x"),
+            ("verify", {"dominance_T": 100_000}, "dominance_T"),  # dominance is proved for every t
         ],
     )
     def test_undeclared_key_exits_2_naming_it(self, tmp_path, capsys, command, payload, key):

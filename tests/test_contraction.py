@@ -212,6 +212,32 @@ class TestDominance:
         rep = verify_dominance(0.5, CoverParams(eta=1 / 768), T=10_000)  # eta = 1/(48 k^2), k = 4
         assert rep.passed
 
+    @pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0])
+    def test_proved_with_zero_gap_at_start(self, kappa):
+        for eta in (1 / 48, 1 / 768, 0.9):
+            for q0 in (0.1, 0.5, 1.0):
+                rep = verify_dominance(q0, CoverParams(eta=eta, kappa=kappa), T=1000)
+                assert rep.status == "proved" and rep.passed
+                assert (rep.worst_margin, rep.worst_point, rep.n_checked) == (0.0, (0,), 1001)
+
+    @pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0])
+    def test_float_recursion_stays_below_the_bernoulli_bound(self, kappa):
+        # the bound B(t) <= q_star(t) that verify_dominance proves, against the recursion
+        ts = np.arange(10_001)
+        for eta in (1 / 48, 1 / 768, 0.9):
+            for q0 in (0.1, 0.5, 1.0):
+                bound = (kappa * eta * ts + q0**-kappa) ** (-1.0 / kappa)
+                qs = iterate_q(q0, CoverParams(eta=eta, kappa=kappa), T=10_000)
+                assert np.all(qs <= bound + 4 * np.spacing(bound)), (eta, q0)
+
+    def test_rejects_what_the_recursion_rejects(self):
+        with pytest.raises(ValueError, match="need q0 in"):
+            verify_dominance(1.5)
+        with pytest.raises(ValueError, match="need q0 > 0"):
+            verify_dominance(0.0)
+        with pytest.raises(ValueError, match="need T >= 1"):
+            verify_dominance(0.5, T=0)
+
 
 class TestTauBound:
     def test_subcritical_value(self):

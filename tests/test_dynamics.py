@@ -234,6 +234,13 @@ class TestConvergenceTrace:
         assert tr.floor_hit_at is None
         np.testing.assert_array_equal(tr.q, [np.linalg.norm(x0 - y0)] + [np.linalg.norm(r) for r in X - Y])
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_overflowing_tanh_linear_state_raises(self, n):
+        # math.tanh(inf) is 1.0; the k = n = 1 float body still sees the overflow
+        res = Reservoir(W=[[1.5e308]], w_in=[[1e308]] if n == 1 else [[1e308, 0.0]], tf=TANH)
+        with pytest.raises(ValueError, match="twin states must stay finite"):
+            convergence_trace(res, IidSign(0.7, 1), [0.3], [0.2], T=100)
+
     def test_subcritical_exponential_envelope(self):
         base = make_orthogonal_reservoir(5, 1, 0.5, seed=8)
         res = Reservoir(W=scale_to_spectrum(base.W, 0.5), w_in=base.w_in, tf=TANH)
