@@ -16,10 +16,10 @@ to exactly zero from that step on and the index is recorded.
 
 Every simulation steps through one kernel, ``_stepper``: it rejects
 non-finite inputs, then advances a state with a plain-float body (k = n = 1
-twin traces and *free-running* k = n = 1 Lyapunov runs) or an array body
-(everything else, including ``run_with_inputs`` at every k).  The one
+twin traces) or an array body (everything else, including
+``run_with_inputs`` and free-running Lyapunov runs at every k).  The one
 exception is a one-neuron Lyapunov run pinned to a reference orbit, which
-steps all its renormalization blocks at once (see ``analysis``).  The
+steps each distinct renormalization block once (see ``analysis``).  The
 float body precomputes the drive as a list of floats and runs the
 transfer's plain-float stepping loop over it (``transfer._FORMULAS``),
 which evaluates the sine sigmoid without a Python call per step.  The array body works in place: it
@@ -29,10 +29,12 @@ product, in the linear-state rows when it keeps them; each step adds
 call, writing into the output row.  Given a (k, B) block of B states, it
 steps them at once, one GEMM per step; the free-running Lyapunov pair
 uses this with B = 2.  Twin traces take a block's distances in one
-stacked matmul, bit for bit the per-row norm.  A state that leaves the
-finite range makes trajectories raise ``ValueError("states must stay
-finite")`` and twin traces ``ValueError("twin states must stay finite")``,
-on either body; the Lyapunov estimate reports its +inf sentinel instead.
+stacked matmul, bit for bit the per-row norm; where the squares overflow
+(a distance above about 1.3e154), ``math.hypot`` takes the norm.  A state
+that leaves the finite range makes trajectories raise ``ValueError("states
+must stay finite")`` and twin traces ``ValueError("twin states must stay
+finite")``, on either body; the Lyapunov estimate reports its +inf
+sentinel instead.
 """
 
 from __future__ import annotations
@@ -226,11 +228,17 @@ def _stepper(res: Reservoir, inputs: np.ndarray, floats: bool):
     return advance
 
 
-def _distance(v) -> float:
-    """Euclidean norm; abs for one coordinate, where squaring could underflow."""
-    if isinstance(v, float):
-        return abs(v)
-    return abs(float(v[0])) if v.size == 1 else float(np.linalg.norm(v))
+def _distance(v: np.ndarray) -> float:
+    """Euclidean norm; abs for one coordinate, where squaring could underflow.
+
+    Where the squares overflow (a norm above about 1.3e154), math.hypot
+    takes the norm without squaring; every finite norm keeps its bits.
+    """
+    if v.size == 1:
+        return abs(float(v[0]))
+    with np.errstate(over="ignore"):
+        d = float(np.linalg.norm(v))
+    return math.hypot(*v.tolist()) if math.isinf(d) else d
 
 
 def run_with_inputs(res: Reservoir, inputs: np.ndarray, x0=None) -> Trajectory:
@@ -295,10 +303,12 @@ def _twin_trace(res, u_x, u_y, x0, y0, shared_from) -> ConvergenceTrace:
                 finite = np.all(np.isfinite(X[:n])) and np.all(np.isfinite(Y[:n]))
             except ValueError:  # a non-finite state met the transfer function
                 finite = False
-        if not finite:
-            raise ValueError("twin states must stay finite")
-        D = X[:n] - Y[:n]  # row norms in one stacked matmul, bit for bit _distance of each row
-        q[t0:t1] = np.abs(D[:, 0]) if res.k == 1 else np.sqrt(np.matmul(D[:, None], D[:, :, None])[:, 0, 0])
+            if not finite:
+                raise ValueError("twin states must stay finite")
+            D = X[:n] - Y[:n]  # row norms in one stacked matmul, bit for bit _distance of each row
+            q[t0:t1] = np.abs(D[:, 0]) if res.k == 1 else np.sqrt(np.matmul(D[:, None], D[:, :, None])[:, 0, 0])
+        for i in np.flatnonzero(np.isinf(q[t0:t1])).tolist():  # the squares overflowed
+            q[t0 + i] = math.hypot(*D[i].tolist())
     positive = np.flatnonzero(q > 0.0)
     zeros = np.flatnonzero(q[positive[0] :] == 0.0) if positive.size else positive
     floor_at = int(positive[0] + zeros[0]) if zeros.size else None

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from critical_esn.analysis import (
+    _sign_chain,
     find_critical_b,
     fit_decay,
     lyapunov_exponent,
@@ -17,6 +18,7 @@ from critical_esn.dynamics import (
     Alternating,
     Constant,
     ConvergenceTrace,
+    FileInput,
     IidSign,
     alternating_orbit,
     convergence_trace,
@@ -193,7 +195,7 @@ def _neuron(tf, w, n):
 
 
 class TestPinnedNeuron:
-    """One-neuron runs pinned to a reference orbit step every block at once."""
+    """One-neuron runs pinned to a reference orbit step each distinct block once."""
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("L", [1, 3, 10, 37])
@@ -238,6 +240,23 @@ class TestPinnedNeuron:
         assert r.exponent == pytest.approx(exponent, rel=1e-12)
         assert math.isfinite(r.exponent) and math.isfinite(r.stderr)
 
+    @pytest.mark.filterwarnings("error")
+    def test_distance_past_the_squares_range_matches_one_coordinate(self):
+        # blocks ending at 1e307 end about 1e307 from the companion; at k = 2
+        # the square of that distance overflows, at k = 1 nothing is squared
+        spec, orbit = IidSign(0.7, 1), np.array([[0.3], [1e307]])
+        one = lyapunov_exponent(_neuron(TANH, 0.5, 1), spec, T=1000, renorm_interval=7, reference_orbit=orbit)
+        two = lyapunov_exponent(
+            Reservoir(W=0.5 * np.eye(2), w_in=[[0.8], [0.0]], tf=TANH),
+            spec,
+            T=1000,
+            renorm_interval=7,
+            reference_orbit=np.column_stack([orbit, np.zeros(2)]),
+        )
+        assert one.T_used == two.T_used == 994
+        assert two.exponent == pytest.approx(one.exponent, rel=1e-12)
+        assert two.stderr == pytest.approx(one.stderr, rel=1e-12)
+
     @pytest.mark.parametrize("L", [1, 3, 10, 37])
     def test_collision_every_block_reports_the_floor(self, L):
         # with W = 0 the companion lands bitwise on the orbit 0.5 u_t at every step
@@ -248,6 +267,9 @@ class TestPinnedNeuron:
 
     @pytest.mark.parametrize("L", [1, 10, 37])
     def test_one_transfer_evaluation_per_step_of_the_block(self, monkeypatch, L):
+        # the alternating orbit repeats every block at even L and every second
+        # block at odd L; block 0 steps on its own, so 2 or 3 rows step.  An
+        # i.i.d. drive repeats nothing, and every block steps.
         shapes = []
         theta = TransferFunction._theta
 
@@ -256,14 +278,138 @@ class TestPinnedNeuron:
             return theta(self, arr, out)
 
         monkeypatch.setattr(TransferFunction, "_theta", counted)
-        r = lyapunov_exponent(
-            make_alternating_neuron(1.0), Alternating(A), T=100 * L + 5, renorm_interval=L, reference_orbit=alternating_orbit(A)
-        )
-        assert shapes == [(r.T_used // L, 2)] * L
+        for spec in (Alternating(A), IidSign(A, 4)):
+            shapes.clear()
+            r = lyapunov_exponent(
+                make_alternating_neuron(1.0), spec, T=100 * L + 5, renorm_interval=L, reference_orbit=alternating_orbit(A)
+            )
+            rows = r.T_used // L if isinstance(spec, IidSign) else 2 + L % 2
+            assert shapes == [(rows, 2)] * L
 
     def test_non_finite_input_raises(self):
         with pytest.raises(ValueError, match="inputs must be finite"):
             lyapunov_exponent(make_alternating_neuron(1.0), Constant(math.nan), T=100, reference_orbit=alternating_orbit(A))
+
+
+def _pinned_uncollapsed(res, spec, T, L, orbit, x0=None, eps0=1e-9):
+    """(exponent, stderr, T_used) of a pinned one-neuron run with every block on its own row.
+
+    The pinned body as it was before it stepped only the distinct blocks:
+    both candidates of all T_used/L blocks as one array, a loop over bytes
+    for the chain of restart columns and one math.log per block.
+    """
+    u = generate_input(spec, T + 1, res.n)
+    orbit = np.asarray(orbit, dtype=float)
+    blocks = T // L
+    T_used = blocks * L
+    drive = np.matmul(res.w_in, u[1 : T_used + 1, :, None]).reshape(blocks, L)
+    ref = orbit[np.arange(0, T_used + 1, L) % len(orbit), 0]
+    ref[0] = orbit[0, 0] if x0 is None else x0[0]
+    Y = ref[:-1, None] + np.array([eps0, -eps0])
+    w, finite = float(res.W[0, 0]), np.ones(Y.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(L):
+            Y *= w
+            Y += drive[:, i, None]
+            finite &= np.isfinite(Y)
+            res.tf._theta(Y, out=Y)
+        diff = Y - ref[1:, None]
+    D = np.abs(diff)
+    succ = ((diff < 0.0) & (D > ZERO_FLOOR)).astype(np.uint8)
+    succ[~(finite & np.isfinite(D))] = 2
+    succ = succ.tobytes()
+    chosen, c = bytearray(blocks), 0
+    for j in range(blocks):
+        chosen[j] = c
+        c = succ[2 * j + c]
+        if c == 2:
+            return math.inf, math.nan, (j + 1) * L
+    d = np.maximum(D[np.arange(blocks), np.frombuffer(chosen, dtype=np.uint8)], ZERO_FLOOR)
+    with np.errstate(over="ignore"):
+        ratio = d / eps0
+    stretches = list(map(math.log, ratio.tolist()))
+    for i in np.flatnonzero(np.isinf(ratio)).tolist():
+        stretches[i] = math.log(d[i]) - math.log(eps0)
+    per_step = np.asarray(stretches) / L
+    return float(np.mean(per_step)), float(np.std(per_step) / math.sqrt(len(per_step))), T_used
+
+
+def _bits(exponent, stderr, T_used):
+    return exponent.hex(), stderr.hex(), T_used
+
+
+def _pinned_input(source, tmp_path, T, n):
+    if source == "alternating":
+        return Alternating(0.7)
+    if source == "iid_sign":
+        return IidSign(0.7, T)
+    # period 3 up to sample T - 5, which breaks the period late in the run
+    u = np.tile([[0.6, 0.1], [-0.2, -0.4], [0.9, 0.3]], (T // 3 + 1, 1))[: T + 1, :n]
+    u[T - 5] += 0.25
+    np.savetxt(tmp_path / "periodic.csv", u, delimiter=",")
+    return FileInput(str(tmp_path / "periodic.csv"))
+
+
+class TestCollapsedPinnedBody:
+    """Stepping only the distinct blocks changes no bit of a pinned run."""
+
+    def _check(self, res, spec, T, L, orbit, x0=None):
+        r = lyapunov_exponent(res, spec, T=T, renorm_interval=L, x0=x0, reference_orbit=orbit)
+        assert _bits(r.exponent, r.stderr, r.T_used) == _bits(*_pinned_uncollapsed(res, spec, T, L, orbit, x0))
+        return r
+
+    @pytest.mark.parametrize("source", ["alternating", "iid_sign", "periodic_file"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("L", [1, 3, 10, 37])
+    @pytest.mark.parametrize("kind", sorted(PINNED_TRANSFERS))
+    def test_matches_the_uncollapsed_body_bitwise(self, tmp_path, kind, L, n, source):
+        tf, w = PINNED_TRANSFERS[kind]
+        T = 50 * L + 2
+        x0 = None if n == 1 else [0.2]  # block 0 then starts off the orbit
+        self._check(_neuron(tf, w, n), _pinned_input(source, tmp_path, T, n), T, L, [[0.4], [-0.6], [0.1]], x0)
+
+    @pytest.mark.parametrize("source", ["alternating", "iid_sign"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize(
+        "tf,w,orbit",
+        [
+            (LINEAR, 3.0, [[0.3], [1e307], [-0.2]]),
+            (SINE_SIGMOID, -3.0, [[0.3], [1e307], [-0.2]]),
+            (TANH, 0.5, [[0.3], [1e307]]),
+        ],
+        ids=["linear_diverges", "sine_sigmoid_diverges", "tanh_stretch_overflows"],
+    )
+    def test_extreme_runs_match_the_uncollapsed_body_bitwise(self, tmp_path, tf, w, orbit, n, source):
+        self._check(_neuron(tf, w, n), _pinned_input(source, tmp_path, 1000, n), 1000, 7, orbit)
+
+    @pytest.mark.parametrize("b", [0.5, 1.0, 1.7])
+    def test_figure3_cells_match_the_uncollapsed_body_bitwise(self, b):
+        r = self._check(make_alternating_neuron(b), Alternating(A), 20_000, 10, alternating_orbit(A))
+        assert math.isfinite(r.exponent)
+
+
+def _walk_by_bytes(succ):
+    """The sequential chain: each block's column up to the first divergence, and that block (None if none)."""
+    chosen, c = [], 0
+    for j, row in enumerate(succ.tolist()):
+        chosen.append(c)
+        c = row[c]
+        if c == 2:
+            return chosen, j
+    return chosen, None
+
+
+def test_closed_form_chain_matches_the_sequential_walk():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        for blocks in range(1, 61):
+            p2 = rng.choice([0.0, 0.02, 0.2])  # the share of non-finite candidates
+            succ = rng.choice(3, size=(blocks, 2), p=[(1 - p2) / 2, (1 - p2) / 2, p2]).astype(np.uint8)
+            chosen, diverged = _walk_by_bytes(succ)
+            closed = _sign_chain(succ)
+            assert closed.tolist()[: len(chosen)] == chosen
+            hits = np.flatnonzero(succ[np.arange(blocks), closed] == 2)
+            assert (int(hits[0]) if hits.size else None) == diverged
 
 
 class TestLyapunovSweep:

@@ -241,6 +241,17 @@ class TestConvergenceTrace:
         with pytest.raises(ValueError, match="twin states must stay finite"):
             convergence_trace(res, IidSign(0.7, 1), [0.3], [0.2], T=100)
 
+    @pytest.mark.filterwarnings("error")
+    def test_distance_past_the_squares_range_matches_one_coordinate(self):
+        # the twins start 1e200 apart and halve their distance each step, so at
+        # k = 2 its square overflows for about 150 steps; at k = 1 nothing is squared
+        one = Reservoir(W=[[0.5]], w_in=[[1.0]], tf=LINEAR)
+        two = Reservoir(W=0.5 * np.eye(2), w_in=[[1.0], [0.0]], tf=LINEAR)
+        q1 = convergence_trace(one, IidSign(0.7, 1), [0.0], [1e200], T=600).q
+        q2 = convergence_trace(two, IidSign(0.7, 1), [0.0, 0.0], [1e200, 0.0], T=600).q
+        assert q2[0] == 1e200
+        np.testing.assert_array_equal(q2, q1)
+
     def test_subcritical_exponential_envelope(self):
         base = make_orthogonal_reservoir(5, 1, 0.5, seed=8)
         res = Reservoir(W=scale_to_spectrum(base.W, 0.5), w_in=base.w_in, tf=TANH)

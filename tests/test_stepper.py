@@ -1,12 +1,14 @@
 """The two bodies of the stepping kernel agree on a single neuron.
 
-A k = 1, n = 2 reservoir with w_in = [[a, 0]] driven by rows [u, 0] runs on
-the array body; the k = n = 1 reservoir [[a]] driven by u runs on the float
-body.  Both compute the same map, so their twin traces (free, and from an
-input perturbation as in figure45) and Lyapunov exponents (free-running,
-and pinned to a reference orbit as in figure3, where both n step outside
-the kernel on one array body) must match: exactly for transfers whose
-math-module and numpy forms agree bitwise, within rounding for tanh.  Where the map diverges (linear or sine sigmoid with |w| = 3),
+A k = 1, n = 2 reservoir with w_in = [[a, 0]] driven by rows [u, 0] steps
+its twin traces on the array body; the k = n = 1 reservoir [[a]] driven by
+u steps them on the float body.  Both compute the same map, so their twin
+traces (free, and from an input perturbation as in figure45) and Lyapunov
+exponents (free-running, where both n step the (1, 2) block on the array
+body, and pinned to a reference orbit as in figure3, where both n step
+outside the kernel on one array body) must match: exactly for transfers
+whose math-module and numpy forms agree bitwise, within rounding for
+tanh.  Where the map diverges (linear or sine sigmoid with |w| = 3),
 both free twin traces raise ValueError("twin states must stay finite"),
 both free-running Lyapunov estimates report the +inf sentinel, and both
 perturbed traces raise the same ValueError, unless their twins collide
