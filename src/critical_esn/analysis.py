@@ -49,7 +49,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import ZERO_FLOOR, ConvergenceTrace, InputSequence, _as_state, _check_inputs, _distance, _stepper
+from .dynamics import ZERO_FLOOR, ConvergenceTrace, InputSequence, _as_state, _check_inputs, _norms, _stepper
 from .dynamics import generate_input
 from .reservoir import Reservoir
 from .transfer import TransferFunction
@@ -95,9 +95,7 @@ def _prepare(res: Reservoir, x0, reference_orbit):
         orbit = _as_orbit(reference_orbit)
         if orbit.shape[1] != res.k:
             raise ValueError(f"reference orbit states must have {res.k} columns")
-    start = orbit[0].copy() if x0 is None and orbit is not None else _as_state(res, x0)
-    if not np.all(np.isfinite(start)):
-        raise ValueError("x0 must be finite")
+    start = orbit[0].copy() if x0 is None and orbit is not None else _as_state(res, x0, "x0")
     return start, orbit
 
 
@@ -153,24 +151,23 @@ def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
     y = x + eps0 * e0
     T_used = T // L * L
     dists = []
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
-        for t in range(L, T_used + 1, L):  # t: last step of the block
-            try:
-                if orbit is None:  # x and y step as the columns of one (k, 2) block
-                    x, y = advance(np.column_stack([x, y]), t - L + 1, t + 1).T
-                else:
-                    x = orbit[t % len(orbit)]
-                    y = advance(y, t - L + 1, t + 1)
-                d = _distance(y - x)
-            except ValueError:  # a non-finite state met the transfer function
-                d = math.inf
-            if not math.isfinite(d):
-                return LyapunovResult(math.inf, t, L, math.nan)
-            dists.append(d)
-            if d <= ZERO_FLOOR:
-                y = x + eps0 * e0
+    for t in range(L, T_used + 1, L):  # t: last step of the block
+        try:
+            if orbit is None:  # x and y step as the columns of one (k, 2) block
+                x, y = advance(np.column_stack([x, y]), t - L + 1, t + 1).T
             else:
-                y = x + (y - x) * (eps0 / d)
+                x = orbit[t % len(orbit)]
+                y = advance(y, t - L + 1, t + 1)
+            d = float(_norms(y, x)[0])
+        except ValueError:  # the run diverged
+            d = math.inf
+        if not math.isfinite(d):
+            return LyapunovResult(math.inf, t, L, math.nan)
+        dists.append(d)
+        if d <= ZERO_FLOOR:
+            y = x + eps0 * e0
+        else:
+            y = x + (y - x) * (eps0 / d)
     return _summary(_log_stretches(dists, eps0), T_used, L)
 
 

@@ -401,13 +401,13 @@ def cmd_simulate(cfg: dict) -> tuple[dict, str, int]:
     res = _reservoir_from_config(cfg["reservoir"])
     input_spec = _input_from_config(cfg["input"])
 
-    def state_from(v):
-        return dynamics._as_state(res, None if v == "zeros" else v)
+    def state_from(key):
+        return dynamics._as_state(res, None if cfg[key] == "zeros" else cfg[key], key)
 
-    x0 = state_from(cfg["x0"])
+    x0 = state_from("x0")
     files = {"states.csv": (dynamics.write_states_csv, dynamics.run(res, input_spec, x0, cfg["T"]))}
     if cfg["y0"] is not None:
-        trace = dynamics.convergence_trace(res, input_spec, x0, state_from(cfg["y0"]), cfg["T"])
+        trace = dynamics.convergence_trace(res, input_spec, x0, state_from("y0"), cfg["T"])
         files["trace.csv"] = (dynamics.write_trace_csv, trace)
     return files, "", 0
 

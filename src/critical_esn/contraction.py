@@ -161,14 +161,15 @@ def verify_cover_inequality(
     deltas = deltas[deltas > 0]
     zetas = _grid(*zeta_grid)
     theta_z = tf(zetas)
-    margins = np.empty(deltas.size)
+    worst = np.empty(deltas.size)
     worst_zeta = np.empty(deltas.size)
     for i, d in enumerate(deltas):
         ratio = (tf(d + zetas) - theta_z) / d
         w = ratio * ratio
         j = int(np.argmax(w))
-        margins[i] = phi(d * d, p) - w[j]
+        worst[i] = w[j]
         worst_zeta[i] = zetas[j]
+    margins = phi(deltas * deltas, p) - worst
     points = np.column_stack([deltas, worst_zeta])
     spec = f"delta in ({delta_grid[0]},{delta_grid[1]}] step {delta_grid[2]}, zeta in [{zeta_grid[0]},{zeta_grid[1]}] step {zeta_grid[2]}"
     return replace(_report(margins, points, spec), n_checked=deltas.size * zetas.size)

@@ -16,25 +16,29 @@ to exactly zero from that step on and the index is recorded.
 
 Every simulation steps through one kernel, ``_stepper``: it rejects
 non-finite inputs, then advances a state with a plain-float body (k = n = 1
-twin traces) or an array body (everything else, including
-``run_with_inputs`` and free-running Lyapunov runs at every k).  The one
-exception is a one-neuron Lyapunov run pinned to a reference orbit, which
-steps each distinct renormalization block once (see ``analysis``).  The
-float body precomputes the drive as a list of floats and runs the
-transfer's plain-float stepping loop over it (``transfer._FORMULAS``),
-which evaluates the sine sigmoid without a Python call per step.  The array body works in place: it
-computes a span's drive ``w_in u_t`` up front, bit for bit the per-step
-product, in the linear-state rows when it keeps them; each step adds
-``W x`` onto its drive row and makes one checked ``TransferFunction``
-call, writing into the output row.  Given a (k, B) block of B states, it
-steps them at once, one GEMM per step; the free-running Lyapunov pair
-uses this with B = 2.  Twin traces take a block's distances in one
-stacked matmul, bit for bit the per-row norm; where the squares overflow
-(a distance above about 1.3e154), ``math.hypot`` takes the norm.  A state
-that leaves the finite range makes trajectories raise ``ValueError("states
-must stay finite")`` and twin traces ``ValueError("twin states must stay
-finite")``, on either body; the Lyapunov estimate reports its +inf
-sentinel instead.
+twin traces under tanh or the sine sigmoid) or an array body (everything
+else, including ``run_with_inputs`` and free-running Lyapunov runs at every
+k).  The one exception is a one-neuron Lyapunov run pinned to a reference
+orbit, which steps each distinct renormalization block once (see
+``analysis``).  The float body precomputes the drive as a list of floats
+and runs the transfer's plain-float loop over it (``transfer._FLOAT_STEPS``),
+which holds the formula in its body, so no step pays a Python call.  The
+array body works in place: it computes a span's drive ``w_in u_t`` up front,
+bit for bit the per-step product, in the linear-state rows when it keeps
+them; each step adds ``W x`` onto its drive row and makes one checked
+``TransferFunction`` call, writing into the output row.  Given a (k, B)
+block of B states, it steps them at once, one GEMM per step; the
+free-running Lyapunov pair uses this with B = 2.
+
+The kernel owns the divergence rule: a state that leaves the finite range
+raises ``ValueError("states must stay finite")`` on either body, which
+trajectories pass on, twin traces report as ``"twin states must stay
+finite"`` and the Lyapunov estimate turns into its +inf sentinel.  A
+non-finite initial state is rejected by name (``x0 must be finite``) before
+any step.  Twin traces and Lyapunov runs take distances with one row-norm
+helper, ``_norms``: a block's distances in one stacked matmul, bit for bit
+the per-row norm, and ``math.hypot`` where the squares overflow (a distance
+above about 1.3e154).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .reservoir import Reservoir
-from .transfer import SINE_SIGMOID, TANH
+from .transfer import _FLOAT_STEPS, SINE_SIGMOID, TANH
 
 __all__ = [
     "Alternating",
@@ -157,12 +161,14 @@ class ConvergenceTrace:
     floor_hit_at: Optional[int] = None
 
 
-def _as_state(res: Reservoir, x) -> np.ndarray:
+def _as_state(res: Reservoir, x, name: str) -> np.ndarray:
     if x is None:
         return np.zeros(res.k)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (res.k,):
         raise ValueError(f"state must have shape ({res.k},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
     return x
 
 
@@ -188,33 +194,38 @@ def _check_inputs(inputs: np.ndarray) -> None:
 
 
 def _stepper(res: Reservoir, inputs: np.ndarray, floats: bool):
-    """Return advance(x, t0, t1, out=None), the package's stepping loop.
+    """Return advance(x, t0, t1, out=None, lin_out=None), the package's stepping loop.
 
     advance applies x_t = theta(W x_{t-1} + w_in u_t), u_t = inputs[t], for
     t0 <= t < t1 and returns the last state; with out it stores x_t in
-    out[t - t0], and it writes nothing else.  floats=True (k = n = 1 only)
-    picks a plain-float body: the transfer's float stepping loop over the
-    drive w_in u_t, precomputed as a list of floats.  The array body
-    takes a further lin_out for the linear states.  It computes the span's
-    drive w_in u_t in one stacked matmul, into lin_out when given, adds
+    out[t - t0], with lin_out the linear states, and it writes nothing
+    else.  It owns the divergence rule: a state that leaves the finite
+    range raises ValueError("states must stay finite").  The bodies raise
+    on a non-finite linear state, so an earlier state cannot leave the
+    range without raising, and advance checks the last one.
+
+    floats=True (k = n = 1 twin traces, which always pass out) picks the
+    transfer's plain-float loop (``transfer._FLOAT_STEPS``) over the drive
+    w_in u_t, precomputed as a list of floats, for the kinds that have one.
+    Every other run steps the array body.  It computes the span's drive
+    w_in u_t in one stacked matmul, into lin_out when given, adds
     W x_{t-1} onto each drive row in place (d + Wx is Wx + d bit for bit)
     and writes theta of that row into out[t - t0] through one checked
-    TransferFunction.__call__ per step, so a non-finite linear state
-    raises ValueError.  Given a (k, B) block x, it steps B states driven
-    alike, one GEMM per step.
+    TransferFunction.__call__ per step.  Given a (k, B) block x, it steps
+    B states driven alike, one GEMM per step.
     """
     _check_inputs(inputs)
     W, w_in, tf = res.W, res.w_in, res.tf
-    if floats:
-        steps, w = tf._float_steps(), float(W[0, 0])
-        drive = (inputs[:, 0] * float(w_in[0, 0])).tolist()
+    steps = _FLOAT_STEPS.get(tf.kind) if floats else None
+    if steps is not None:
+        w, drive = float(W[0, 0]), (inputs[:, 0] * float(w_in[0, 0])).tolist()
 
-        def advance(x, t0, t1, out=None):
-            return steps(x, w, drive[t0:t1], out)
+        def body(x, t0, t1, out, lin_out):
+            return np.array([steps(float(x[0]), w, drive[t0:t1], out)])
 
     else:
 
-        def advance(x, t0, t1, out=None, lin_out=None):
+        def body(x, t0, t1, out, lin_out):
             # the drive w_in u_t for the whole span: one stacked matmul, bit for
             # bit the per-step product, written into lin_out when given
             drive_out = None if lin_out is None else lin_out[: t1 - t0, :, None]
@@ -225,20 +236,33 @@ def _stepper(res: Reservoir, inputs: np.ndarray, floats: bool):
                 x = tf(row, out=None if out is None else out[i])
             return x
 
+    def advance(x, t0, t1, out=None, lin_out=None):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                x = body(x, t0, t1, out, lin_out)
+                finite = np.all(np.isfinite(x))
+            except ValueError:  # a non-finite linear state met the transfer function
+                finite = False
+        if not finite:
+            raise ValueError("states must stay finite")
+        return x
+
     return advance
 
 
-def _distance(v: np.ndarray) -> float:
-    """Euclidean norm; abs for one coordinate, where squaring could underflow.
+def _norms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of X - Y, bit for bit np.linalg.norm of the row.
 
-    Where the squares overflow (a norm above about 1.3e154), math.hypot
-    takes the norm without squaring; every finite norm keeps its bits.
+    One coordinate takes abs, where squaring could underflow; more take
+    sqrt(D.D) in one stacked matmul.  Where the squares overflow (a norm
+    above about 1.3e154), math.hypot takes the norm without squaring.
     """
-    if v.size == 1:
-        return abs(float(v[0]))
     with np.errstate(over="ignore"):
-        d = float(np.linalg.norm(v))
-    return math.hypot(*v.tolist()) if math.isinf(d) else d
+        D = np.atleast_2d(X - Y)
+        q = np.abs(D[:, 0]) if D.shape[1] == 1 else np.sqrt(np.matmul(D[:, None], D[:, :, None])[:, 0, 0])
+    for i in np.flatnonzero(np.isinf(q)).tolist():
+        q[i] = math.hypot(*D[i].tolist())
+    return q
 
 
 def run_with_inputs(res: Reservoir, inputs: np.ndarray, x0=None) -> Trajectory:
@@ -246,17 +270,10 @@ def run_with_inputs(res: Reservoir, inputs: np.ndarray, x0=None) -> Trajectory:
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.shape[1] != res.n:
         raise ValueError(f"inputs must have {res.n} columns")
-    x0 = _as_state(res, x0)
-    advance = _stepper(res, inputs, floats=False)
+    x0 = _as_state(res, x0, "x0")
     T = inputs.shape[0]
     states, linear = np.empty((T, res.k)), np.empty((T, res.k))
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
-        try:  # check the last state; an earlier non-finite one raises in tf
-            finite = np.all(np.isfinite(advance(x0, 0, T, states, linear)))
-        except ValueError:  # a non-finite state met the transfer function
-            finite = False
-    if not finite:
-        raise ValueError("states must stay finite")
+    _stepper(res, inputs, floats=False)(x0, 0, T, states, linear)
     return Trajectory(states=states, linear_states=linear, x0=x0)
 
 
@@ -280,8 +297,8 @@ def _twin_trace(res, u_x, u_y, x0, y0, shared_from) -> ConvergenceTrace:
     advance_x, advance_y = (_stepper(res, u, floats) for u in (u_x, u_y))
     T = u_x.shape[0]
     q = np.zeros(T)
-    q[0] = _distance(x0 - y0)
-    x, y = (float(x0[0]), float(y0[0])) if floats else (x0, y0)
+    q[0] = _norms(x0, y0)[0]
+    x, y = x0, y0
     X, Y = np.empty((_BLOCK, res.k)), np.empty((_BLOCK, res.k))
     t0, t1 = 0, 1
     while True:
@@ -295,20 +312,12 @@ def _twin_trace(res, u_x, u_y, x0, y0, shared_from) -> ConvergenceTrace:
         if t1 == T:
             break
         t0, t1 = t1, min(t1 + _BLOCK, T)
-        n = t1 - t0
-        with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
-            try:
-                x = advance_x(x, t0, t1, X)
-                y = advance_y(y, t0, t1, Y)
-                finite = np.all(np.isfinite(X[:n])) and np.all(np.isfinite(Y[:n]))
-            except ValueError:  # a non-finite state met the transfer function
-                finite = False
-            if not finite:
-                raise ValueError("twin states must stay finite")
-            D = X[:n] - Y[:n]  # row norms in one stacked matmul, bit for bit _distance of each row
-            q[t0:t1] = np.abs(D[:, 0]) if res.k == 1 else np.sqrt(np.matmul(D[:, None], D[:, :, None])[:, 0, 0])
-        for i in np.flatnonzero(np.isinf(q[t0:t1])).tolist():  # the squares overflowed
-            q[t0 + i] = math.hypot(*D[i].tolist())
+        try:
+            x = advance_x(x, t0, t1, X)
+            y = advance_y(y, t0, t1, Y)
+        except ValueError:
+            raise ValueError("twin states must stay finite") from None
+        q[t0:t1] = _norms(X[: t1 - t0], Y[: t1 - t0])
     positive = np.flatnonzero(q > 0.0)
     zeros = np.flatnonzero(q[positive[0] :] == 0.0) if positive.size else positive
     floor_at = int(positive[0] + zeros[0]) if zeros.size else None
@@ -319,8 +328,8 @@ def convergence_trace(res: Reservoir, input_spec: InputSequence, x0, y0, T: int)
     """Distances between twin trajectories driven by one input realization."""
     if T < 1:
         raise ValueError("need T >= 1")
-    x0 = _as_state(res, x0)
-    y0 = _as_state(res, y0)
+    x0 = _as_state(res, x0, "x0")
+    y0 = _as_state(res, y0, "y0")
     u = generate_input(input_spec, T, res.n)
     return _twin_trace(res, u, u, x0, y0, 0)
 
@@ -342,7 +351,7 @@ def perturbation_experiment(
     """
     if not (0 <= perturb_at < T):
         raise ValueError("need 0 <= perturb_at < T")
-    x0 = _as_state(res, x0)
+    x0 = _as_state(res, x0, "x0")
     u = generate_input(base_input, T, res.n)
     delta = np.atleast_1d(np.asarray(delta_u, dtype=float))
     if delta.shape != (res.n,):

@@ -20,26 +20,26 @@ Four kinds are provided:
                       counterexample that never contracts.
 
 Each fixed kind's formulas live in one row of the table ``_FORMULAS``:
-theta on arrays, theta' on arrays, and theta's plain-float stepping loop,
-which the k = n = 1 body of ``dynamics._stepper`` runs.  The sine-sigmoid
-and tanh loops hold their formula in their body, so no step pays a call
-to a Python function; the others call theta each step: the identity, and
-for the tailored kind the checked ``__call__``.  As in the array body, a
-non-finite linear state raises ``ValueError`` in every bounded kind's
-loop: the tanh loop checks it (``math.tanh(inf)`` is 1.0), ``math.sin``
-raises on it, and the tailored ``__call__`` checks it.  ``__call__`` and
-``derivative`` check their input is finite and read their column;
-``__call__(x, out=)`` is that check followed by ``_theta(arr, out=None)``,
-the unchecked evaluation, which writes theta(x), bit for bit, into
-``out`` and returns it.  The pinned one-neuron Lyapunov body of
-``analysis`` calls ``_theta`` directly under ``np.errstate``, because a
-candidate companion that it does not choose may go non-finite.  The
-finite check counts the entries that ``np.isfinite`` passes against the
-size: exact, free of BLAS, and it warns about nothing whatever the
-entries.  A tailored piece is tanh shifted to its anchor, so
-its derivative is the tanh row's at the shifted point, and its unit-slope
-points come in closed form: every anchor, plus 0 when no anchor lies
-within ``_ANCHOR_RADIUS`` of it (the plain-tanh piece then owns 0).
+theta on arrays and theta' on arrays.  The tanh and the sine sigmoid also
+have a plain-float stepping loop (``_FLOAT_STEPS``), which the k = n = 1
+twin traces of ``dynamics._stepper`` run: each holds its formula in its
+body, so no step pays a call to a Python function.  As in the array body,
+a non-finite linear state raises ``ValueError`` in both loops: the tanh
+loop checks it (``math.tanh(inf)`` is 1.0) and ``math.sin`` raises on it.
+The linear and tailored kinds have no loop and step the array body.
+``__call__`` and ``derivative`` check their input is finite and read
+their column; ``__call__(x, out=)`` is that check followed by
+``_theta(arr, out=None)``, the unchecked evaluation, which writes
+theta(x), bit for bit, into ``out`` and returns it.  The pinned
+one-neuron Lyapunov body of ``analysis`` calls ``_theta`` directly under
+``np.errstate``, because a candidate companion that it does not choose
+may go non-finite.  The finite check counts the entries that
+``np.isfinite`` passes against the size: exact, free of BLAS, and it
+warns about nothing whatever the entries.  A tailored piece is tanh
+shifted to its anchor, so its derivative is the tanh row's at the shifted
+point, and its unit-slope points come in closed form: every anchor, plus
+0 when no anchor lies within ``_ANCHOR_RADIUS`` of it (the plain-tanh
+piece then owns 0).
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -61,66 +61,39 @@ __all__ = [
 ]
 
 
-def _steps_calling(theta):
-    """The plain-float stepping loop x_t = theta(w x_{t-1} + d_t) around a callable theta."""
-
-    def steps(x, w, drive, out=None):
-        if out is None:
-            for d in drive:
-                x = theta(w * x + d)
-        else:
-            for i, d in enumerate(drive):
-                x = out[i] = theta(w * x + d)
-        return x
-
-    return steps
-
-
-def _tanh_steps(x, w, drive, out=None):
+def _tanh_steps(x, w, drive, out):
     # math.tanh(inf) is 1.0, so the linear state is checked as the array body checks it
     tanh, isfinite = math.tanh, math.isfinite
-    if out is None:
-        for d in drive:
-            z = w * x + d
-            if not isfinite(z):
-                raise ValueError("transfer function input must be finite")
-            x = tanh(z)
-    else:
-        for i, d in enumerate(drive):
-            z = w * x + d
-            if not isfinite(z):
-                raise ValueError("transfer function input must be finite")
-            x = out[i] = tanh(z)
+    for i, d in enumerate(drive):
+        z = w * x + d
+        if not isfinite(z):
+            raise ValueError("transfer function input must be finite")
+        x = out[i] = tanh(z)
     return x
 
 
-def _sine_sigmoid_steps(x, w, drive, out=None):
+def _sine_sigmoid_steps(x, w, drive, out):
     sin = math.sin
-    if out is None:
-        for d in drive:
-            z = w * x + d
-            x = 0.5 * z - 0.25 * sin(2.0 * z)
-    else:
-        for i, d in enumerate(drive):
-            z = w * x + d
-            x = out[i] = 0.5 * z - 0.25 * sin(2.0 * z)
+    for i, d in enumerate(drive):
+        z = w * x + d
+        x = out[i] = 0.5 * z - 0.25 * sin(2.0 * z)
     return x
 
 
-# Each fixed kind's formulas: (theta on arrays, theta' on arrays, theta's
-# plain-float stepping loop).  theta on arrays takes out= like a ufunc.  The
-# loop is steps(x, w, drive, out=None): x_t = theta(w x_{t-1} + d_t) for each
-# float d_t in drive, x_t stored in out[t] when out is given, the last x_t
-# returned.
+# Each fixed kind's formulas: (theta on arrays, theta' on arrays).  theta on
+# arrays takes out= like a ufunc.
 _FORMULAS = {
-    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, _tanh_steps),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
     "sine_sigmoid": (
         lambda x, out=None: np.subtract(0.5 * x, 0.25 * np.sin(2.0 * x), out=out),
         lambda x: 0.5 - 0.5 * np.cos(2.0 * x),
-        _sine_sigmoid_steps,
     ),
-    "linear": (np.positive, np.ones_like, _steps_calling(lambda x: x)),
+    "linear": (np.positive, np.ones_like),
 }
+# The plain-float stepping loops, by kind: steps(x, w, drive, out) sets
+# x_t = theta(w x_{t-1} + d_t) for each float d_t in drive, stores x_t in
+# out[t] and returns the last x_t.
+_FLOAT_STEPS = {"tanh": _tanh_steps, "sine_sigmoid": _sine_sigmoid_steps}
 _KINDS = (*_FORMULAS, "tailored")
 
 # Tailored pieces: an anchor owns the points within this distance of it.
@@ -211,16 +184,6 @@ class TransferFunction:
         else:
             out = _FORMULAS[self.kind][1](arr)
         return float(out) if scalar else out
-
-    def _float_steps(self):
-        """theta's plain-float stepping loop steps(x, w, drive, out=None); see _FORMULAS.
-
-        The tailored kind steps through the checked ``__call__``, so the
-        anchor ownership rule lives in ``_piece`` alone.
-        """
-        if self.kind == "tailored":
-            return _steps_calling(self)
-        return _FORMULAS[self.kind][2]
 
     # -- epi-critical points ------------------------------------------------
     def epi_critical_points(self, lo: float, hi: float) -> list[float]:

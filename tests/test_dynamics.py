@@ -345,6 +345,23 @@ def test_non_finite_input_row_rejected(tmp_path, k, call):
         calls[call]()
 
 
+class TestNonFiniteStart:
+    @pytest.mark.parametrize("T", [1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejected_by_name(self, T, bad):
+        # at T = 1 no step meets the state; at T > 1 no step is to blame
+        res = Reservoir(W=[[0.5]], w_in=[[1.0]], tf=TANH)
+        spec = IidSign(1.0, 0)
+        with pytest.raises(ValueError, match="^x0 must be finite$"):
+            convergence_trace(res, spec, [bad], [0.0], T)
+        with pytest.raises(ValueError, match="^y0 must be finite$"):
+            convergence_trace(res, spec, [0.0], [bad], T)
+        with pytest.raises(ValueError, match="^x0 must be finite$"):
+            perturbation_experiment(res, spec, 0, 0.1, T, x0=[bad])
+        with pytest.raises(ValueError, match="^x0 must be finite$"):
+            run(res, spec, [bad], T)
+
+
 class TestNamedFamilies:
     def test_alternating_neuron_weights(self):
         res = make_alternating_neuron(0.7)

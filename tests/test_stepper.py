@@ -2,18 +2,20 @@
 
 A k = 1, n = 2 reservoir with w_in = [[a, 0]] driven by rows [u, 0] steps
 its twin traces on the array body; the k = n = 1 reservoir [[a]] driven by
-u steps them on the float body.  Both compute the same map, so their twin
-traces (free, and from an input perturbation as in figure45) and Lyapunov
-exponents (free-running, where both n step the (1, 2) block on the array
-body, and pinned to a reference orbit as in figure3, where both n step
-outside the kernel on one array body) must match: exactly for transfers
-whose math-module and numpy forms agree bitwise, within rounding for
-tanh.  Where the map diverges (linear or sine sigmoid with |w| = 3),
-both free twin traces raise ValueError("twin states must stay finite"),
-both free-running Lyapunov estimates report the +inf sentinel, and both
+u steps them on the float body for tanh and the sine sigmoid, and on the
+array body for the linear and tailored kinds, which have no float loop.
+Both compute the same map, so their twin traces (free, and from an input
+perturbation as in figure45) and Lyapunov exponents (free-running, where
+both n step the (1, 2) block on the array body, and pinned to a reference
+orbit as in figure3, where both n step outside the kernel on one array
+body) must match: exactly where both run the array body or the
+math-module and numpy forms agree bitwise, within rounding for tanh.
+Where the map diverges (linear or sine sigmoid with |w| = 3), both free
+twin traces raise ValueError("twin states must stay finite"), both
+free-running Lyapunov estimates report the +inf sentinel, and both
 perturbed traces raise the same ValueError, unless their twins collide
 before the state overflows (sine sigmoid from x0 = 1), when both stop at
-the same collision.
+the same collision.  The bounded kinds (tanh, tailored) stay finite there.
 """
 
 import math
@@ -24,9 +26,10 @@ import pytest
 from critical_esn.analysis import lyapunov_exponent
 from critical_esn.dynamics import FileInput, convergence_trace, perturbation_experiment
 from critical_esn.reservoir import Reservoir
-from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH
+from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH, tailored
 
-TRANSFERS = {"sine_sigmoid": SINE_SIGMOID, "linear": LINEAR, "tanh": TANH}
+TRANSFERS = {"sine_sigmoid": SINE_SIGMOID, "linear": LINEAR, "tanh": TANH, "tailored": tailored([-2.0, 1.5])}
+UNBOUNDED = ("linear", "sine_sigmoid")
 DIVERGED = "twin states must stay finite"
 
 
@@ -43,9 +46,9 @@ def _cases(per_kind=8, seed=1411):
     # Twins that decay to zero through distances below 1.5e-154, whose squares underflow.
     cases.append(("linear", 0.1, 0.0, 400, 0.5, -0.5, 0))
     cases.append(("sine_sigmoid", 0.2, 0.0, 200, 0.5, -0.5, 0))
-    # Corners outside the box: tanh stays bounded, linear grows like 3^t and
-    # sine sigmoid like 1.5^t until the state overflows.
-    for kind, T in (("tanh", 500), ("linear", 1000), ("sine_sigmoid", 2000)):
+    # Corners outside the box: tanh and tailored stay bounded, linear grows
+    # like 3^t and sine sigmoid like 1.5^t until the state overflows.
+    for kind, T in (("tanh", 500), ("tailored", 500), ("linear", 1000), ("sine_sigmoid", 2000)):
         cases.append((kind, 3.0, 2.0, T, 1.0, -1.0, 0))
         cases.append((kind, -3.0, -2.0, T, -1.0, 0.0, 1))
     return cases
@@ -73,7 +76,7 @@ def test_float_and_array_bodies_agree(tmp_path, kind, w, a, T, x0, y0, seed):
     pin_f, pin_a = (
         lyapunov_exponent(res, spec, T=T, reference_orbit=[[x0], [y0]]).exponent for res, spec, _ in (floats, arrays)
     )
-    if kind != "tanh" and abs(w) > 1.0:
+    if kind in UNBOUNDED and abs(w) > 1.0:
         for res, spec, _ in (floats, arrays):
             with pytest.raises(ValueError, match=DIVERGED):
                 convergence_trace(res, spec, [x0], [y0], T)

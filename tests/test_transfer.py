@@ -12,6 +12,7 @@ from critical_esn.transfer import (
     LINEAR,
     SINE_SIGMOID,
     TANH,
+    _FLOAT_STEPS,
     TransferFunction,
     continuity_defect,
     tailored,
@@ -235,21 +236,24 @@ class TestTailored:
         assert continuity_defect(TANH, -5.0, 5.0) <= 1e-6
         assert continuity_defect(tailored([3.0]), -5.0, 5.0) > 0.5
 
-    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR, tailored([-2.5, 3.0])], ids=lambda tf: tf.kind)
-    def test_scalar_and_array_paths_agree(self, tf):
-        # the float body of a k = n = 1 stepper with w = 0 and unit input
-        # weight steps x_t = theta(u_t); run it with out= over the whole
-        # grid, and without out= one step at a time
+    @pytest.mark.parametrize("kind", sorted(_FLOAT_STEPS))
+    def test_scalar_and_array_paths_agree(self, kind):
+        # the float loop of a k = n = 1 stepper with w = 0 and unit input
+        # weight steps x_t = theta(u_t); run it over the whole grid at once
+        # and in spans of 7 steps, each storing its states in out
+        tf = TransferFunction(kind)
         xs = np.linspace(-6, 6, 301)
         advance = _stepper(Reservoir(W=[[0.0]], w_in=[[1.0]], tf=tf), xs[:, None], floats=True)
-        stored = np.full(xs.size, np.nan)
-        assert advance(0.5, 0, xs.size, out=stored) == stored[-1]
-        returned = np.array([advance(0.5, t, t + 1) for t in range(xs.size)])
-        for floats in (stored, returned):
-            if tf is TANH:  # math.tanh and np.tanh differ in the last bit
-                np.testing.assert_array_max_ulp(floats, tf(xs), maxulp=1)
-            else:
-                assert floats.tobytes() == tf(xs).tobytes()
+        whole, spans = np.full((xs.size, 1), np.nan), np.full((xs.size, 1), np.nan)
+        assert advance(np.array([0.5]), 0, xs.size, whole) == whole[-1]
+        x = np.array([0.5])
+        for t0 in range(0, xs.size, 7):
+            x = advance(x, t0, min(t0 + 7, xs.size), spans[t0:])
+        assert spans.tobytes() == whole.tobytes()
+        if kind == "tanh":  # math.tanh and np.tanh differ in the last bit
+            np.testing.assert_array_max_ulp(whole[:, 0], tf(xs), maxulp=1)
+        else:
+            assert whole[:, 0].tobytes() == tf(xs).tobytes()
 
     def test_origin_at_radius_boundary(self):
         # an anchor exactly _ANCHOR_RADIUS from 0 owns it; one just beyond does not
