@@ -15,18 +15,22 @@ Three tool families live here:
   over steps: its blocks depend on each other only through the sign of
   the companion's restart, so both candidate companions of a block step
   as one row of an (m, 2) array.  A block's candidates are fixed by its
-  start reference, its drive and its end reference; when these repeat
-  with a period p from block 1 on, as on figure 3's period-2 orbit under
-  alternating drive, only blocks 0..p step (m = p + 1), otherwise every
-  block does (m = T/L).  The chain of restart signs is a prefix scan over
-  maps of {+1, -1}, taken in closed form, and each distinct chosen
-  distance is logged once.  So the run costs L array steps on m rows plus
-  O(T/L) vectorised bookkeeping, where the per-block loop costs one
-  checked array step per time step.  Against that loop, on a 2-core
-  x86-64 host, it was faster at every run length measured (T/L from 10,
-  the shortest allowed, to 1000; L in {1, 10, 100}; i.i.d. and
-  alternating drive) but one: L = 1, T/L = 10 under alternating drive,
-  0.29 vs 0.25 ms.
+  start reference, its L input rows and its end reference; when these
+  repeat with a period p from block 1 on, as on figure 3's period-2 orbit
+  under alternating drive, only blocks 0..p step (m = p + 1), otherwise
+  every block does (m = T/L).  The chain of restart signs is a prefix scan
+  over maps of {+1, -1}, taken in closed form; the chosen candidates
+  repeat with period 2p from block 1 + p on, so it is walked over the
+  first 1 + 3p blocks and tiled.  Each distinct chosen distance is logged
+  once.  So a periodic run costs one compare of the inputs against
+  themselves p blocks later, L array steps on p + 1 rows and an O(T/L)
+  gather of the per-block stretches for their mean; otherwise the run
+  costs L array steps on T/L rows plus O(T/L) vectorised bookkeeping.
+  The per-block loop costs one checked array step per time step.  Against
+  that loop, on a 2-core x86-64 host, stepping every block at once was
+  faster at every run length measured (T/L from 10, the shortest allowed,
+  to 1000; L in {1, 10, 100}; i.i.d. and alternating drive) but one:
+  L = 1, T/L = 10 under alternating drive, 0.29 vs 0.25 ms.
 
 * Decay-law classification of a convergence trace: straight-line fits of
   log q against t (exponential) and against log t (power law), decided by
@@ -84,6 +88,8 @@ class SweepPoint:
 
 def _as_orbit(reference_orbit) -> np.ndarray:
     orbit = np.atleast_2d(np.asarray(reference_orbit, dtype=float))
+    if len(orbit) == 0:
+        raise ValueError("reference orbit must have at least one state")
     if not np.all(np.isfinite(orbit)):
         raise ValueError("reference orbit must be finite")
     return orbit
@@ -135,7 +141,8 @@ def lyapunov_exponent(
     x + (y - x) eps0/|y - x|.  The two differ by at most one ulp of eps0,
     which rounds away whenever |x| >> eps0, so on figure 3's orbit
     (|x| = pi/4) the result is bit-identical to the per-block loop's.  A
-    non-finite x0, reference_orbit or input raises ValueError.
+    non-finite x0, reference_orbit or input, or an empty reference_orbit,
+    raises ValueError.
     """
     _check_run_length(T, renorm_interval, eps0)
     start, orbit = _prepare(res, x0, reference_orbit)
@@ -178,8 +185,9 @@ def _benettin_pinned_neuron(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
     companion starts at x + s eps0: s = +1 at the start and after a floor
     hit, otherwise the sign of y - x at the end of the previous block.  So
     a block's two candidate outcomes depend only on its key (see
-    _block_rows).  Column 0 of the stepped (m, 2) array is s = +1, column 1
-    s = -1; _sign_chain picks the column each block ran, and each distinct
+    _key_period), and with key period p only blocks 0..p step, as the rows
+    of a (p + 1, 2) array: column 0 is s = +1, column 1 s = -1.
+    _chosen_cells picks the candidate each block ran, and each distinct
     chosen distance is logged once.  A candidate whose linear state left
     the finite range at any step counts as non-finite; the transfer runs
     unchecked because a candidate not chosen may diverge.
@@ -187,53 +195,78 @@ def _benettin_pinned_neuron(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
     _check_inputs(u)
     blocks = T // L
     T_used = blocks * L
-    drive = np.matmul(res.w_in, u[1 : T_used + 1, :, None]).reshape(blocks, L)
     ref = orbit[np.arange(0, T_used + 1, L) % len(orbit), 0]  # the reference at every block boundary
     ref[0] = start[0]  # block 0 starts from x0 when one is given
-    row, m = _block_rows(ref, drive)
-    Y = ref[:m, None] + np.array([eps0, -eps0])
+    p = _key_period(u[1 : T_used + 1].reshape(blocks, -1), ref)
+    drive = np.matmul(res.w_in, u[1 : (p + 1) * L + 1, :, None]).reshape(p + 1, L)
+    Y = ref[: p + 1, None] + np.array([eps0, -eps0])
     w, finite = float(res.W[0, 0]), np.ones(Y.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
         for i in range(L):
             Y *= w
-            Y += drive[:m, i, None]
+            Y += drive[:, i, None]
             finite &= np.isfinite(Y)
             res.tf._theta(Y, out=Y)
-        diff = Y - ref[1 : m + 1, None]
+        diff = Y - ref[1 : p + 2, None]
     D = np.abs(diff)
     # each candidate's successor column: 0 (s = +1) after a floor hit or
     # y > x, 1 (s = -1) after y < x, 2 when it left the finite range
     succ = ((diff < 0.0) & (D > ZERO_FLOOR)).astype(np.uint8)
     succ[~(finite & np.isfinite(D))] = 2
-    cell = 2 * row + _sign_chain(succ[row])  # the candidate each block ran, as an index into D.ravel()
+    cell = _chosen_cells(succ, blocks)
     diverged = np.flatnonzero(succ.ravel()[cell] == 2)
     if diverged.size:
         return LyapunovResult(math.inf, (int(diverged[0]) + 1) * L, L, math.nan)
-    ran = np.zeros(2 * m, dtype=bool)
+    ran = np.zeros(2 * p + 2, dtype=bool)
     ran[cell] = True
-    stretches = np.zeros(2 * m)
+    stretches = np.zeros(2 * p + 2)
     stretches[ran] = _log_stretches(D.ravel()[ran], eps0)
     return _summary(stretches[cell], T_used, L)
 
 
-def _block_rows(ref: np.ndarray, drive: np.ndarray) -> tuple[np.ndarray, int]:
-    """Which of the first m blocks each block repeats, and m.
+def _key_period(inputs: np.ndarray, ref: np.ndarray) -> int:
+    """The period p of the block keys from block 1 on, or blocks - 1 if they have none.
 
-    Block j's key is its start reference ref[j], its drive row and its end
-    reference ref[j + 1], compared by their bits so that +0.0 and -0.0 never
-    merge.  Block 0 is its own row, as it may start from x0.  When the keys
-    from block 1 on repeat with period p, m = p + 1 and block j >= 1 is row
-    1 + (j - 1) mod p; otherwise every block is its own row.
+    Block j's key is its inputs[j] (the L input rows that drive it), its
+    start reference ref[j] and its end reference ref[j + 1], compared by
+    their bits so that +0.0 and -0.0 never merge.  Equal inputs give equal
+    drives, so blocks with equal keys have equal candidates.  Block 0 is
+    never compared, as it may start from x0.  p + 1 is the first block
+    j >= 2 whose key is block 1's, searched in windows that grow fourfold,
+    and the period holds when the inputs and references from block 1 + p
+    on equal those p blocks earlier.
     """
-    blocks = drive.shape[0]
-    r, d = ref.view(np.uint64), drive.view(np.uint64)
-    repeats = (d[2:] == d[1]).all(axis=1) & (r[2:-1] == r[1]) & (r[3:] == r[2])  # block 1's key again
-    p = int(repeats.argmax()) + 1 if repeats.any() else 0
-    if p and np.array_equal(d[1 + p :], d[1:-p]) and np.array_equal(r[1 + p :], r[1:-p]):
-        row = np.arange(-1, blocks - 1) % p + 1
-        row[0] = 0
-        return row, p + 1
-    return np.arange(blocks), blocks
+    blocks = len(inputs)
+    U, r = inputs.view(np.uint64), ref.view(np.uint64)
+    lo = 2
+    while lo < blocks:
+        hi = min(blocks, 4 * lo)
+        hits = (U[lo:hi] == U[1]).all(axis=1) & (r[lo:hi] == r[1]) & (r[lo + 1 : hi + 1] == r[2])
+        if hits.any():
+            p = lo + int(hits.argmax()) - 1
+            if np.array_equal(U[1 + p :], U[1:-p]) and np.array_equal(r[1 + p :], r[1:-p]):
+                return p
+            break
+        lo = hi
+    return blocks - 1
+
+
+def _chosen_cells(succ: np.ndarray, blocks: int) -> np.ndarray:
+    """The candidate each block ran, as an index 2 row + column into succ.ravel().
+
+    succ holds the successor columns of the p + 1 distinct rows: block 0
+    is row 0 and block j >= 1 row 1 + (j - 1) mod p.  Each p-block stretch
+    from block 1 on maps its start column alike, by a reset, a keep or a
+    swap, so from block 1 + p on the cells repeat with period 2p.
+    _sign_chain walks the first 1 + 3p blocks, which hold the first
+    divergence if there is one, and the rest repeat their last 2p cells.
+    """
+    p = len(succ) - 1
+    row = np.arange(-1, min(blocks, 1 + 3 * p) - 1) % p + 1
+    row[0] = 0
+    cell = 2 * row + _sign_chain(succ[row])
+    tail = np.tile(cell[1 + p :], -(-(blocks - 1 - p) // (2 * p)))
+    return np.concatenate([cell[: 1 + p], tail[: blocks - 1 - p]])
 
 
 def _sign_chain(succ: np.ndarray) -> np.ndarray:
@@ -288,9 +321,9 @@ def lyapunov_sweep(
     """Two-trajectory exponent per grid point, same input realization everywhere.
 
     reference_orbit, as in lyapunov_exponent, pins every cell's reference
-    to the same known periodic states.  A bad T, renorm_interval or eps0
-    raises before any cell runs; a failed cell is flagged on its SweepPoint
-    instead.  Results come in grid order.
+    to the same known periodic states.  A bad T, renorm_interval, eps0 or
+    reference_orbit raises before any cell runs; a failed cell is flagged
+    on its SweepPoint instead.  Results come in grid order.
     """
     grid = list(grid)
     if not grid:

@@ -19,6 +19,7 @@ __all__ = [
 ]
 
 _DELAY_BLOCK = 8  # delays per readout solve; 16 adds ~4 MiB to peak memory at k = 8
+_RUN_ROWS = 1024  # steps per run_with_inputs call, so the whole run's states never coexist
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,10 @@ def memory_capacity(
     Drives the reservoir with i.i.d. uniform input on [-amplitude, amplitude]
     (seeded), trains one readout per delay d = 1..max_delay to reconstruct
     u_{t-d}, and scores each on the chronologically later half of the run.
-    The total is bounded by the number of neurons.
+    The total is bounded by the number of neurons.  The run steps
+    ``_RUN_ROWS`` inputs per run_with_inputs call and keeps only the states
+    the readouts fit, those from max(washout, max_delay) on; they are bit
+    for bit the states of one call over all T inputs.
 
     Each delay is still its own least-squares problem, but the delays are
     fitted ``_DELAY_BLOCK`` at a time: one multi-target ``fit_readout`` and
@@ -138,7 +142,13 @@ def memory_capacity(
         )
     rng = np.random.default_rng(seed)
     u = rng.uniform(-input_amplitude, input_amplitude, size=(T, res.n))
-    X = run_with_inputs(res, u, x0=None).states[t_start:]
+    X, x = np.empty((n_rows, res.k)), None  # only the rows the readouts fit
+    for t0 in range(0, T, _RUN_ROWS):
+        states = run_with_inputs(res, u[t0 : t0 + _RUN_ROWS], x0=x).states
+        x, t1 = states[-1], t0 + len(states)
+        if t1 > t_start:
+            lo = max(t0, t_start)
+            X[lo - t_start : t1 - t_start] = states[lo - t0 :]
     split = n_rows // 2
     X_train, X_test = X[:split], X[split:]
     G = _normal_matrix(X_train, ridge)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from critical_esn import analysis
 from critical_esn.analysis import (
+    _chosen_cells,
     _sign_chain,
     find_critical_b,
     fit_decay,
@@ -180,6 +182,12 @@ class TestLyapunovExponent:
             lyapunov_exponent(
                 make_alternating_neuron(1.0), Alternating(A), T=1000, renorm_interval=L, reference_orbit=[[0.5], [math.nan]]
             )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x0", [None, [0.3]])
+    def test_empty_reference_orbit_raises(self, x0):
+        with pytest.raises(ValueError, match="reference orbit must have at least one state"):
+            lyapunov_exponent(make_alternating_neuron(1.0), Alternating(A), T=1000, x0=x0, reference_orbit=np.empty((0, 1)))
 
 
 PINNED_TRANSFERS = {  # couplings that keep each kind's run finite
@@ -387,6 +395,67 @@ class TestCollapsedPinnedBody:
         r = self._check(make_alternating_neuron(b), Alternating(A), 20_000, 10, alternating_orbit(A))
         assert math.isfinite(r.exponent)
 
+    @pytest.mark.parametrize("spec", [Alternating(A), IidSign(A, 3)], ids=["alternating", "iid_sign"])
+    def test_zero_input_weight_matches_the_uncollapsed_body_bitwise(self, spec):
+        # b = 2 gives w_in = 0: every drive is 0 while the i.i.d. inputs differ
+        r = self._check(make_alternating_neuron(2.0), spec, 5000, 10, alternating_orbit(A))
+        assert math.isfinite(r.exponent)
+
+    @pytest.mark.parametrize("L", [1, 10, 37])
+    def test_zero_amplitude_collides_every_block_bitwise(self, L):
+        # with W = 0 and input +-0.0 the companion lands on the orbit 0 at every step
+        res = Reservoir(W=[[0.0]], w_in=[[0.5]], tf=LINEAR)
+        r = self._check(res, Alternating(0.0), 2000, L, alternating_orbit(0.0))
+        assert r.exponent == pytest.approx(math.log(ZERO_FLOOR / 1e-9) / L, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("b", [0.5, 1.0])
+    def test_huge_amplitude_diverges_bitwise(self, b):
+        # the linear state -b x + (2 - b) u passes the float range in block 0
+        r = self._check(make_alternating_neuron(b), Alternating(1e308), 1000, 10, alternating_orbit(1e308))
+        assert (r.exponent, r.T_used) == (math.inf, 10)
+
+    @pytest.mark.parametrize("T,L", [(20_003, 10), (1000, 7), (1001, 3)])
+    def test_run_length_off_the_block_grid_bitwise(self, T, L):
+        r = self._check(make_alternating_neuron(1.3), Alternating(A), T, L, alternating_orbit(A))
+        assert r.T_used == T // L * L
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 10])
+    def test_two_inputs_match_the_uncollapsed_body_bitwise(self, L):
+        res = Reservoir(W=[[-1.3]], w_in=[[0.5, 0.2]], tf=SINE_SIGMOID)
+        self._check(res, Alternating(A), 3000, L, alternating_orbit(A), x0=[0.3])
+
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_references_that_repeat_block_1s_key_early_bitwise(self, L):
+        # the references from block 1 run a b a b c d: block 3 has block 1's key,
+        # but the run does not repeat with period 2
+        at_blocks = [[0.2], [0.4], [-0.6], [0.4], [-0.6], [0.1]]
+        orbit = [state for x in at_blocks for state in [x] + [[0.0]] * (L - 1)]
+        self._check(make_alternating_neuron(1.3), Alternating(A), 1000, L, orbit)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 10, 37])
+    def test_periodic_run_walks_and_drives_one_period(self, monkeypatch, L):
+        # figure 3's orbit repeats every block at even L (p = 1), every second at odd L (p = 2)
+        chains, drives = [], []
+        sign_chain, matmul = analysis._sign_chain, np.matmul
+
+        def chain(succ):
+            chains.append(len(succ))
+            return sign_chain(succ)
+
+        def spy(a, b, *args, **kwargs):
+            drives.append(b.shape[0])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_sign_chain", chain)
+        monkeypatch.setattr(np, "matmul", spy)
+        r = lyapunov_exponent(
+            make_alternating_neuron(1.3), Alternating(A), T=100_000, renorm_interval=L, reference_orbit=alternating_orbit(A)
+        )
+        p = 1 + L % 2
+        assert math.isfinite(r.exponent) and r.T_used == 100_000 // L * L
+        assert len(chains) == 1 and chains[0] <= 1 + 3 * p
+        assert drives == [(p + 1) * L]
+
 
 def _walk_by_bytes(succ):
     """The sequential chain: each block's column up to the first divergence, and that block (None if none)."""
@@ -397,6 +466,31 @@ def _walk_by_bytes(succ):
         if c == 2:
             return chosen, j
     return chosen, None
+
+
+def test_key_period_is_the_first_full_key_repeat_that_holds():
+    ref = np.array([9.0] + [1.0, 2.0, 1.0, 3.0] * 25)  # block j runs from ref[j] to ref[j + 1]
+    inputs = np.zeros((100, 3))
+    assert analysis._key_period(inputs, ref) == 4  # block 3 starts like block 1 but ends elsewhere
+    inputs[97, 1] = -0.0
+    assert analysis._key_period(inputs, ref) == 99  # a late input breaks the period, bit for bit
+    ref = np.array([9.0] + [1.0, 2.0, 1.0, 2.0, 3.0, 4.0] * 20)
+    assert analysis._key_period(np.zeros((120, 3)), ref) == 119  # block 3 has block 1's key, period 2 fails
+
+
+def test_prefix_and_tile_match_the_chain_over_every_block():
+    rng = np.random.default_rng(19)
+    for p in range(1, 7):
+        for _ in range(40):
+            blocks = int(rng.integers(p + 1, 301))
+            succ = rng.choice(3, size=(p + 1, 2), p=[0.45, 0.45, 0.1]).astype(np.uint8)
+            row = np.r_[0, np.arange(blocks - 1) % p + 1]
+            full = 2 * row + _sign_chain(succ[row])
+            cells = _chosen_cells(succ, blocks)
+            assert cells.tolist() == full.tolist()
+            _, diverged = _walk_by_bytes(succ[row])
+            hits = np.flatnonzero(succ.ravel()[cells] == 2)
+            assert (int(hits[0]) if hits.size else None) == diverged
 
 
 def test_closed_form_chain_matches_the_sequential_walk():
@@ -479,6 +573,17 @@ class TestLyapunovSweep:
 
         with pytest.raises(ValueError, match="reference orbit must be finite"):
             lyapunov_sweep(factory, Alternating(A), [0.5, 1.0], T=1000, reference_orbit=[[0.5], [math.nan]])
+        assert built == []
+
+    def test_empty_reference_orbit_raises_before_any_cell(self):
+        built = []
+
+        def factory(b):
+            built.append(b)
+            return make_alternating_neuron(b)
+
+        with pytest.raises(ValueError, match="reference orbit must have at least one state"):
+            lyapunov_sweep(factory, Alternating(A), [0.5, 1.0], T=1000, reference_orbit=np.empty((0, 1)))
         assert built == []
 
     def test_csv_format(self, tmp_path):

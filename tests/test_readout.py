@@ -1,5 +1,7 @@
 """Readout regression and the delay-reconstruction memory benchmark."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,27 @@ class TestMemoryCapacity:
         with pytest.raises(ValueError, match=message):
             memory_capacity(res, 1.0, max_delay=10, T=2000, **kwargs)
         assert runs == []
+
+    @pytest.mark.parametrize("washout", [0, 1023, 1024, 2500])
+    def test_run_in_chunks_keeps_every_bit(self, monkeypatch, washout):
+        # reference: the whole run as one run_with_inputs call
+        res = _scaled(6, 0.95, seed=4)
+        chunked = memory_capacity(res, 1.0, max_delay=9, T=3000, washout=washout, seed=3)
+        monkeypatch.setattr(readout, "_RUN_ROWS", 3000)
+        whole = memory_capacity(res, 1.0, max_delay=9, T=3000, washout=washout, seed=3)
+        assert chunked.per_delay == whole.per_delay
+
+    def test_peak_memory_holds_only_the_fitted_states(self):
+        # at the parent every state and linear state of the run was alive at once (2.05x)
+        k, T, max_delay = 100, 20_000, 400
+        res = _scaled(k, 0.95, seed=1)
+        tracemalloc.start()
+        try:
+            memory_capacity(res, 1.0, max_delay, T, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / ((T - max_delay) * k * 8) < 1.5
 
     def test_csv_format(self, tmp_path):
         res = _scaled(4, 0.9, seed=0)
