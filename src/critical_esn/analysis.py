@@ -15,16 +15,18 @@ Three tool families live here:
   over steps: its blocks depend on each other only through the sign of
   the companion's restart, so both candidate companions of a block step
   as one row of an (m, 2) array.  A block's candidates are fixed by its
-  start reference, its L input rows and its end reference; when these
-  repeat with a period p from block 1 on, as on figure 3's period-2 orbit
-  under alternating drive, only blocks 0..p step (m = p + 1), otherwise
-  every block does (m = T/L).  The chain of restart signs is a prefix scan
-  over maps of {+1, -1}, taken in closed form; the chosen candidates
-  repeat with period 2p from block 1 + p on, so it is walked over the
-  first 1 + 3p blocks and tiled.  Each distinct chosen distance is logged
-  once.  So a periodic run costs one compare of the inputs against
-  themselves p blocks later, L array steps on p + 1 rows and an O(T/L)
-  gather of the per-block stretches for their mean; otherwise the run
+  start reference, its L input rows and its end reference.  The input
+  spec declares the period of its samples (2 for Alternating, 1 for
+  Constant, none for IidSign and FileInput, even a periodic file), so
+  with an orbit of P states these repeat every p = lcm(L, period, P) / L
+  blocks from block 1 on, and only blocks 0..p step (m = p + 1); with no
+  period every block does (m = T/L).  The chain of restart signs is a
+  prefix scan over maps of {+1, -1}, taken in closed form; the chosen
+  candidates repeat with period 2p from block 1 + p on, so it is walked
+  over the first 1 + 3p blocks and tiled.  Each distinct chosen distance
+  is logged once.  So a periodic run costs L array steps on p + 1 rows
+  and an O(T/L) gather of the per-block stretches for their mean, besides
+  generating and checking its T + 1 input samples; otherwise the run
   costs L array steps on T/L rows plus O(T/L) vectorised bookkeeping.
   The per-block loop costs one checked array step per time step.  Against
   that loop, on a 2-core x86-64 host, stepping every block at once was
@@ -54,7 +56,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import ZERO_FLOOR, ConvergenceTrace, InputSequence, _as_state, _check_inputs, _norms, _stepper
-from .dynamics import generate_input
+from .dynamics import _PERIODS, generate_input
 from .reservoir import Reservoir
 from .transfer import TransferFunction
 
@@ -136,10 +138,11 @@ def lyapunov_exponent(
     reference_orbit: optional (P, k) array of known periodic states; the
     reference then follows orbit[t mod P] exactly instead of free-running
     (how one measures the exponent of an unstable orbit).  At k = 1 a
-    pinned run steps each distinct block once (see the module docstring) and
-    restarts the companion at x +/- eps0 rather than at
-    x + (y - x) eps0/|y - x|.  The two differ by at most one ulp of eps0,
-    which rounds away whenever |x| >> eps0, so on figure 3's orbit
+    pinned run steps all its blocks at once: block 0 and one period of the
+    rest for an Alternating or Constant spec, every block for the others
+    (see the module docstring).  It restarts the companion at x +/- eps0
+    rather than at x + (y - x) eps0/|y - x|.  The two differ by at most one ulp of
+    eps0, which rounds away whenever |x| >> eps0, so on figure 3's orbit
     (|x| = pi/4) the result is bit-identical to the per-block loop's.  A
     non-finite x0, reference_orbit or input, or an empty reference_orbit,
     raises ValueError.
@@ -147,12 +150,13 @@ def lyapunov_exponent(
     _check_run_length(T, renorm_interval, eps0)
     start, orbit = _prepare(res, x0, reference_orbit)
     u = generate_input(input_spec, T + 1, res.n)
+    if orbit is not None and res.k == 1:
+        period = _PERIODS.get(type(input_spec))
+        return _benettin_pinned_neuron(res, u, start, orbit, T, renorm_interval, eps0, period)
     return _benettin(res, u, start, orbit, T, renorm_interval, eps0)
 
 
 def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
-    if orbit is not None and res.k == 1:
-        return _benettin_pinned_neuron(res, u, start, orbit, T, L, eps0)
     advance = _stepper(res, u, floats=False)
     x, e0 = start, np.eye(res.k)[0]
     y = x + eps0 * e0
@@ -178,36 +182,39 @@ def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
     return _summary(_log_stretches(dists, eps0), T_used, L)
 
 
-def _benettin_pinned_neuron(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
-    """_benettin for k = 1 with a pinned reference: each distinct block steps once.
+def _benettin_pinned_neuron(res, u, start, orbit, T, L, eps0, period) -> LyapunovResult:
+    """_benettin for k = 1 with a pinned reference: one period of the blocks steps.
 
     The reference at each block boundary is orbit[t mod P], and a block's
     companion starts at x + s eps0: s = +1 at the start and after a floor
     hit, otherwise the sign of y - x at the end of the previous block.  So
-    a block's two candidate outcomes depend only on its key (see
-    _key_period), and with key period p only blocks 0..p step, as the rows
-    of a (p + 1, 2) array: column 0 is s = +1, column 1 s = -1.
-    _chosen_cells picks the candidate each block ran, and each distinct
-    chosen distance is logged once.  A candidate whose linear state left
-    the finite range at any step counts as non-finite; the transfer runs
-    unchecked because a candidate not chosen may diverge.
+    a block's two candidate outcomes depend only on its L input rows and
+    its start and end references.  With inputs of the given period these
+    repeat every p = lcm(L, period, P) / L blocks from block 1 on (block 0
+    may start from x0), and only blocks 0..p step, as the rows of a
+    (p + 1, 2) array: column 0 is s = +1, column 1 s = -1.  With no period
+    (None), or one that spans the run, every block steps.  _chosen_cells
+    picks the candidate each block ran, and each distinct chosen distance
+    is logged once.  A candidate whose linear state left the finite range
+    at any step counts as non-finite; the transfer runs unchecked because
+    a candidate not chosen may diverge.
     """
     _check_inputs(u)
     blocks = T // L
     T_used = blocks * L
-    ref = orbit[np.arange(0, T_used + 1, L) % len(orbit), 0]  # the reference at every block boundary
+    p = blocks - 1 if period is None else min(blocks - 1, math.lcm(L, period, len(orbit)) // L)
+    ref = orbit[np.arange(0, (p + 2) * L, L) % len(orbit), 0]  # the reference at the boundaries of blocks 0..p
     ref[0] = start[0]  # block 0 starts from x0 when one is given
-    p = _key_period(u[1 : T_used + 1].reshape(blocks, -1), ref)
-    drive = np.matmul(res.w_in, u[1 : (p + 1) * L + 1, :, None]).reshape(p + 1, L)
     Y = ref[: p + 1, None] + np.array([eps0, -eps0])
     w, finite = float(res.W[0, 0]), np.ones(Y.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+        drive = np.matmul(res.w_in, u[1 : (p + 1) * L + 1, :, None]).reshape(p + 1, L)
         for i in range(L):
             Y *= w
             Y += drive[:, i, None]
             finite &= np.isfinite(Y)
             res.tf._theta(Y, out=Y)
-        diff = Y - ref[1 : p + 2, None]
+        diff = Y - ref[1:, None]
     D = np.abs(diff)
     # each candidate's successor column: 0 (s = +1) after a floor hit or
     # y > x, 1 (s = -1) after y < x, 2 when it left the finite range
@@ -222,33 +229,6 @@ def _benettin_pinned_neuron(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
     stretches = np.zeros(2 * p + 2)
     stretches[ran] = _log_stretches(D.ravel()[ran], eps0)
     return _summary(stretches[cell], T_used, L)
-
-
-def _key_period(inputs: np.ndarray, ref: np.ndarray) -> int:
-    """The period p of the block keys from block 1 on, or blocks - 1 if they have none.
-
-    Block j's key is its inputs[j] (the L input rows that drive it), its
-    start reference ref[j] and its end reference ref[j + 1], compared by
-    their bits so that +0.0 and -0.0 never merge.  Equal inputs give equal
-    drives, so blocks with equal keys have equal candidates.  Block 0 is
-    never compared, as it may start from x0.  p + 1 is the first block
-    j >= 2 whose key is block 1's, searched in windows that grow fourfold,
-    and the period holds when the inputs and references from block 1 + p
-    on equal those p blocks earlier.
-    """
-    blocks = len(inputs)
-    U, r = inputs.view(np.uint64), ref.view(np.uint64)
-    lo = 2
-    while lo < blocks:
-        hi = min(blocks, 4 * lo)
-        hits = (U[lo:hi] == U[1]).all(axis=1) & (r[lo:hi] == r[1]) & (r[lo + 1 : hi + 1] == r[2])
-        if hits.any():
-            p = lo + int(hits.argmax()) - 1
-            if np.array_equal(U[1 + p :], U[1:-p]) and np.array_equal(r[1 + p :], r[1:-p]):
-                return p
-            break
-        lo = hi
-    return blocks - 1
 
 
 def _chosen_cells(succ: np.ndarray, blocks: int) -> np.ndarray:

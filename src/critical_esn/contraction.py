@@ -220,11 +220,9 @@ def check_phi_properties(p: CoverParams = CoverParams()) -> VerificationReport:
 
 # -- the scalar covering sequence -------------------------------------------
 
-def _check_sequence(q0: float, p: CoverParams, T: int) -> None:
+def _check_sequence(q0: float, T: int) -> None:
     if not (0.0 <= q0 <= 1.0):
         raise ValueError("need q0 in [0, 1]")
-    if p.eta * q0**p.kappa >= 1.0:
-        raise ValueError("need eta * q0^kappa < 1")
     if T < 1:
         raise ValueError("need T >= 1")
 
@@ -233,12 +231,11 @@ def iterate_q(q0: float, p: CoverParams = CoverParams(), T: int = 1000) -> np.nd
     """The T+1 values q_0..q_T of q_{t+1} = q_t (1 - eta q_t^kappa).
 
     Positive and strictly decreasing for q0 in (0, 1]; q0 = 0 is the
-    trivial fixed point.  Combinations with eta * q0^kappa >= 1 would leave
-    the regime where the recursion contracts and are rejected.  No
-    certificate iterates it; it is the plain statement of the recursion
-    that the dominance tests compare the closed forms against.
+    trivial fixed point.  No certificate iterates it; it is the plain
+    statement of the recursion that the dominance tests compare the closed
+    forms against.
     """
-    _check_sequence(q0, p, T)
+    _check_sequence(q0, T)
     out = np.empty(T + 1)
     q = float(q0)
     out[0] = q
@@ -270,10 +267,11 @@ def verify_dominance(q0: float, p: CoverParams = CoverParams(), T: int = 100000)
     + kappa eta, so q_t <= B(t) = (kappa eta t + q0^(-kappa))^(-1/kappa),
     and B(t) <= q_star(t) because kappa eta >= eta / kappa for kappa >= 1
     (CoverParams rejects kappa < 1).  x stays below 1 because q_t never
-    exceeds q0 and eta q0^kappa < 1 is required.  The report's margins are
+    exceeds q0 and eta q0^kappa < 1 for every accepted input: CoverParams
+    forces 0 < eta < 1 and q0 must lie in [0, 1].  The report's margins are
     q_star(t) - B(t) at t = 0..T, with B(0) = q0 exactly.
     """
-    _check_sequence(q0, p, T)
+    _check_sequence(q0, T)
     ts = np.arange(T + 1)
     cover = q_star(ts, q0, p)
     bound = (p.kappa * p.eta * ts + q0 ** (-p.kappa)) ** (-1.0 / p.kappa)

@@ -19,7 +19,8 @@ non-finite inputs, then advances a state with a plain-float body (k = n = 1
 twin traces under tanh or the sine sigmoid) or an array body (everything
 else, including ``run_with_inputs`` and free-running Lyapunov runs at every
 k).  The one exception is a one-neuron Lyapunov run pinned to a reference
-orbit, which steps each distinct renormalization block once (see
+orbit, which steps its renormalization blocks at once, only one period of
+them when the input spec declares a period (``_PERIODS``; see
 ``analysis``).  The float body precomputes the drive as a list of floats
 and runs the transfer's plain-float loop over it (``transfer._FLOAT_STEPS``),
 which holds the formula in its body, so no step pays a Python call.  The
@@ -106,6 +107,10 @@ class FileInput:
 
 
 InputSequence = Union[Alternating, IidSign, Constant, FileInput]
+
+# The period of the samples generate_input makes, by spec kind; the other
+# kinds have none.
+_PERIODS = {Alternating: 2, Constant: 1}
 
 
 def generate_input(spec: InputSequence, T: int, n: int = 1) -> np.ndarray:
@@ -218,7 +223,8 @@ def _stepper(res: Reservoir, inputs: np.ndarray, floats: bool):
     W, w_in, tf = res.W, res.w_in, res.tf
     steps = _FLOAT_STEPS.get(tf.kind) if floats else None
     if steps is not None:
-        w, drive = float(W[0, 0]), (inputs[:, 0] * float(w_in[0, 0])).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite drive raises in the loop
+            w, drive = float(W[0, 0]), (inputs[:, 0] * float(w_in[0, 0])).tolist()
 
         def body(x, t0, t1, out, lin_out):
             return np.array([steps(float(x[0]), w, drive[t0:t1], out)])

@@ -1,5 +1,6 @@
 """Lyapunov estimators, decay-law classification, critical coupling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -189,6 +190,11 @@ class TestLyapunovExponent:
         with pytest.raises(ValueError, match="reference orbit must have at least one state"):
             lyapunov_exponent(make_alternating_neuron(1.0), Alternating(A), T=1000, x0=x0, reference_orbit=np.empty((0, 1)))
 
+    def test_reference_orbit_of_the_wrong_width_raises(self):
+        res = Reservoir(W=0.5 * np.eye(2), w_in=[[1.0], [0.0]], tf=TANH)
+        with pytest.raises(ValueError, match="reference orbit states must have 2 columns"):
+            lyapunov_exponent(res, Alternating(A), T=1000, reference_orbit=alternating_orbit(A))
+
 
 PINNED_TRANSFERS = {  # couplings that keep each kind's run finite
     "sine_sigmoid": (SINE_SIGMOID, -1.3),
@@ -274,10 +280,11 @@ class TestPinnedNeuron:
         assert r.stderr <= 1e-12
 
     @pytest.mark.parametrize("L", [1, 10, 37])
-    def test_one_transfer_evaluation_per_step_of_the_block(self, monkeypatch, L):
-        # the alternating orbit repeats every block at even L and every second
-        # block at odd L; block 0 steps on its own, so 2 or 3 rows step.  An
-        # i.i.d. drive repeats nothing, and every block steps.
+    def test_one_transfer_evaluation_per_step_of_the_block(self, monkeypatch, tmp_path, L):
+        # the inputs (period 2 alternating, 1 constant) and the P-state orbit
+        # repeat every lcm(L, period, P) / L blocks from block 1 on; block 0
+        # steps on its own.  An i.i.d. drive declares no period, nor does a
+        # file, even a periodic one, and every block steps.
         shapes = []
         theta = TransferFunction._theta
 
@@ -286,13 +293,22 @@ class TestPinnedNeuron:
             return theta(self, arr, out)
 
         monkeypatch.setattr(TransferFunction, "_theta", counted)
-        for spec in (Alternating(A), IidSign(A, 4)):
+        T = 100 * L + 5
+        np.savetxt(tmp_path / "periodic.csv", generate_input(Alternating(A), T + 1), delimiter=",")
+        specs = [(Alternating(A), 2), (Constant(0.3), 1), (IidSign(A, 4), None), (FileInput(str(tmp_path / "periodic.csv")), None)]
+        for (spec, period), P in itertools.product(specs, (2, 3)):
             shapes.clear()
-            r = lyapunov_exponent(
-                make_alternating_neuron(1.0), spec, T=100 * L + 5, renorm_interval=L, reference_orbit=alternating_orbit(A)
-            )
-            rows = r.T_used // L if isinstance(spec, IidSign) else 2 + L % 2
+            orbit = [[A], [-A], [0.1]][:P]
+            r = lyapunov_exponent(make_alternating_neuron(1.0), spec, T=T, renorm_interval=L, reference_orbit=orbit)
+            rows = r.T_used // L if period is None else 1 + math.lcm(L, period, P) // L
             assert shapes == [(rows, 2)] * L
+
+    def test_overflowing_drive_reports_the_sentinel(self):
+        # the drive (2 - b) u = -1.9e308 overflows in block 0, which warns nothing
+        r = lyapunov_exponent(
+            make_alternating_neuron(0.1), Alternating(1e308), T=100, renorm_interval=10, reference_orbit=alternating_orbit()
+        )
+        assert (r.exponent, r.T_used) == (math.inf, 10) and math.isnan(r.stderr)
 
     def test_non_finite_input_raises(self):
         with pytest.raises(ValueError, match="inputs must be finite"):
@@ -466,16 +482,6 @@ def _walk_by_bytes(succ):
         if c == 2:
             return chosen, j
     return chosen, None
-
-
-def test_key_period_is_the_first_full_key_repeat_that_holds():
-    ref = np.array([9.0] + [1.0, 2.0, 1.0, 3.0] * 25)  # block j runs from ref[j] to ref[j + 1]
-    inputs = np.zeros((100, 3))
-    assert analysis._key_period(inputs, ref) == 4  # block 3 starts like block 1 but ends elsewhere
-    inputs[97, 1] = -0.0
-    assert analysis._key_period(inputs, ref) == 99  # a late input breaks the period, bit for bit
-    ref = np.array([9.0] + [1.0, 2.0, 1.0, 2.0, 3.0, 4.0] * 20)
-    assert analysis._key_period(np.zeros((120, 3)), ref) == 119  # block 3 has block 1's key, period 2 fails
 
 
 def test_prefix_and_tile_match_the_chain_over_every_block():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import critical_esn
-from critical_esn import contraction, readout
+from critical_esn import analysis, contraction, readout
 from critical_esn.cli import DEFAULTS, main
 from critical_esn.contraction import phi_k
 
@@ -67,6 +67,29 @@ class TestFigure3:
         assert recorded["eps0"] == 1e-9  # defaults resolved into the record
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["command"] == "figure3" and "timestamp" in meta
+
+    def test_overflowing_drive_reports_the_sentinel_in_every_cell(self, tmp_path, capsys):
+        # the drive (2 - b) u overflows in block 0 of every cell, which warns nothing
+        cfg = _write_config(tmp_path, "f3.json", {"b_lo": 0.1, "b_hi": 0.2, "amplitude": 1e308, "T": 1000})
+        assert main(["figure3", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "figure3_lyapunov.csv").read_text().splitlines()
+        assert len(rows) > 2 and all(row.endswith(",inf") for row in rows[1:])
+        assert capsys.readouterr().err == ""
+
+    def test_failed_cell_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        lyapunov_exponent = analysis.lyapunov_exponent
+
+        def first_cell_fails(res, *args, **kwargs):
+            if res.W[0, 0] == -0.9:
+                raise ValueError("cell failed")
+            return lyapunov_exponent(res, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "lyapunov_exponent", first_cell_fails)
+        cfg = _write_config(tmp_path, "f3.json", {"b_lo": 0.9, "b_hi": 1.0, "b_step": 0.1, "T": 1000})
+        assert main(["figure3", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "figure3: 1 cells failed: [0.9]\n"
+        rows = (tmp_path / "figure3_lyapunov.csv").read_text().splitlines()
+        assert rows[1] == "0.90000000000000002,nan" and rows[2].startswith("1,")
 
 
 class TestFigure45:
@@ -294,6 +317,16 @@ class TestSimulate:
         recorded = json.loads((tmp_path / "d" / "simulate_config.json").read_text())
         assert recorded["reservoir"]["seed"] == recorded["input"]["seed"] == 7
 
+    def test_file_input_drives_the_run(self, tmp_path):
+        u = np.linspace(-1.0, 1.0, 11)[:, None]
+        np.savetxt(tmp_path / "u.csv", u, delimiter=",")
+        cfg = _write_config(tmp_path, "sim.json", {"input": {"kind": "file", "path": str(tmp_path / "u.csv")}, "T": 10})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        res = critical_esn.make_orthogonal_reservoir(1, 1, 1.0, 0)
+        expected = critical_esn.run_with_inputs(res, u[1:]).states
+        rows = (tmp_path / "out" / "states.csv").read_text().splitlines()
+        assert [float(row.split(",")[1]) for row in rows[1:]] == expected[:, 0].tolist()
+
 
 class TestConfigHandling:
     def test_parse_error_has_line_diagnostics(self, tmp_path, capsys):
@@ -335,6 +368,8 @@ class TestConfigHandling:
             # rejected before the simulation, not after it
             ("mc", {"ridge": -1.0}),
             ("mc", {"washout": -1}),
+            ("simulate", {"input": {"kind": "file"}}),
+            ("simulate", {"input": {"kind": "sawtooth"}}),
         ],
     )
     def test_ill_formed_config_exits_2_with_one_line(self, tmp_path, capsys, command, payload):
@@ -344,10 +379,18 @@ class TestConfigHandling:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("b", [4.0, -3.0])
-    def test_diverging_twins_exit_2_with_one_line(self, tmp_path, capsys, b):
-        # |b| > 2 sends the alternating neuron's state past the float range
-        cfg = _write_config(tmp_path, "bad.json", {"b": b})
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # |b| > 2 sends the alternating neuron's state past the float range
+            pytest.param({"b": 4.0}, id="4.0"),
+            pytest.param({"b": -3.0}, id="-3.0"),
+            # the drive (2 - b) u = 2.5e308 overflows, which warns nothing
+            pytest.param({"b": -0.5, "amplitude": 1e308}, id="overflowing_drive"),
+        ],
+    )
+    def test_diverging_twins_exit_2_with_one_line(self, tmp_path, capsys, payload):
+        cfg = _write_config(tmp_path, "bad.json", payload)
         assert main(["figure45", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: twin states must stay finite\n"
         assert not (tmp_path / "out").exists()

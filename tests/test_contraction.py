@@ -65,6 +65,10 @@ class TestPhi:
         zs = np.linspace(0.0, 8.0, 101)
         np.testing.assert_array_equal(phi_k(zs, 4), phi(zs / 16.0))
 
+    def test_phi_k_needs_a_neuron(self):
+        with pytest.raises(ValueError, match="need n_neurons >= 1"):
+            phi_k(0.5, 0)
+
     def test_shape_facts_hold_for_certificate(self):
         rep = check_phi_properties()
         assert rep.passed and rep.worst_margin >= 0.0
@@ -270,6 +274,8 @@ class TestTauBound:
             tau_bound(0.1, 1.0, "overdamped")
         with pytest.raises(ValueError):
             tau_bound(-0.1, 1.0, "critical_far")
+        with pytest.raises(ValueError, match="need epsilon < d0"):
+            tau_bound(2.0, 2.0, "critical_far")
 
     def test_measured_near_phase_never_exceeds_bound(self):
         res = Reservoir(W=[[1.0]], w_in=[[1.0]], tf=TANH)

@@ -92,6 +92,16 @@ class TestGenerateInput:
         with pytest.raises(ValueError):
             generate_input(Constant(1.0), 0)
 
+    def test_file_with_the_wrong_column_count_raises(self, tmp_path):
+        path = tmp_path / "u.csv"
+        np.savetxt(path, np.ones((4, 1)), delimiter=",")
+        with pytest.raises(IOError, match="has 1 columns, need 2"):
+            generate_input(FileInput(str(path)), 4, n=2)
+
+    def test_unknown_spec_raises(self):
+        with pytest.raises(TypeError, match="unknown input spec"):
+            generate_input(0.5, 4)
+
 
 class TestStep:
     def test_origin_fixed_point(self):
@@ -165,6 +175,14 @@ class TestRun:
         traj = run_with_inputs(res, u, x0=[5.0])
         np.testing.assert_array_equal(traj.states, u)
 
+    def test_start_of_the_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match=r"state must have shape \(1,\)"):
+            run(make_alternating_neuron(1.0), Alternating(A), [0.1, 0.2], T=5)
+
+    def test_inputs_of_the_wrong_width_raise(self):
+        with pytest.raises(ValueError, match="inputs must have 1 columns"):
+            run_with_inputs(make_alternating_neuron(1.0), np.ones((5, 2)))
+
     # Both raise under the suite's error::RuntimeWarning filter: the run
     # steps with overflow ignored and reports divergence as ValueError.
     def test_diverging_linear_run_raises(self):
@@ -198,6 +216,18 @@ class TestConvergenceTrace:
         res = make_alternating_neuron(1.0)
         tr = convergence_trace(res, Alternating(A), [0.1], [0.1], T=50)
         np.testing.assert_array_equal(tr.q, np.zeros(50))
+
+    def test_needs_positive_horizon(self):
+        with pytest.raises(ValueError, match="need T >= 1"):
+            convergence_trace(make_alternating_neuron(1.0), Alternating(A), [0.1], [0.2], T=0)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_overflowing_drive_raises(self, k):
+        # the drive 2 u = 2e308 overflows, which warns nothing: the k = n = 1
+        # float body raises on it as the array body does
+        res = Reservoir(W=0.5 * np.eye(k), w_in=np.full((k, 1), 2.0), tf=TANH)
+        with pytest.raises(ValueError, match="twin states must stay finite"):
+            convergence_trace(res, Constant(1e308), np.zeros(k), np.full(k, 0.1), T=10)
 
     def test_critical_memory_outlives_64_steps(self):
         res = make_alternating_neuron(1.0)

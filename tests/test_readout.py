@@ -126,6 +126,12 @@ class TestMemoryCapacity:
         ]
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
 
+    def test_constant_prediction_scores_zero(self):
+        # with w_in = 0 the states, so the predictions, stay 0 and have no variance
+        res = Reservoir(W=0.5 * np.eye(2), w_in=np.zeros((2, 1)), tf=TANH)
+        mc = memory_capacity(res, 1.0, max_delay=3, T=300, seed=1)
+        assert mc.per_delay == ((1, 0.0), (2, 0.0), (3, 0.0)) and mc.mc_total == 0.0
+
     def test_linear_boundary_reservoir_baseline(self):
         # frozen regression value for a fixed protocol; the memory of a
         # linear near-boundary reservoir approaches its neuron count once

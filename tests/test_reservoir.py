@@ -85,6 +85,11 @@ class TestScaleToSpectrum:
         with pytest.raises(ValueError):
             scale_to_spectrum(np.zeros((3, 3)), 1.0)
 
+    @pytest.mark.parametrize("target", [0.0, -1.0])
+    def test_non_positive_target_rejected(self, target):
+        with pytest.raises(ValueError, match="target must be positive"):
+            scale_to_spectrum(np.eye(2), target)
+
     def test_bad_mode_and_shape(self):
         with pytest.raises(ValueError):
             scale_to_spectrum(np.eye(2), 1.0, "nuclear")
@@ -181,6 +186,8 @@ class TestReservoirType:
             Reservoir(W=np.eye(2), w_in=np.ones((3, 1)), tf=TANH)
         with pytest.raises(ValueError):
             Reservoir(W=[[np.inf]], w_in=[[1.0]], tf=TANH)
+        with pytest.raises(ValueError, match="w_in must be finite"):
+            Reservoir(W=[[0.5]], w_in=[[np.nan]], tf=TANH)
 
     @pytest.mark.parametrize(
         "use",
@@ -214,6 +221,12 @@ class TestMatrixCsv:
         path = tmp_path / "bad.csv"
         path.write_text("# 2,2\n1.0,2.0\n")
         with pytest.raises(ValueError):
+            load_matrix_csv(path)
+
+    def test_bad_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# two,2\n1.0,2.0\n")
+        with pytest.raises(ValueError, match="bad matrix header"):
             load_matrix_csv(path)
 
     def test_empty_rejected(self, tmp_path):
