@@ -2,10 +2,14 @@
 """Where is the critical point?  Two independent answers.
 
 First, the Lyapunov exponent of the alternating-drive neuron family as a
-function of its coupling b: it crosses zero at b = 1, the boundary between
-contraction and instability.  The reference trajectory is pinned to the
-known period-2 attractor so the unstable side (b > 1) measures the orbit
-itself rather than whatever the system escapes to.
+function of its coupling b.  Under the drive u_t = (-1)^t pi/4 the states
++-pi/4 form a period-2 orbit for every b, on unit-slope points of the
+transfer, so its exponent is ln b: it attracts for b < 1 and repels for
+b > 1, and b = 1 is the boundary between contraction and instability.
+(+-a is such an orbit only where a is a multiple of pi/4.)  The run is
+pinned to that orbit, and its exponent is taken in closed form over one
+period, so the unstable side (b > 1) measures the orbit itself rather than
+whatever the system escapes to.
 
 Second, the over-tuned variant x_{t+1} = tanh(-b x_t + u_t): pushing the
 coupling until its alternating orbit turns marginally stable puts the
@@ -36,7 +40,6 @@ points = lyapunov_sweep(
     make_alternating_neuron,
     Alternating(A),
     grid,
-    T=20_000,
     reference_orbit=alternating_orbit(A),
 )
 print("coupling sweep of the alternating-drive neuron (exponent vs ln b):")

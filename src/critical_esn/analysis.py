@@ -2,37 +2,18 @@
 
 Three tool families live here:
 
-* Largest Lyapunov exponent of an input-driven run, by the standard
-  two-trajectory method with periodic renormalization (Benettin et al.,
-  Meccanica 15 (1980) 9-20).  A free-running reference and its companion
-  step as the two columns of one (k, 2) block, one GEMM per step, at every
-  k.  For measuring the exponent of a *known but unstable* periodic orbit
-  (the supercritical side of the coupling sweep), the reference trajectory
-  can be pinned to the orbit; a free-running reference would drift off the
-  orbit through rounding noise within ~37/ln(b) steps and settle on a
-  coexisting stable orbit, reporting that orbit's (negative) exponent
-  instead.  A pinned one-neuron run (k = 1, any n) has no Python loop
-  over steps: its blocks depend on each other only through the sign of
-  the companion's restart, so both candidate companions of a block step
-  as one row of an (m, 2) array.  A block's candidates are fixed by its
-  start reference, its L input rows and its end reference.  The input
-  spec declares the period of its samples (2 for Alternating, 1 for
-  Constant, none for IidSign and FileInput, even a periodic file), so
-  with an orbit of P states these repeat every p = lcm(L, period, P) / L
-  blocks from block 1 on, and only blocks 0..p step (m = p + 1); with no
-  period every block does (m = T/L).  The chain of restart signs is a
-  prefix scan over maps of {+1, -1}, taken in closed form; the chosen
-  candidates repeat with period 2p from block 1 + p on, so it is walked
-  over the first 1 + 3p blocks and tiled.  Each distinct chosen distance
-  is logged once.  So a periodic run costs L array steps on p + 1 rows
-  and an O(T/L) gather of the per-block stretches for their mean, besides
-  generating and checking its T + 1 input samples; otherwise the run
-  costs L array steps on T/L rows plus O(T/L) vectorised bookkeeping.
-  The per-block loop costs one checked array step per time step.  Against
-  that loop, on a 2-core x86-64 host, stepping every block at once was
-  faster at every run length measured (T/L from 10, the shortest allowed,
-  to 1000; L in {1, 10, 100}; i.i.d. and alternating drive) but one:
-  L = 1, T/L = 10 under alternating drive, 0.29 vs 0.25 ms.
+* Largest Lyapunov exponent of an input-driven run.  A free-running run
+  takes the standard two-trajectory method with periodic renormalization
+  (Benettin et al., Meccanica 15 (1980) 9-20): the reference and its
+  companion step as the two columns of one (k, 2) block, one GEMM per
+  step, at every k.  A run pinned to a known periodic orbit (the unstable
+  side of the coupling sweep, which a free-running reference leaves
+  through rounding noise within ~37/ln(b) steps) takes the orbit's exponent
+  in closed form instead: over one joint period N of the orbit and the
+  input, (1/N) log rho(J_N ... J_1) with J_t = diag(theta'(W x_{t-1} +
+  w_in u_t)) W (E. Ott, Chaos in Dynamical Systems, 2nd ed., 2002).  The
+  orbit is checked first: theta of each of its N linear states must be
+  within 4 ulps of the next orbit state.
 
 * Decay-law classification of a convergence trace: straight-line fits of
   log q against t (exponential) and against log t (power law), decided by
@@ -97,16 +78,6 @@ def _as_orbit(reference_orbit) -> np.ndarray:
     return orbit
 
 
-def _prepare(res: Reservoir, x0, reference_orbit):
-    orbit = None
-    if reference_orbit is not None:
-        orbit = _as_orbit(reference_orbit)
-        if orbit.shape[1] != res.k:
-            raise ValueError(f"reference orbit states must have {res.k} columns")
-    start = orbit[0].copy() if x0 is None and orbit is not None else _as_state(res, x0, "x0")
-    return start, orbit
-
-
 def _check_run_length(T: int, renorm_interval: int, eps0: float) -> None:
     if renorm_interval < 1:
         raise ValueError("need renorm_interval >= 1")
@@ -127,48 +98,84 @@ def lyapunov_exponent(
 ) -> LyapunovResult:
     """Largest Lyapunov exponent (natural log per step) of the driven run.
 
-    A companion started eps0 away is renormalized back to separation eps0
-    every renorm_interval steps; the exponent is the mean log-stretch per
-    step.  If the twins collide bitwise the separation is floored at
-    1e-300 for that block and re-injected, which drives the estimate
-    strongly negative; divergence to non-finite state reports the +inf
-    sentinel.  A free-running run steps the reference and the companion as
-    one (k, 2) block, so it carries GEMM rounding.
+    Free-running from x0: a companion started eps0 away is renormalized
+    back to separation eps0 every renorm_interval steps; the exponent is
+    the mean log-stretch per step.  If the twins collide bitwise the
+    separation is floored at 1e-300 for that block and re-injected, which
+    drives the estimate strongly negative; divergence to non-finite state
+    reports the +inf sentinel.  The reference and the companion step as one
+    (k, 2) block, so the run carries GEMM rounding.
 
-    reference_orbit: optional (P, k) array of known periodic states; the
-    reference then follows orbit[t mod P] exactly instead of free-running
-    (how one measures the exponent of an unstable orbit).  At k = 1 a
-    pinned run steps all its blocks at once: block 0 and one period of the
-    rest for an Alternating or Constant spec, every block for the others
-    (see the module docstring).  It restarts the companion at x +/- eps0
-    rather than at x + (y - x) eps0/|y - x|.  The two differ by at most one ulp of
-    eps0, which rounds away whenever |x| >> eps0, so on figure 3's orbit
-    (|x| = pi/4) the result is bit-identical to the per-block loop's.  A
-    non-finite x0, reference_orbit or input, or an empty reference_orbit,
-    raises ValueError.
+    reference_orbit: optional (P, k) array of known periodic states, x_t =
+    orbit[t mod P] (how one measures the exponent of an unstable orbit).
+    The input spec must then have a period (Alternating, Constant).  Once
+    _orbit_linear_states has checked the orbit over one joint period N =
+    lcm(P, that period), the result is its exponent in closed form,
+    (1/N) log rho(J_N ... J_1) with J_t = diag(theta'(lin_t)) W, with
+    T_used = renorm_interval = N and stderr 0.0.  A zero spectral radius
+    gives -inf, a product that leaves the finite range the +inf sentinel.
+    T, renorm_interval and eps0 are still checked.  An orbit with x0, or
+    with a spec that has no period, raises ValueError, as does a
+    non-finite x0, reference_orbit or input, or an empty reference_orbit.
     """
     _check_run_length(T, renorm_interval, eps0)
-    start, orbit = _prepare(res, x0, reference_orbit)
-    u = generate_input(input_spec, T + 1, res.n)
-    if orbit is not None and res.k == 1:
-        period = _PERIODS.get(type(input_spec))
-        return _benettin_pinned_neuron(res, u, start, orbit, T, renorm_interval, eps0, period)
-    return _benettin(res, u, start, orbit, T, renorm_interval, eps0)
+    start = _as_state(res, x0, "x0")
+    if reference_orbit is None:
+        return _benettin(res, generate_input(input_spec, T + 1, res.n), start, T, renorm_interval, eps0)
+    lin = _orbit_linear_states(res, input_spec, reference_orbit)
+    if x0 is not None:
+        raise ValueError("x0 does nothing with a reference orbit")
+    N = len(lin)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        jacobians = res.tf.derivative(lin)[:, :, None] * res.W
+        product = jacobians[0]
+        for J in jacobians[1:]:
+            product = J @ product
+    if not np.all(np.isfinite(product)):
+        return LyapunovResult(math.inf, N, N, math.nan)
+    rho = float(np.max(np.abs(np.linalg.eigvals(product))))
+    exponent = math.log(rho) / N if rho > 0.0 else -math.inf
+    return LyapunovResult(exponent, N, N, 0.0)
 
 
-def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
+def _orbit_linear_states(res: Reservoir, input_spec: InputSequence, reference_orbit) -> np.ndarray:
+    """The (N, k) linear states lin_t = W x_{t-1} + w_in u_t, t = 1..N, of a checked orbit.
+
+    x_t = orbit[t mod P] for an orbit of P states, and N = lcm(P, the
+    period of input_spec's samples, dynamics._PERIODS), so only N + 1
+    input samples are made.  Raises ValueError unless every lin_t is
+    finite and |theta(lin_t) - x_t| is at most 4 ulps of |x_t| in every
+    coordinate (genuine orbits of the alternating neuron measure 2 or
+    fewer), and for a spec with no period.
+    """
+    orbit = _as_orbit(reference_orbit)
+    if orbit.shape[1] != res.k:
+        raise ValueError(f"reference orbit states must have {res.k} columns")
+    period = _PERIODS.get(type(input_spec))
+    if period is None:
+        raise ValueError(f"a reference orbit needs a periodic input, not {type(input_spec).__name__}")
+    N = math.lcm(len(orbit), period)
+    u = generate_input(input_spec, N + 1, res.n)
+    _check_inputs(u)
+    x = orbit[np.arange(N + 1) % len(orbit)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a state off the finite range fails the check
+        lin = x[:-1] @ res.W.T + u[1:] @ res.w_in.T
+        ulps = 4 * np.spacing(np.abs(x[1:]))
+        on_orbit = np.all(np.isfinite(lin)) and np.all(np.abs(res.tf(lin) - x[1:]) <= ulps)
+    if not on_orbit:
+        raise ValueError("reference orbit is not an orbit of the driven map")
+    return lin
+
+
+def _benettin(res, u, start, T, L, eps0) -> LyapunovResult:
     advance = _stepper(res, u, floats=False)
     x, e0 = start, np.eye(res.k)[0]
     y = x + eps0 * e0
     T_used = T // L * L
     dists = []
     for t in range(L, T_used + 1, L):  # t: last step of the block
-        try:
-            if orbit is None:  # x and y step as the columns of one (k, 2) block
-                x, y = advance(np.column_stack([x, y]), t - L + 1, t + 1).T
-            else:
-                x = orbit[t % len(orbit)]
-                y = advance(y, t - L + 1, t + 1)
+        try:  # x and y step as the columns of one (k, 2) block
+            x, y = advance(np.column_stack([x, y]), t - L + 1, t + 1).T
             d = float(_norms(y, x)[0])
         except ValueError:  # the run diverged
             d = math.inf
@@ -180,90 +187,6 @@ def _benettin(res, u, start, orbit, T, L, eps0) -> LyapunovResult:
         else:
             y = x + (y - x) * (eps0 / d)
     return _summary(_log_stretches(dists, eps0), T_used, L)
-
-
-def _benettin_pinned_neuron(res, u, start, orbit, T, L, eps0, period) -> LyapunovResult:
-    """_benettin for k = 1 with a pinned reference: one period of the blocks steps.
-
-    The reference at each block boundary is orbit[t mod P], and a block's
-    companion starts at x + s eps0: s = +1 at the start and after a floor
-    hit, otherwise the sign of y - x at the end of the previous block.  So
-    a block's two candidate outcomes depend only on its L input rows and
-    its start and end references.  With inputs of the given period these
-    repeat every p = lcm(L, period, P) / L blocks from block 1 on (block 0
-    may start from x0), and only blocks 0..p step, as the rows of a
-    (p + 1, 2) array: column 0 is s = +1, column 1 s = -1.  With no period
-    (None), or one that spans the run, every block steps.  _chosen_cells
-    picks the candidate each block ran, and each distinct chosen distance
-    is logged once.  A candidate whose linear state left the finite range
-    at any step counts as non-finite; the transfer runs unchecked because
-    a candidate not chosen may diverge.
-    """
-    _check_inputs(u)
-    blocks = T // L
-    T_used = blocks * L
-    p = blocks - 1 if period is None else min(blocks - 1, math.lcm(L, period, len(orbit)) // L)
-    ref = orbit[np.arange(0, (p + 2) * L, L) % len(orbit), 0]  # the reference at the boundaries of blocks 0..p
-    ref[0] = start[0]  # block 0 starts from x0 when one is given
-    Y = ref[: p + 1, None] + np.array([eps0, -eps0])
-    w, finite = float(res.W[0, 0]), np.ones(Y.shape, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
-        drive = np.matmul(res.w_in, u[1 : (p + 1) * L + 1, :, None]).reshape(p + 1, L)
-        for i in range(L):
-            Y *= w
-            Y += drive[:, i, None]
-            finite &= np.isfinite(Y)
-            res.tf._theta(Y, out=Y)
-        diff = Y - ref[1:, None]
-    D = np.abs(diff)
-    # each candidate's successor column: 0 (s = +1) after a floor hit or
-    # y > x, 1 (s = -1) after y < x, 2 when it left the finite range
-    succ = ((diff < 0.0) & (D > ZERO_FLOOR)).astype(np.uint8)
-    succ[~(finite & np.isfinite(D))] = 2
-    cell = _chosen_cells(succ, blocks)
-    diverged = np.flatnonzero(succ.ravel()[cell] == 2)
-    if diverged.size:
-        return LyapunovResult(math.inf, (int(diverged[0]) + 1) * L, L, math.nan)
-    ran = np.zeros(2 * p + 2, dtype=bool)
-    ran[cell] = True
-    stretches = np.zeros(2 * p + 2)
-    stretches[ran] = _log_stretches(D.ravel()[ran], eps0)
-    return _summary(stretches[cell], T_used, L)
-
-
-def _chosen_cells(succ: np.ndarray, blocks: int) -> np.ndarray:
-    """The candidate each block ran, as an index 2 row + column into succ.ravel().
-
-    succ holds the successor columns of the p + 1 distinct rows: block 0
-    is row 0 and block j >= 1 row 1 + (j - 1) mod p.  Each p-block stretch
-    from block 1 on maps its start column alike, by a reset, a keep or a
-    swap, so from block 1 + p on the cells repeat with period 2p.
-    _sign_chain walks the first 1 + 3p blocks, which hold the first
-    divergence if there is one, and the rest repeat their last 2p cells.
-    """
-    p = len(succ) - 1
-    row = np.arange(-1, min(blocks, 1 + 3 * p) - 1) % p + 1
-    row[0] = 0
-    cell = 2 * row + _sign_chain(succ[row])
-    tail = np.tile(cell[1 + p :], -(-(blocks - 1 - p) // (2 * p)))
-    return np.concatenate([cell[: 1 + p], tail[: blocks - 1 - p]])
-
-
-def _sign_chain(succ: np.ndarray) -> np.ndarray:
-    """The column each block starts from, given every block's (blocks, 2) successor columns.
-
-    Block 0 starts from column 0 and block j + 1 from succ[j, c_j].  Read
-    with 2 (a non-finite candidate) as 0, each block's map of {0, 1}
-    either resets the column (both successors equal), keeps it or swaps it,
-    so c_{j+1} is the value of the last reset at or before j, XOR the
-    parity of the swaps since.  Up to the first block whose chosen
-    successor is 2 this is the sequential walk; the caller stops there.
-    """
-    f0, f1 = succ[:, 0] & 1, succ[:, 1] & 1
-    parity = np.bitwise_xor.accumulate(f0 & ~f1)  # of the swaps in blocks 0..j
-    last = np.maximum.accumulate(np.where(f0 == f1, np.arange(1, len(succ) + 1), 0))  # 1 + the last reset, 0 if none
-    after = np.insert(f0 ^ parity, 0, 0)[last] ^ parity  # the column after block j
-    return np.insert(after[:-1], 0, 0)
 
 
 def _log_stretches(dists, eps0: float) -> np.ndarray:
@@ -298,10 +221,10 @@ def lyapunov_sweep(
     eps0: float = 1e-9,
     reference_orbit=None,
 ) -> list[SweepPoint]:
-    """Two-trajectory exponent per grid point, same input realization everywhere.
+    """lyapunov_exponent per grid point, same input realization everywhere.
 
-    reference_orbit, as in lyapunov_exponent, pins every cell's reference
-    to the same known periodic states.  A bad T, renorm_interval, eps0 or
+    reference_orbit, as in lyapunov_exponent, gives every cell the closed-form
+    exponent of the same known periodic states.  A bad T, renorm_interval, eps0 or
     reference_orbit raises before any cell runs; a failed cell is flagged
     on its SweepPoint instead.  Results come in grid order.
     """

@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-figure3     Coupling sweep of the alternating-drive neuron's Lyapunov exponent.
+figure3     Coupling sweep of the Lyapunov exponent of the alternating-drive
+            neuron's period-2 orbit, in closed form.
 figure45    Twin-perturbation traces (alternating vs i.i.d. drive) + decay fits.
 verify      Contraction certificates: cover inequality, covering-sequence
             dominance, cover-function shape facts, per-step audits.
@@ -61,9 +62,6 @@ DEFAULTS: dict[str, dict] = {
         "b_hi": 1.5,
         "b_step": 0.05,
         "amplitude": _PI4,
-        "T": 100_000,
-        "renorm_interval": 10,
-        "eps0": 1e-9,
     },
     "figure45": {
         "b": 1.0,
@@ -282,15 +280,10 @@ def _write_json(path: Path, payload: dict) -> None:
 # attributes read at call time.
 
 def cmd_figure3(cfg: dict) -> tuple[dict, str, int]:
-    points = analysis.lyapunov_sweep(
-        dynamics.make_alternating_neuron,
-        dynamics.Alternating(cfg["amplitude"]),
-        contraction._grid(cfg["b_lo"], cfg["b_hi"], cfg["b_step"]).tolist(),
-        T=cfg["T"],
-        renorm_interval=cfg["renorm_interval"],
-        eps0=cfg["eps0"],
-        reference_orbit=dynamics.alternating_orbit(cfg["amplitude"]),
-    )
+    grid = contraction._grid(cfg["b_lo"], cfg["b_hi"], cfg["b_step"]).tolist()
+    spec, orbit = dynamics.Alternating(cfg["amplitude"]), dynamics.alternating_orbit(cfg["amplitude"])
+    analysis._orbit_linear_states(dynamics.make_alternating_neuron(cfg["b_lo"]), spec, orbit)  # a non-orbit exits 2
+    points = analysis.lyapunov_sweep(dynamics.make_alternating_neuron, spec, grid, reference_orbit=orbit)
     failed = [p.b for p in points if p.error is not None]
     if failed:
         print(f"figure3: {len(failed)} cells failed: {failed}", file=sys.stderr)

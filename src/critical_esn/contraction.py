@@ -141,8 +141,10 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     """lo, lo + step, ... up to hi (to the nearest step)."""
     if not (step > 0 and hi >= lo):
         raise ValueError(f"grid needs step > 0 and hi >= lo, got ({lo}, {hi}, {step})")
-    n = int(round((hi - lo) / step))
-    return lo + step * np.arange(n + 1)
+    n = (hi - lo) / step
+    if not math.isfinite(n):
+        raise ValueError(f"grid ({lo}, {hi}, {step}) has too many points to count")
+    return lo + step * np.arange(int(round(n)) + 1)
 
 
 def verify_cover_inequality(

@@ -18,10 +18,7 @@ Every simulation steps through one kernel, ``_stepper``: it rejects
 non-finite inputs, then advances a state with a plain-float body (k = n = 1
 twin traces under tanh or the sine sigmoid) or an array body (everything
 else, including ``run_with_inputs`` and free-running Lyapunov runs at every
-k).  The one exception is a one-neuron Lyapunov run pinned to a reference
-orbit, which steps its renormalization blocks at once, only one period of
-them when the input spec declares a period (``_PERIODS``; see
-``analysis``).  The float body precomputes the drive as a list of floats
+k).  The float body precomputes the drive as a list of floats
 and runs the transfer's plain-float loop over it (``transfer._FLOAT_STEPS``),
 which holds the formula in its body, so no step pays a Python call.  The
 array body works in place: it computes a span's drive ``w_in u_t`` up front,
@@ -372,18 +369,26 @@ def perturbation_experiment(
 def make_alternating_neuron(b: float) -> Reservoir:
     """One-neuron sine-sigmoid net x_{t+1} = theta(-b x_t + (2-b) u_t).
 
-    Under u_t = (-1)^t * a it has the period-2 attractor x_t = (-1)^t * a
-    for every b (the -b and 2-b couplings sum the state and input
-    contributions to 2a at the linear stage).  With a = pi/4 the attractor
-    sits exactly on unit-slope points of the transfer, and b = 1 is the
-    critical coupling.  The (2-b) input weight is part of the family
+    Under u_t = (-1)^t * a the -b and 2-b couplings sum the state and input
+    contributions of x_t = (-1)^t * a to 2a at the linear stage, and
+    theta(2a) = a - sin(4a)/4.  So x_t = (-1)^t * a is a period-2 orbit for
+    every b only where a is a multiple of pi/4.  At odd multiples (pi/4 is
+    figure 3's) it sits on unit-slope points of the transfer, its exponent
+    is log b, and it attracts only for b < 1: b = 1 is the critical
+    coupling.  At even multiples theta' = 0 there, and it is superstable
+    (exponent -inf).  The (2-b) input weight is part of the family
     definition.
     """
     return Reservoir(W=[[-b]], w_in=[[2.0 - b]], tf=SINE_SIGMOID)
 
 
 def alternating_orbit(amplitude: float = math.pi / 4) -> np.ndarray:
-    """The known period-2 attractor states [x at even t, x at odd t]."""
+    """The states [a, -a] at even and odd t, the alternating neuron's period-2 orbit where there is one.
+
+    They are an orbit of make_alternating_neuron(b) under Alternating(a)
+    only where a is a multiple of pi/4, and attract only where its
+    exponent is negative (see make_alternating_neuron).
+    """
     return np.array([[amplitude], [-amplitude]])
 
 

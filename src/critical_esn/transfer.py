@@ -30,14 +30,11 @@ The linear and tailored kinds have no loop and step the array body.
 ``__call__`` and ``derivative`` check their input is finite and read
 their column; ``__call__(x, out=)`` is that check followed by
 ``_theta(arr, out=None)``, the unchecked evaluation, which writes
-theta(x), bit for bit, into ``out`` and returns it.  The pinned
-one-neuron Lyapunov body of ``analysis`` calls ``_theta`` directly under
-``np.errstate``, because a candidate companion that it does not choose
-may go non-finite.  The finite check counts the entries that
-``np.isfinite`` passes against the size: exact, free of BLAS, and it
-warns about nothing whatever the entries.  A tailored piece is tanh
-shifted to its anchor, so its derivative is the tanh row's at the shifted
-point, and its unit-slope points come in closed form: every anchor, plus
+theta(x), bit for bit, into ``out`` and returns it.  The finite check
+counts the entries that ``np.isfinite`` passes against the size: exact,
+free of BLAS, and it warns about nothing whatever the entries.  A
+tailored piece is tanh shifted to its anchor, so its derivative is the
+tanh row's at the shifted point, and its unit-slope points come in closed form: every anchor, plus
 0 when no anchor lies within ``_ANCHOR_RADIUS`` of it (the plain-tanh
 piece then owns 0).
 

@@ -1,6 +1,5 @@
 """Lyapunov estimators, decay-law classification, critical coupling."""
 
-import itertools
 import math
 
 import numpy as np
@@ -8,8 +7,6 @@ import pytest
 
 from critical_esn import analysis
 from critical_esn.analysis import (
-    _chosen_cells,
-    _sign_chain,
     find_critical_b,
     fit_decay,
     lyapunov_exponent,
@@ -30,8 +27,9 @@ from critical_esn.dynamics import (
     perturbation_experiment,
     step,
 )
+from critical_esn.contraction import _grid
 from critical_esn.reservoir import Reservoir, make_orthogonal_reservoir, scale_to_spectrum
-from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction, tailored
+from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction
 
 A = math.pi / 4
 
@@ -178,7 +176,6 @@ class TestLyapunovExponent:
 
     @pytest.mark.parametrize("L", [10, 11])
     def test_non_finite_reference_orbit_raises(self, L):
-        # at L = 10 no block boundary reads the nan state
         with pytest.raises(ValueError, match="reference orbit must be finite"):
             lyapunov_exponent(
                 make_alternating_neuron(1.0), Alternating(A), T=1000, renorm_interval=L, reference_orbit=[[0.5], [math.nan]]
@@ -196,320 +193,87 @@ class TestLyapunovExponent:
             lyapunov_exponent(res, Alternating(A), T=1000, reference_orbit=alternating_orbit(A))
 
 
-PINNED_TRANSFERS = {  # couplings that keep each kind's run finite
-    "sine_sigmoid": (SINE_SIGMOID, -1.3),
-    "tanh": (TANH, 0.9),
-    "linear": (LINEAR, 0.6),
-    "tailored": (tailored([-0.5, 0.7]), 1.1),
-}
+class TestPinnedOrbit:
+    """A run pinned to a reference orbit returns the orbit's exponent in closed form."""
 
+    def test_exponent_is_log_b_at_every_figure3_grid_point(self):
+        for b in _grid(0.5, 1.5, 0.05).tolist():
+            r = lyapunov_exponent(make_alternating_neuron(b), Alternating(A), reference_orbit=alternating_orbit(A))
+            assert r.exponent == pytest.approx(math.log(b), rel=0.0, abs=1e-12)
+            assert (r.T_used, r.renorm_interval, r.stderr) == (2, 2, 0.0)
+        r = lyapunov_exponent(make_alternating_neuron(1.0), Alternating(A), reference_orbit=alternating_orbit(A))
+        assert r.exponent == 0.0
 
-def _neuron(tf, w, n):
-    return Reservoir(W=[[w]], w_in=[[0.8]] if n == 1 else [[0.8, -0.3]], tf=tf)
+    @pytest.mark.parametrize("b", [0.55, 1.0, 1.45])
+    def test_agrees_with_the_two_trajectory_oracle(self, b):
+        res, orbit = make_alternating_neuron(b), alternating_orbit(A)
+        r = lyapunov_exponent(res, Alternating(A), T=100_000, reference_orbit=orbit)
+        exponent, _ = _benettin_by_step(res, Alternating(A), 100_000, 10, orbit=orbit)
+        assert r.exponent == pytest.approx(exponent, rel=0.0, abs=1e-5)
 
+    def test_two_neuron_product_takes_the_spectral_radius(self):
+        # tanh' = 1 at the fixed point 0, so the one-step product is W itself
+        res = Reservoir(W=np.diag([0.5, -1.2]), w_in=[[1.0], [1.0]], tf=TANH)
+        r = lyapunov_exponent(res, Constant(0.0), reference_orbit=[[0.0, 0.0]])
+        assert r.exponent == pytest.approx(math.log(1.2), rel=1e-15)
+        assert (r.T_used, r.renorm_interval, r.stderr) == (1, 1, 0.0)
 
-class TestPinnedNeuron:
-    """One-neuron runs pinned to a reference orbit step each distinct block once."""
+    @pytest.mark.parametrize("amplitude", [0.0, math.pi / 2])
+    def test_zero_slope_orbit_gives_minus_infinity(self, amplitude):
+        # the sine sigmoid's slope is 0 at 2a = 0 and 2a = pi
+        r = lyapunov_exponent(make_alternating_neuron(1.3), Alternating(amplitude), reference_orbit=alternating_orbit(amplitude))
+        assert (r.exponent, r.T_used, r.stderr) == (-math.inf, 2, 0.0)
 
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("L", [1, 3, 10, 37])
-    @pytest.mark.parametrize("kind", sorted(PINNED_TRANSFERS))
-    def test_matches_per_step_reference(self, kind, L, n):
-        tf, w = PINNED_TRANSFERS[kind]
-        res, spec, T = _neuron(tf, w, n), IidSign(0.7, L), 50 * L + 2
-        orbit, x0 = [[0.4], [-0.6], [0.1]], (None if n == 1 else [0.2])
-        r = lyapunov_exponent(res, spec, T=T, renorm_interval=L, x0=x0, reference_orbit=orbit)
-        exponent, T_used = _benettin_by_step(res, spec, T, L, x0=x0, orbit=orbit)
-        assert r.T_used == T_used == T // L * L
-        assert r.exponent == pytest.approx(exponent, rel=0.0, abs=1e-12)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("tf,w", [(LINEAR, 3.0), (SINE_SIGMOID, -3.0)], ids=["linear", "sine_sigmoid"])
-    def test_divergent_run_reports_the_sentinel_at_the_reference_block(self, tf, w, n):
-        # the companion restarts near the orbit every block, so only the block
-        # from t = 7 (orbit[7 % 3] = 1e307) overflows within its 7 steps
-        res, spec, orbit = _neuron(tf, w, n), IidSign(0.5, 1), [[0.3], [1e307], [-0.2]]
-        r = lyapunov_exponent(res, spec, T=5000, renorm_interval=7, reference_orbit=orbit)
-        exponent, T_used = _benettin_by_step(res, spec, 5000, 7, orbit=orbit)
-        assert r.exponent == exponent == math.inf
-        assert r.T_used == T_used == 14 and math.isnan(r.stderr)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_overflowing_linear_state_reports_the_sentinel(self, n):
-        # tanh maps the overflowed linear state back to 1.0; the checked
-        # per-step reference still sees the divergence in the first block
-        res = Reservoir(W=[[1.5e308]], w_in=[[1e308]] if n == 1 else [[1e308, 0.0]], tf=TANH)
-        r = lyapunov_exponent(res, IidSign(0.7, 1), T=100, reference_orbit=[[0.3], [-0.2]])
-        assert (r.exponent, r.T_used) == _benettin_by_step(res, IidSign(0.7, 1), 100, 10, orbit=[[0.3], [-0.2]])
-        assert r.exponent == math.inf and r.T_used == 10
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_stretch_past_the_float_range_stays_finite(self, n):
-        # blocks ending at orbit[1] = 1e307 are about 1e307 from the tanh companion,
-        # so d / eps0 overflows though d is finite
-        res, spec, orbit = _neuron(TANH, 0.5, n), IidSign(0.7, 1), [[0.3], [1e307]]
-        r = lyapunov_exponent(res, spec, T=1000, renorm_interval=7, reference_orbit=orbit)
-        exponent, T_used = _benettin_by_step(res, spec, 1000, 7, orbit=orbit)
-        assert r.T_used == T_used == 994
-        assert r.exponent == pytest.approx(exponent, rel=1e-12)
-        assert math.isfinite(r.exponent) and math.isfinite(r.stderr)
-
-    @pytest.mark.filterwarnings("error")
-    def test_distance_past_the_squares_range_matches_one_coordinate(self):
-        # blocks ending at 1e307 end about 1e307 from the companion; at k = 2
-        # the square of that distance overflows, at k = 1 nothing is squared
-        spec, orbit = IidSign(0.7, 1), np.array([[0.3], [1e307]])
-        one = lyapunov_exponent(_neuron(TANH, 0.5, 1), spec, T=1000, renorm_interval=7, reference_orbit=orbit)
-        two = lyapunov_exponent(
-            Reservoir(W=0.5 * np.eye(2), w_in=[[0.8], [0.0]], tf=TANH),
-            spec,
-            T=1000,
-            renorm_interval=7,
-            reference_orbit=np.column_stack([orbit, np.zeros(2)]),
-        )
-        assert one.T_used == two.T_used == 994
-        assert two.exponent == pytest.approx(one.exponent, rel=1e-12)
-        assert two.stderr == pytest.approx(one.stderr, rel=1e-12)
-
-    @pytest.mark.parametrize("L", [1, 3, 10, 37])
-    def test_collision_every_block_reports_the_floor(self, L):
-        # with W = 0 the companion lands bitwise on the orbit 0.5 u_t at every step
+    def test_zero_coupling_gives_minus_infinity(self):
+        # with W = 0 the orbit 0.5 u_t is reached from anywhere in one step
         res = Reservoir(W=[[0.0]], w_in=[[0.5]], tf=LINEAR)
-        r = lyapunov_exponent(res, Alternating(A), T=2000, renorm_interval=L, reference_orbit=[[0.5 * A], [-0.5 * A]])
-        assert r.exponent == pytest.approx(math.log(ZERO_FLOOR / 1e-9) / L, rel=1e-15, abs=0.0)
-        assert r.stderr <= 1e-12
+        r = lyapunov_exponent(res, Alternating(A), T=2000, reference_orbit=[[0.5 * A], [-0.5 * A]])
+        assert (r.exponent, r.T_used, r.stderr) == (-math.inf, 2, 0.0)
 
-    @pytest.mark.parametrize("L", [1, 10, 37])
-    def test_one_transfer_evaluation_per_step_of_the_block(self, monkeypatch, tmp_path, L):
-        # the inputs (period 2 alternating, 1 constant) and the P-state orbit
-        # repeat every lcm(L, period, P) / L blocks from block 1 on; block 0
-        # steps on its own.  An i.i.d. drive declares no period, nor does a
-        # file, even a periodic one, and every block steps.
-        shapes = []
-        theta = TransferFunction._theta
+    def test_overflowing_product_reports_the_sentinel(self):
+        res = Reservoir(W=[[1e200]], w_in=[[1.0]], tf=LINEAR)
+        r = lyapunov_exponent(res, Alternating(0.0), reference_orbit=[[0.0]])
+        assert (r.exponent, r.T_used) == (math.inf, 2) and math.isnan(r.stderr)
 
-        def counted(self, arr, out=None):
-            shapes.append(arr.shape)
-            return theta(self, arr, out)
+    # 0.5 and -1 miss theta(2a) = a; at 1e308 the drive overflows, at 5e307
+    # theta of the linear state is nan, at 1e-308 theta(2a) is 0
+    @pytest.mark.parametrize("amplitude", [0.5, -1.0, 1e308, 5e307, 1e-308])
+    def test_non_orbit_raises(self, amplitude):
+        with pytest.raises(ValueError, match="reference orbit is not an orbit of the driven map"):
+            lyapunov_exponent(make_alternating_neuron(1.3), Alternating(amplitude), reference_orbit=alternating_orbit(amplitude))
 
-        monkeypatch.setattr(TransferFunction, "_theta", counted)
-        T = 100 * L + 5
-        np.savetxt(tmp_path / "periodic.csv", generate_input(Alternating(A), T + 1), delimiter=",")
-        specs = [(Alternating(A), 2), (Constant(0.3), 1), (IidSign(A, 4), None), (FileInput(str(tmp_path / "periodic.csv")), None)]
-        for (spec, period), P in itertools.product(specs, (2, 3)):
-            shapes.clear()
-            orbit = [[A], [-A], [0.1]][:P]
-            r = lyapunov_exponent(make_alternating_neuron(1.0), spec, T=T, renorm_interval=L, reference_orbit=orbit)
-            rows = r.T_used // L if period is None else 1 + math.lcm(L, period, P) // L
-            assert shapes == [(rows, 2)] * L
+    def test_input_without_a_period_raises(self, tmp_path):
+        np.savetxt(tmp_path / "u.csv", generate_input(Alternating(A), 1001), delimiter=",")
+        for spec in (IidSign(A, 0), FileInput(str(tmp_path / "u.csv"))):
+            with pytest.raises(ValueError, match="a reference orbit needs a periodic input"):
+                lyapunov_exponent(make_alternating_neuron(1.0), spec, T=1000, reference_orbit=alternating_orbit(A))
 
-    def test_overflowing_drive_reports_the_sentinel(self):
-        # the drive (2 - b) u = -1.9e308 overflows in block 0, which warns nothing
-        r = lyapunov_exponent(
-            make_alternating_neuron(0.1), Alternating(1e308), T=100, renorm_interval=10, reference_orbit=alternating_orbit()
-        )
-        assert (r.exponent, r.T_used) == (math.inf, 10) and math.isnan(r.stderr)
+    def test_x0_with_an_orbit_raises(self):
+        with pytest.raises(ValueError, match="x0 does nothing with a reference orbit"):
+            lyapunov_exponent(make_alternating_neuron(1.0), Alternating(A), x0=[A], reference_orbit=alternating_orbit(A))
+
+    @pytest.mark.parametrize(
+        "res, spec, orbit, samples",
+        [
+            (make_alternating_neuron(1.3), Alternating(A), alternating_orbit(A), 3),
+            (Reservoir(W=[[0.5]], w_in=[[1.0]], tf=TANH), Constant(0.0), [[0.0]], 2),
+            (Reservoir(W=[[0.5]], w_in=[[1.0]], tf=TANH), Alternating(0.0), [[0.0]] * 3, 7),
+        ],
+    )
+    def test_generates_one_joint_period_of_input(self, monkeypatch, res, spec, orbit, samples):
+        calls = []
+
+        def spy(spec, T, n=1):
+            calls.append(T)
+            return generate_input(spec, T, n)
+
+        monkeypatch.setattr(analysis, "generate_input", spy)
+        lyapunov_exponent(res, spec, T=100_000, reference_orbit=orbit)
+        assert calls == [samples]
 
     def test_non_finite_input_raises(self):
         with pytest.raises(ValueError, match="inputs must be finite"):
             lyapunov_exponent(make_alternating_neuron(1.0), Constant(math.nan), T=100, reference_orbit=alternating_orbit(A))
-
-
-def _pinned_uncollapsed(res, spec, T, L, orbit, x0=None, eps0=1e-9):
-    """(exponent, stderr, T_used) of a pinned one-neuron run with every block on its own row.
-
-    The pinned body as it was before it stepped only the distinct blocks:
-    both candidates of all T_used/L blocks as one array, a loop over bytes
-    for the chain of restart columns and one math.log per block.
-    """
-    u = generate_input(spec, T + 1, res.n)
-    orbit = np.asarray(orbit, dtype=float)
-    blocks = T // L
-    T_used = blocks * L
-    drive = np.matmul(res.w_in, u[1 : T_used + 1, :, None]).reshape(blocks, L)
-    ref = orbit[np.arange(0, T_used + 1, L) % len(orbit), 0]
-    ref[0] = orbit[0, 0] if x0 is None else x0[0]
-    Y = ref[:-1, None] + np.array([eps0, -eps0])
-    w, finite = float(res.W[0, 0]), np.ones(Y.shape, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(L):
-            Y *= w
-            Y += drive[:, i, None]
-            finite &= np.isfinite(Y)
-            res.tf._theta(Y, out=Y)
-        diff = Y - ref[1:, None]
-    D = np.abs(diff)
-    succ = ((diff < 0.0) & (D > ZERO_FLOOR)).astype(np.uint8)
-    succ[~(finite & np.isfinite(D))] = 2
-    succ = succ.tobytes()
-    chosen, c = bytearray(blocks), 0
-    for j in range(blocks):
-        chosen[j] = c
-        c = succ[2 * j + c]
-        if c == 2:
-            return math.inf, math.nan, (j + 1) * L
-    d = np.maximum(D[np.arange(blocks), np.frombuffer(chosen, dtype=np.uint8)], ZERO_FLOOR)
-    with np.errstate(over="ignore"):
-        ratio = d / eps0
-    stretches = list(map(math.log, ratio.tolist()))
-    for i in np.flatnonzero(np.isinf(ratio)).tolist():
-        stretches[i] = math.log(d[i]) - math.log(eps0)
-    per_step = np.asarray(stretches) / L
-    return float(np.mean(per_step)), float(np.std(per_step) / math.sqrt(len(per_step))), T_used
-
-
-def _bits(exponent, stderr, T_used):
-    return exponent.hex(), stderr.hex(), T_used
-
-
-def _pinned_input(source, tmp_path, T, n):
-    if source == "alternating":
-        return Alternating(0.7)
-    if source == "iid_sign":
-        return IidSign(0.7, T)
-    # period 3 up to sample T - 5, which breaks the period late in the run
-    u = np.tile([[0.6, 0.1], [-0.2, -0.4], [0.9, 0.3]], (T // 3 + 1, 1))[: T + 1, :n]
-    u[T - 5] += 0.25
-    np.savetxt(tmp_path / "periodic.csv", u, delimiter=",")
-    return FileInput(str(tmp_path / "periodic.csv"))
-
-
-class TestCollapsedPinnedBody:
-    """Stepping only the distinct blocks changes no bit of a pinned run."""
-
-    def _check(self, res, spec, T, L, orbit, x0=None):
-        r = lyapunov_exponent(res, spec, T=T, renorm_interval=L, x0=x0, reference_orbit=orbit)
-        assert _bits(r.exponent, r.stderr, r.T_used) == _bits(*_pinned_uncollapsed(res, spec, T, L, orbit, x0))
-        return r
-
-    @pytest.mark.parametrize("source", ["alternating", "iid_sign", "periodic_file"])
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("L", [1, 3, 10, 37])
-    @pytest.mark.parametrize("kind", sorted(PINNED_TRANSFERS))
-    def test_matches_the_uncollapsed_body_bitwise(self, tmp_path, kind, L, n, source):
-        tf, w = PINNED_TRANSFERS[kind]
-        T = 50 * L + 2
-        x0 = None if n == 1 else [0.2]  # block 0 then starts off the orbit
-        self._check(_neuron(tf, w, n), _pinned_input(source, tmp_path, T, n), T, L, [[0.4], [-0.6], [0.1]], x0)
-
-    @pytest.mark.parametrize("source", ["alternating", "iid_sign"])
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize(
-        "tf,w,orbit",
-        [
-            (LINEAR, 3.0, [[0.3], [1e307], [-0.2]]),
-            (SINE_SIGMOID, -3.0, [[0.3], [1e307], [-0.2]]),
-            (TANH, 0.5, [[0.3], [1e307]]),
-        ],
-        ids=["linear_diverges", "sine_sigmoid_diverges", "tanh_stretch_overflows"],
-    )
-    def test_extreme_runs_match_the_uncollapsed_body_bitwise(self, tmp_path, tf, w, orbit, n, source):
-        self._check(_neuron(tf, w, n), _pinned_input(source, tmp_path, 1000, n), 1000, 7, orbit)
-
-    @pytest.mark.parametrize("b", [0.5, 1.0, 1.7])
-    def test_figure3_cells_match_the_uncollapsed_body_bitwise(self, b):
-        r = self._check(make_alternating_neuron(b), Alternating(A), 20_000, 10, alternating_orbit(A))
-        assert math.isfinite(r.exponent)
-
-    @pytest.mark.parametrize("spec", [Alternating(A), IidSign(A, 3)], ids=["alternating", "iid_sign"])
-    def test_zero_input_weight_matches_the_uncollapsed_body_bitwise(self, spec):
-        # b = 2 gives w_in = 0: every drive is 0 while the i.i.d. inputs differ
-        r = self._check(make_alternating_neuron(2.0), spec, 5000, 10, alternating_orbit(A))
-        assert math.isfinite(r.exponent)
-
-    @pytest.mark.parametrize("L", [1, 10, 37])
-    def test_zero_amplitude_collides_every_block_bitwise(self, L):
-        # with W = 0 and input +-0.0 the companion lands on the orbit 0 at every step
-        res = Reservoir(W=[[0.0]], w_in=[[0.5]], tf=LINEAR)
-        r = self._check(res, Alternating(0.0), 2000, L, alternating_orbit(0.0))
-        assert r.exponent == pytest.approx(math.log(ZERO_FLOOR / 1e-9) / L, rel=1e-15, abs=0.0)
-
-    @pytest.mark.parametrize("b", [0.5, 1.0])
-    def test_huge_amplitude_diverges_bitwise(self, b):
-        # the linear state -b x + (2 - b) u passes the float range in block 0
-        r = self._check(make_alternating_neuron(b), Alternating(1e308), 1000, 10, alternating_orbit(1e308))
-        assert (r.exponent, r.T_used) == (math.inf, 10)
-
-    @pytest.mark.parametrize("T,L", [(20_003, 10), (1000, 7), (1001, 3)])
-    def test_run_length_off_the_block_grid_bitwise(self, T, L):
-        r = self._check(make_alternating_neuron(1.3), Alternating(A), T, L, alternating_orbit(A))
-        assert r.T_used == T // L * L
-
-    @pytest.mark.parametrize("L", [1, 2, 3, 10])
-    def test_two_inputs_match_the_uncollapsed_body_bitwise(self, L):
-        res = Reservoir(W=[[-1.3]], w_in=[[0.5, 0.2]], tf=SINE_SIGMOID)
-        self._check(res, Alternating(A), 3000, L, alternating_orbit(A), x0=[0.3])
-
-    @pytest.mark.parametrize("L", [1, 2])
-    def test_references_that_repeat_block_1s_key_early_bitwise(self, L):
-        # the references from block 1 run a b a b c d: block 3 has block 1's key,
-        # but the run does not repeat with period 2
-        at_blocks = [[0.2], [0.4], [-0.6], [0.4], [-0.6], [0.1]]
-        orbit = [state for x in at_blocks for state in [x] + [[0.0]] * (L - 1)]
-        self._check(make_alternating_neuron(1.3), Alternating(A), 1000, L, orbit)
-
-    @pytest.mark.parametrize("L", [1, 2, 3, 10, 37])
-    def test_periodic_run_walks_and_drives_one_period(self, monkeypatch, L):
-        # figure 3's orbit repeats every block at even L (p = 1), every second at odd L (p = 2)
-        chains, drives = [], []
-        sign_chain, matmul = analysis._sign_chain, np.matmul
-
-        def chain(succ):
-            chains.append(len(succ))
-            return sign_chain(succ)
-
-        def spy(a, b, *args, **kwargs):
-            drives.append(b.shape[0])
-            return matmul(a, b, *args, **kwargs)
-
-        monkeypatch.setattr(analysis, "_sign_chain", chain)
-        monkeypatch.setattr(np, "matmul", spy)
-        r = lyapunov_exponent(
-            make_alternating_neuron(1.3), Alternating(A), T=100_000, renorm_interval=L, reference_orbit=alternating_orbit(A)
-        )
-        p = 1 + L % 2
-        assert math.isfinite(r.exponent) and r.T_used == 100_000 // L * L
-        assert len(chains) == 1 and chains[0] <= 1 + 3 * p
-        assert drives == [(p + 1) * L]
-
-
-def _walk_by_bytes(succ):
-    """The sequential chain: each block's column up to the first divergence, and that block (None if none)."""
-    chosen, c = [], 0
-    for j, row in enumerate(succ.tolist()):
-        chosen.append(c)
-        c = row[c]
-        if c == 2:
-            return chosen, j
-    return chosen, None
-
-
-def test_prefix_and_tile_match_the_chain_over_every_block():
-    rng = np.random.default_rng(19)
-    for p in range(1, 7):
-        for _ in range(40):
-            blocks = int(rng.integers(p + 1, 301))
-            succ = rng.choice(3, size=(p + 1, 2), p=[0.45, 0.45, 0.1]).astype(np.uint8)
-            row = np.r_[0, np.arange(blocks - 1) % p + 1]
-            full = 2 * row + _sign_chain(succ[row])
-            cells = _chosen_cells(succ, blocks)
-            assert cells.tolist() == full.tolist()
-            _, diverged = _walk_by_bytes(succ[row])
-            hits = np.flatnonzero(succ.ravel()[cells] == 2)
-            assert (int(hits[0]) if hits.size else None) == diverged
-
-
-def test_closed_form_chain_matches_the_sequential_walk():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        for blocks in range(1, 61):
-            p2 = rng.choice([0.0, 0.02, 0.2])  # the share of non-finite candidates
-            succ = rng.choice(3, size=(blocks, 2), p=[(1 - p2) / 2, (1 - p2) / 2, p2]).astype(np.uint8)
-            chosen, diverged = _walk_by_bytes(succ)
-            closed = _sign_chain(succ)
-            assert closed.tolist()[: len(chosen)] == chosen
-            hits = np.flatnonzero(succ[np.arange(blocks), closed] == 2)
-            assert (int(hits[0]) if hits.size else None) == diverged
 
 
 class TestLyapunovSweep:

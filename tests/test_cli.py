@@ -29,7 +29,7 @@ def _write_config(tmp_path, name, payload):
 class TestFigure3:
     def test_small_grid_crosses_zero(self, tmp_path):
         cfg = _write_config(
-            tmp_path, "f3.json", {"b_lo": 0.95, "b_hi": 1.05, "b_step": 0.05, "T": 20_000}
+            tmp_path, "f3.json", {"b_lo": 0.95, "b_hi": 1.05, "b_step": 0.05}
         )
         assert main(["figure3", "--config", cfg, "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "figure3_lyapunov.csv").read_text().splitlines()
@@ -39,7 +39,7 @@ class TestFigure3:
         assert abs(lams[1]) <= 2e-3
 
     def test_single_point(self, tmp_path):
-        cfg = _write_config(tmp_path, "f3.json", {"b_lo": 1.0, "b_hi": 1.0, "T": 20_000})
+        cfg = _write_config(tmp_path, "f3.json", {"b_lo": 1.0, "b_hi": 1.0})
         assert main(["figure3", "--config", cfg, "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "figure3_lyapunov.csv").read_text().splitlines()
         assert len(rows) == 2
@@ -50,7 +50,7 @@ class TestFigure3:
         assert main(["figure3", "--config", cfg, "--out", str(tmp_path)]) == 2
 
     def test_reruns_are_byte_identical(self, tmp_path):
-        cfg = _write_config(tmp_path, "f3.json", {"b_lo": 0.9, "b_hi": 1.0, "b_step": 0.1, "T": 5000})
+        cfg = _write_config(tmp_path, "f3.json", {"b_lo": 0.9, "b_hi": 1.0, "b_step": 0.1})
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["figure3", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["figure3", "--config", cfg, "--out", str(out2)]) == 0
@@ -59,22 +59,46 @@ class TestFigure3:
         ).read_bytes()
 
     def test_resolved_config_recorded(self, tmp_path):
-        cfg = _write_config(tmp_path, "f3.json", {"b_lo": 1.0, "b_hi": 1.0, "T": 5000})
+        cfg = _write_config(tmp_path, "f3.json", {"b_lo": 1.0, "b_hi": 1.0})
         assert main(["figure3", "--config", cfg, "--out", str(tmp_path)]) == 0
         recorded = json.loads((tmp_path / "figure3_config.json").read_text())
         assert recorded["b_lo"] == recorded["b_hi"] == 1.0
-        assert recorded["T"] == 5000
-        assert recorded["eps0"] == 1e-9  # defaults resolved into the record
+        assert recorded["amplitude"] == A  # defaults resolved into the record
+        assert "T" not in recorded and "eps0" not in recorded  # the closed form takes no run length
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["command"] == "figure3" and "timestamp" in meta
 
-    def test_overflowing_drive_reports_the_sentinel_in_every_cell(self, tmp_path, capsys):
-        # the drive (2 - b) u overflows in block 0 of every cell, which warns nothing
-        cfg = _write_config(tmp_path, "f3.json", {"b_lo": 0.1, "b_hi": 0.2, "amplitude": 1e308, "T": 1000})
-        assert main(["figure3", "--config", cfg, "--out", str(tmp_path)]) == 0
-        rows = (tmp_path / "figure3_lyapunov.csv").read_text().splitlines()
-        assert len(rows) > 2 and all(row.endswith(",inf") for row in rows[1:])
-        assert capsys.readouterr().err == ""
+    def test_every_cell_is_log_b(self, tmp_path):
+        assert main(["figure3", "--out", str(tmp_path)]) == 0
+        rows = np.loadtxt(tmp_path / "figure3_lyapunov.csv", delimiter=",", skiprows=1)
+        assert len(rows) == 21
+        np.testing.assert_allclose(rows[:, 1], np.log(rows[:, 0]), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            (key, value)
+            for key in ("b_lo", "b_hi", "b_step", "amplitude")
+            # no step between 1e-308 and about 1e-6: such a grid is large but still allocates
+            for value in (0, -1, 1e308, -1e308, 1e-308, "a string", [1.0], None)
+        ]
+        + [("amplitude", math.pi / 2), ("amplitude", 0.5)],
+    )
+    def test_extreme_value_exits_cleanly(self, tmp_path, capsys, key, value):
+        # main raises nothing (no traceback), and an exit 2 is one line with no files
+        cfg = _write_config(tmp_path, "f3.json", {key: value})
+        code = main(["figure3", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
+        if key == "amplitude" and value in (0, math.pi / 2):  # theta' = 0 on the orbit
+            rows = (tmp_path / "out" / "figure3_lyapunov.csv").read_text().splitlines()
+            assert code == 0 and err == ""
+            assert len(rows) == 22 and all(row.endswith(",-inf") for row in rows[1:])
+        if key == "amplitude" and value in (0.5, -1, 1e-308, 1e308):  # +-a is an orbit only where sin(4a) = 0
+            assert err == "error: reference orbit is not an orbit of the driven map\n"
 
     def test_failed_cell_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
         lyapunov_exponent = analysis.lyapunov_exponent
@@ -85,7 +109,7 @@ class TestFigure3:
             return lyapunov_exponent(res, *args, **kwargs)
 
         monkeypatch.setattr(analysis, "lyapunov_exponent", first_cell_fails)
-        cfg = _write_config(tmp_path, "f3.json", {"b_lo": 0.9, "b_hi": 1.0, "b_step": 0.1, "T": 1000})
+        cfg = _write_config(tmp_path, "f3.json", {"b_lo": 0.9, "b_hi": 1.0, "b_step": 0.1})
         assert main(["figure3", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "figure3: 1 cells failed: [0.9]\n"
         rows = (tmp_path / "figure3_lyapunov.csv").read_text().splitlines()
@@ -354,9 +378,9 @@ class TestConfigHandling:
             ("simulate", {"input": 5}),
             ("simulate", {"reservoir": [1]}),
             ("critical-b", {"bracket": [1.5]}),
-            ("figure3", {"T": 50}),
-            ("figure3", {"renorm_interval": 0}),
-            ("figure3", {"eps0": 1}),
+            ("figure3", {"amplitude": 0.5}),  # not an orbit of the driven map
+            ("figure3", {"b_lo": -1e308}),  # too many grid points to count
+            ("verify", {"delta_grid": [0.0, 4.0, 1e-320]}),
             ("simulate", {"T": 0}),
             ("critical-b", {"bracket": [0.1, 0.5]}),
             ("mc", {"T": 100}),
@@ -377,6 +401,20 @@ class TestConfigHandling:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, payload, bounds",
+        [
+            ("figure3", {"b_hi": 1e308}, "(0.5, 1e+308, 0.05)"),
+            ("verify", {"delta_grid": [0.0, 1e308, 0.01]}, "(0.0, 1e+308, 0.01)"),
+            ("verify", {"zeta_grid": [-1e308, 1e308, 0.01]}, "(-1e+308, 1e+308, 0.01)"),
+        ],
+    )
+    def test_grid_too_large_to_count_exits_2_naming_its_bounds(self, tmp_path, capsys, command, payload, bounds):
+        cfg = _write_config(tmp_path, "bad.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: grid {bounds} has too many points to count\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -460,6 +498,10 @@ class TestConfigHandling:
             ("mc", {"mc_seed": 1}, "mc_seed"),
             ("simulate", {"reservoir": {"transfer": {"kind": "tailored", "params": [0.5], "x": 1}}}, "x"),
             ("verify", {"dominance_T": 100_000}, "dominance_T"),  # dominance is proved for every t
+            # figure3's exponent is in closed form, with no run length
+            ("figure3", {"T": 100_000}, "T"),
+            ("figure3", {"renorm_interval": 10}, "renorm_interval"),
+            ("figure3", {"eps0": 1e-9}, "eps0"),
         ],
     )
     def test_undeclared_key_exits_2_naming_it(self, tmp_path, capsys, command, payload, key):
@@ -529,7 +571,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "command, payload",
         [
-            ("figure3", {"b_lo": 0.9, "b_hi": 1.0, "b_step": 0.1, "T": 1000}),
+            ("figure3", {"b_lo": 0.9, "b_hi": 1.0, "b_step": 0.1}),
             ("figure45", {"T": 300, "b": 0.9}),
             (
                 "verify",
@@ -546,7 +588,7 @@ class TestConfigHandling:
                     "y0": [0.1, -0.2, 0.3],
                 },
             ),
-            ("figure3", {"b_lo": 1, "b_hi": 1, "T": 1000}),
+            ("figure3", {"b_lo": 1, "b_hi": 1}),
         ],
     )
     def test_recorded_config_round_trips(self, tmp_path, command, payload):
@@ -572,7 +614,7 @@ class TestDeterminismScope:
     # count.  At these small configs they are identical across thread counts
     # too; one subprocess per count runs all six subcommands.
     CONFIGS = {
-        "figure3": {"b_lo": 0.9, "b_hi": 1.1, "b_step": 0.1, "T": 20_000},
+        "figure3": {"b_lo": 0.9, "b_hi": 1.1, "b_step": 0.1},
         "figure45": {},
         "verify": {},
         "critical-b": {},
