@@ -29,7 +29,7 @@ from critical_esn.dynamics import (
 )
 from critical_esn.contraction import _grid
 from critical_esn.reservoir import Reservoir, make_orthogonal_reservoir, scale_to_spectrum
-from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction
+from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction, tailored
 
 A = math.pi / 4
 
@@ -66,6 +66,69 @@ def _benettin_by_step(res, spec, T, L, eps0=1e-9, x0=None, orbit=None):
                     stretches.append(math.log(d) - math.log(eps0))
                     y = x + (y - x) * (eps0 / d)
     return float(np.mean(np.asarray(stretches) / L)), T // L * L
+
+
+# Odd transfer functions, so that x_t = (-1)^t theta(z) can follow an
+# alternating drive; the tailored anchors are symmetric for that reason.
+ORBIT_TRANSFERS = {
+    "linear": LINEAR,
+    "sine_sigmoid": SINE_SIGMOID,
+    "tanh": TANH,
+    "tailored": tailored([-0.7, 0.7]),
+}
+
+
+def _slope(kind, z):
+    """theta'(z) from the textbook formulas, not from TransferFunction.derivative."""
+    z = np.asarray(z, dtype=float)
+    if kind == "linear":
+        return np.ones_like(z)
+    if kind == "sine_sigmoid":
+        return np.sin(z) ** 2
+    if kind == "tanh":
+        return 1.0 / np.cosh(z) ** 2
+    pivot = np.where(z < 0.0, -0.7, 0.7)  # the tailored piece that owns z, else plain tanh
+    return 1.0 / np.cosh(np.where(np.abs(z - pivot) <= 1.0, z - pivot, z)) ** 2
+
+
+def _designed_orbit(kind, W, z, source, n=1):
+    """(res, spec, orbit) whose linear states are +-z: the input weights are solved for.
+
+    With x = theta(z), the fixed point x under Constant(0.5) needs w_in u =
+    z - W x, and the orbit x_t = (-1)^t x under Alternating(0.5) needs
+    w_in u_t = (-1)^t (z + W x).  Each of the n input columns carries an
+    equal share, and 0.5 and the halving are exact, so theta of each linear
+    state is within a few ulps of the next state (asserted by dynamics.step).
+    """
+    tf, W, z = ORBIT_TRANSFERS[kind], np.atleast_2d(np.asarray(W, dtype=float)), np.asarray(z, dtype=float)
+    x = tf(z)
+    if source == "alternating":
+        spec, orbit, total = Alternating(0.5), np.array([x, -x]), (z + W @ x) / 0.5
+    else:
+        spec, orbit, total = Constant(0.5), np.array([x]), (z - W @ x) / 0.5
+    res = Reservoir(W=W, w_in=np.tile(total[:, None] / n, (1, n)), tf=tf)
+    u = generate_input(spec, 3, n)
+    for t in (1, 2):
+        nxt = orbit[t % len(orbit)]
+        assert np.all(np.abs(step(res, orbit[(t - 1) % len(orbit)], u[t])[0] - nxt) <= 4 * np.spacing(np.abs(nxt)))
+    return res, spec, orbit
+
+
+# One-neuron coupling w and linear state z per kind: Floquet multipliers
+# w theta'(z) of 0.9, -1.13, 1.007 and 1.06, near the critical value 1.
+ONE_NEURON_ORBITS = {"linear": (0.9, 0.5), "sine_sigmoid": (-1.3, 1.2), "tanh": (1.1, 0.3), "tailored": (1.1, 0.9)}
+
+
+def _coupled_orbit(kind, k, n, source):
+    """A k-neuron designed orbit whose Jacobian diag(theta'(z)) W has spectral radius |ONE_NEURON_ORBITS multiplier|."""
+    rng = np.random.default_rng(10 * k + n)
+    z = rng.uniform(-1.2, 1.2, k)
+    A = rng.normal(size=(k, k))
+    W = (A + A.T) / 2  # diag(theta') W is then similar to a symmetric matrix: a real spectrum
+    w, z1 = ONE_NEURON_ORBITS[kind]
+    target = abs(w * float(_slope(kind, z1)))
+    W *= target / np.max(np.abs(np.linalg.eigvals(_slope(kind, z)[:, None] * W)))
+    return _designed_orbit(kind, W, z, source, n), z, target
 
 
 class TestLyapunovExponent:
@@ -211,6 +274,90 @@ class TestPinnedOrbit:
         exponent, _ = _benettin_by_step(res, Alternating(A), 100_000, 10, orbit=orbit)
         assert r.exponent == pytest.approx(exponent, rel=0.0, abs=1e-5)
 
+    # the oracle's stretch over one block of L steps carries O(eps0) curvature
+    # and, where the orbit contracts, the rounding of a separation near the
+    # ulps of the state: 3.0e-7 at most over both grids below
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("L", [1, 3, 10, 37])
+    @pytest.mark.parametrize("kind", sorted(ORBIT_TRANSFERS))
+    def test_matches_per_step_reference(self, kind, L, n):
+        w, z = ONE_NEURON_ORBITS[kind]
+        res, spec, orbit = _designed_orbit(kind, [[w]], [z], "alternating", n)
+        r = lyapunov_exponent(res, spec, T=50 * L + 2, renorm_interval=L, reference_orbit=orbit)
+        exponent, _ = _benettin_by_step(res, spec, 50 * L + 2, L, orbit=orbit)
+        assert r.exponent == pytest.approx(exponent, rel=0.0, abs=1e-5)
+        assert r.exponent == pytest.approx(math.log(abs(w * float(_slope(kind, z)))), rel=0.0, abs=1e-14)
+        assert (r.T_used, r.renorm_interval, r.stderr) == (2, 2, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("L", [1, 3, 10, 37])
+    @pytest.mark.parametrize("kind", sorted(ORBIT_TRANSFERS))
+    def test_fixed_point_matches_per_step_reference(self, kind, L, n):
+        w, z = ONE_NEURON_ORBITS[kind]
+        res, spec, orbit = _designed_orbit(kind, [[w]], [z], "constant", n)
+        r = lyapunov_exponent(res, spec, T=50 * L + 2, renorm_interval=L, reference_orbit=orbit)
+        exponent, _ = _benettin_by_step(res, spec, 50 * L + 2, L, orbit=orbit)
+        assert r.exponent == pytest.approx(exponent, rel=0.0, abs=1e-5)
+        assert r.exponent == pytest.approx(math.log(abs(w * float(_slope(kind, z)))), rel=0.0, abs=1e-14)
+        assert (r.T_used, r.renorm_interval, r.stderr) == (1, 1, 0.0)
+
+    # the oracle's companion turns towards the top eigenvector from e0, an
+    # error that falls as 1/T: 1.2e-3 at most over this grid at T = 4000
+    @pytest.mark.parametrize("kind", sorted(ORBIT_TRANSFERS))
+    @pytest.mark.parametrize("source", ["alternating", "constant"])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_coupled_orbit_takes_the_top_exponent(self, k, n, source, kind):
+        (res, spec, orbit), z, target = _coupled_orbit(kind, k, n, source)
+        r = lyapunov_exponent(res, spec, T=4000, reference_orbit=orbit)
+        exponent, _ = _benettin_by_step(res, spec, 4000, 10, orbit=orbit)
+        assert r.exponent == pytest.approx(exponent, rel=0.0, abs=5e-3)
+        assert r.exponent == pytest.approx(math.log(target), rel=0.0, abs=1e-13)
+        assert r.T_used == len(orbit)
+
+    @pytest.mark.parametrize("T,L,eps0", [(10, 1, 1e-6), (1000, 100, 1e-9), (100_001, 7, 1e-300), (2_000_000, 10, 5e-7)])
+    def test_run_length_and_renormalisation_leave_the_exponent_alone(self, T, L, eps0):
+        res, spec, orbit = _designed_orbit("tanh", [[1.1]], [0.3], "alternating")
+        r = lyapunov_exponent(res, spec, T=T, renorm_interval=L, eps0=eps0, reference_orbit=orbit)
+        assert r == lyapunov_exponent(res, spec, reference_orbit=orbit)
+
+    @pytest.mark.parametrize("reps", [1, 2, 3])
+    @pytest.mark.parametrize("source", ["alternating", "constant"])
+    def test_repeated_orbit_takes_the_joint_period(self, source, reps):
+        res, spec, orbit = _designed_orbit("sine_sigmoid", [[-1.3]], [1.2], source)
+        r = lyapunov_exponent(res, spec, reference_orbit=np.tile(orbit, (reps, 1)))
+        assert r.exponent == pytest.approx(lyapunov_exponent(res, spec, reference_orbit=orbit).exponent, rel=1e-14)
+        assert r.T_used == r.renorm_interval == math.lcm(reps * len(orbit), 2 if source == "alternating" else 1)
+
+    @pytest.mark.parametrize("pick", [[0], [1, 0], [0, 1, 0]], ids=["one_state", "flipped", "three_states"])
+    def test_orbit_out_of_step_with_its_input_raises(self, pick):
+        res, spec, orbit = _designed_orbit("tanh", [[1.1]], [0.3], "alternating")
+        with pytest.raises(ValueError, match="reference orbit is not an orbit of the driven map"):
+            lyapunov_exponent(res, spec, reference_orbit=orbit[pick])
+
+    @pytest.mark.parametrize("source", ["alternating", "constant"])
+    @pytest.mark.parametrize("kind", sorted(ORBIT_TRANSFERS))
+    def test_orbit_moved_off_by_a_billionth_raises(self, kind, source):
+        w, z = ONE_NEURON_ORBITS[kind]
+        res, spec, orbit = _designed_orbit(kind, [[w]], [z], source)
+        with pytest.raises(ValueError, match="reference orbit is not an orbit of the driven map"):
+            lyapunov_exponent(res, spec, reference_orbit=orbit + 1e-9)
+
+    @pytest.mark.parametrize("b", [0.01, 0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("amplitude", [-A, A, 3 * A, 5 * A], ids=["-pi/4", "pi/4", "3pi/4", "5pi/4"])
+    def test_odd_multiples_of_a_quarter_pi_give_log_b(self, amplitude, b):
+        r = lyapunov_exponent(make_alternating_neuron(b), Alternating(amplitude), reference_orbit=alternating_orbit(amplitude))
+        assert r.exponent == pytest.approx(math.log(b), rel=0.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("source", ["alternating", "constant"])
+    @pytest.mark.parametrize("kind", sorted(ORBIT_TRANSFERS))
+    def test_nilpotent_coupling_gives_minus_infinity(self, kind, source):
+        # theta' > 0, yet diag(theta') W is strictly upper triangular
+        res, spec, orbit = _designed_orbit(kind, [[0.0, 0.8], [0.0, 0.0]], [0.3, -0.4], source)
+        r = lyapunov_exponent(res, spec, reference_orbit=orbit)
+        assert (r.exponent, r.stderr) == (-math.inf, 0.0)
+
     def test_two_neuron_product_takes_the_spectral_radius(self):
         # tanh' = 1 at the fixed point 0, so the one-step product is W itself
         res = Reservoir(W=np.diag([0.5, -1.2]), w_in=[[1.0], [1.0]], tf=TANH)
@@ -218,9 +365,9 @@ class TestPinnedOrbit:
         assert r.exponent == pytest.approx(math.log(1.2), rel=1e-15)
         assert (r.T_used, r.renorm_interval, r.stderr) == (1, 1, 0.0)
 
-    @pytest.mark.parametrize("amplitude", [0.0, math.pi / 2])
+    @pytest.mark.parametrize("amplitude", [0.0, math.pi / 2, math.pi, -math.pi / 2])
     def test_zero_slope_orbit_gives_minus_infinity(self, amplitude):
-        # the sine sigmoid's slope is 0 at 2a = 0 and 2a = pi
+        # the sine sigmoid's slope is 0 at every multiple of pi, here 2a
         r = lyapunov_exponent(make_alternating_neuron(1.3), Alternating(amplitude), reference_orbit=alternating_orbit(amplitude))
         assert (r.exponent, r.T_used, r.stderr) == (-math.inf, 2, 0.0)
 
