@@ -12,8 +12,8 @@ Three tool families live here:
   in closed form instead: over one joint period N of the orbit and the
   input, (1/N) log rho(J_N ... J_1) with J_t = diag(theta'(W x_{t-1} +
   w_in u_t)) W (E. Ott, Chaos in Dynamical Systems, 2nd ed., 2002).  The
-  orbit is checked first: theta of each of its N linear states must be
-  within 4 ulps of the next orbit state.
+  orbit is checked first: theta of each of its N linear states must match
+  the next orbit state to within the rounding of the sums that formed it.
 
 * Decay-law classification of a convergence trace: straight-line fits of
   log q against t (exponential) and against log t (power law), decided by
@@ -111,12 +111,17 @@ def lyapunov_exponent(
     The input spec must then have a period (Alternating, Constant).  Once
     _orbit_linear_states has checked the orbit over one joint period N =
     lcm(P, that period), the result is its exponent in closed form,
-    (1/N) log rho(J_N ... J_1) with J_t = diag(theta'(lin_t)) W, with
-    T_used = renorm_interval = N and stderr 0.0.  A zero spectral radius
-    gives -inf, a product that leaves the finite range the +inf sentinel.
-    T, renorm_interval and eps0 are still checked.  An orbit with x0, or
-    with a spec that has no period, raises ValueError, as does a
-    non-finite x0, reference_orbit or input, or an empty reference_orbit.
+    (1/N) log rho(J_N ... J_1) with J_t = diag(theta'(lin_t)) W.  The
+    product is rescaled after every factor and the logs of the scales are
+    summed, so it neither overflows nor underflows: the result is finite
+    unless the product is exactly zero (a zero slope, say), which gives
+    -inf.  T_used is N and renorm_interval 1, the steps taken and the
+    rescaling interval; stderr is 0.0.  The closed form needs no run
+    length, so T, renorm_interval and eps0, which every call has, are
+    checked as for a free run and then ignored; x0 contradicts the orbit,
+    which fixes every state, so giving both raises ValueError.  So does a
+    spec that has no period, a non-finite x0, reference_orbit or input, or
+    an empty reference_orbit.
     """
     _check_run_length(T, renorm_interval, eps0)
     start = _as_state(res, x0, "x0")
@@ -125,17 +130,20 @@ def lyapunov_exponent(
     lin = _orbit_linear_states(res, input_spec, reference_orbit)
     if x0 is not None:
         raise ValueError("x0 does nothing with a reference orbit")
-    N = len(lin)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        jacobians = res.tf.derivative(lin)[:, :, None] * res.W
-        product = jacobians[0]
-        for J in jacobians[1:]:
-            product = J @ product
-    if not np.all(np.isfinite(product)):
-        return LyapunovResult(math.inf, N, N, math.nan)
+    N, scale = len(lin), float(np.max(np.abs(res.W)))
+    if scale == 0.0:  # W = 0
+        return LyapunovResult(-math.inf, N, 1, 0.0)
+    W, product, log_size = res.W / scale, np.eye(res.k), N * math.log(scale)
+    for slopes in res.tf.derivative(lin):  # |theta'| <= 1, so no entry of the product passes k
+        product = (slopes[:, None] * W) @ product
+        size = float(np.max(np.abs(product)))
+        if size == 0.0:
+            return LyapunovResult(-math.inf, N, 1, 0.0)
+        product /= size
+        log_size += math.log(size)
     rho = float(np.max(np.abs(np.linalg.eigvals(product))))
-    exponent = math.log(rho) / N if rho > 0.0 else -math.inf
-    return LyapunovResult(exponent, N, N, 0.0)
+    exponent = (log_size + math.log(rho)) / N if rho > 0.0 else -math.inf
+    return LyapunovResult(exponent, N, 1, 0.0)
 
 
 def _orbit_linear_states(res: Reservoir, input_spec: InputSequence, reference_orbit) -> np.ndarray:
@@ -143,10 +151,15 @@ def _orbit_linear_states(res: Reservoir, input_spec: InputSequence, reference_or
 
     x_t = orbit[t mod P] for an orbit of P states, and N = lcm(P, the
     period of input_spec's samples, dynamics._PERIODS), so only N + 1
-    input samples are made.  Raises ValueError unless every lin_t is
-    finite and |theta(lin_t) - x_t| is at most 4 ulps of |x_t| in every
-    coordinate (genuine orbits of the alternating neuron measure 2 or
-    fewer), and for a spec with no period.
+    input samples are made.  Raises ValueError for a spec with no period,
+    and unless every lin_t is finite and, in every coordinate,
+
+        |theta(lin_t) - x_t| <= (k + n) eps ((1 + |theta'(lin_t)|) S_t + |x_t|)
+
+    with S_t = |W| |x_{t-1}| + |w_in| |u_t| the size of the terms summed
+    into lin_t.  (k + n) eps S_t bounds the rounding of those sums, here
+    and in whatever computed the orbit; theta' carries it to theta, and
+    the bare S_t and |x_t| cover the rounding of theta and of x_t.
     """
     orbit = _as_orbit(reference_orbit)
     if orbit.shape[1] != res.k:
@@ -160,8 +173,11 @@ def _orbit_linear_states(res: Reservoir, input_spec: InputSequence, reference_or
     x = orbit[np.arange(N + 1) % len(orbit)]
     with np.errstate(over="ignore", invalid="ignore"):  # a state off the finite range fails the check
         lin = x[:-1] @ res.W.T + u[1:] @ res.w_in.T
-        ulps = 4 * np.spacing(np.abs(x[1:]))
-        on_orbit = np.all(np.isfinite(lin)) and np.all(np.abs(res.tf(lin) - x[1:]) <= ulps)
+        size = np.abs(x[:-1]) @ np.abs(res.W.T) + np.abs(u[1:]) @ np.abs(res.w_in.T)
+        on_orbit = np.all(np.isfinite(lin)) and np.all(np.isfinite(size))
+        if on_orbit:
+            slack = (res.k + res.n) * np.finfo(float).eps * ((1.0 + np.abs(res.tf.derivative(lin))) * size + np.abs(x[1:]))
+            on_orbit = np.all(np.abs(res.tf(lin) - x[1:]) <= slack)
     if not on_orbit:
         raise ValueError("reference orbit is not an orbit of the driven map")
     return lin

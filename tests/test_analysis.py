@@ -263,7 +263,7 @@ class TestPinnedOrbit:
         for b in _grid(0.5, 1.5, 0.05).tolist():
             r = lyapunov_exponent(make_alternating_neuron(b), Alternating(A), reference_orbit=alternating_orbit(A))
             assert r.exponent == pytest.approx(math.log(b), rel=0.0, abs=1e-12)
-            assert (r.T_used, r.renorm_interval, r.stderr) == (2, 2, 0.0)
+            assert (r.T_used, r.renorm_interval, r.stderr) == (2, 1, 0.0)
         r = lyapunov_exponent(make_alternating_neuron(1.0), Alternating(A), reference_orbit=alternating_orbit(A))
         assert r.exponent == 0.0
 
@@ -287,7 +287,7 @@ class TestPinnedOrbit:
         exponent, _ = _benettin_by_step(res, spec, 50 * L + 2, L, orbit=orbit)
         assert r.exponent == pytest.approx(exponent, rel=0.0, abs=1e-5)
         assert r.exponent == pytest.approx(math.log(abs(w * float(_slope(kind, z)))), rel=0.0, abs=1e-14)
-        assert (r.T_used, r.renorm_interval, r.stderr) == (2, 2, 0.0)
+        assert (r.T_used, r.renorm_interval, r.stderr) == (2, 1, 0.0)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("L", [1, 3, 10, 37])
@@ -327,7 +327,7 @@ class TestPinnedOrbit:
         res, spec, orbit = _designed_orbit("sine_sigmoid", [[-1.3]], [1.2], source)
         r = lyapunov_exponent(res, spec, reference_orbit=np.tile(orbit, (reps, 1)))
         assert r.exponent == pytest.approx(lyapunov_exponent(res, spec, reference_orbit=orbit).exponent, rel=1e-14)
-        assert r.T_used == r.renorm_interval == math.lcm(reps * len(orbit), 2 if source == "alternating" else 1)
+        assert (r.T_used, r.renorm_interval) == (math.lcm(reps * len(orbit), 2 if source == "alternating" else 1), 1)
 
     @pytest.mark.parametrize("pick", [[0], [1, 0], [0, 1, 0]], ids=["one_state", "flipped", "three_states"])
     def test_orbit_out_of_step_with_its_input_raises(self, pick):
@@ -377,10 +377,51 @@ class TestPinnedOrbit:
         r = lyapunov_exponent(res, Alternating(A), T=2000, reference_orbit=[[0.5 * A], [-0.5 * A]])
         assert (r.exponent, r.T_used, r.stderr) == (-math.inf, 2, 0.0)
 
-    def test_overflowing_product_reports_the_sentinel(self):
-        res = Reservoir(W=[[1e200]], w_in=[[1.0]], tf=LINEAR)
-        r = lyapunov_exponent(res, Alternating(0.0), reference_orbit=[[0.0]])
-        assert (r.exponent, r.T_used) == (math.inf, 2) and math.isnan(r.stderr)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_product_past_the_float_range_stays_finite(self, scale):
+        # the product of the two one-step Jacobians s W at tanh's fixed point 0 leaves the float range
+        res = Reservoir(W=scale * np.diag([0.5, -1.2]), w_in=[[1.0], [1.0]], tf=TANH)
+        r = lyapunov_exponent(res, Alternating(0.0), reference_orbit=[[0.0, 0.0]])
+        assert r.exponent == pytest.approx(math.log(1.2 * scale), rel=1e-15)
+        assert (r.T_used, r.renorm_interval, r.stderr) == (2, 1, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("b", [1e-308, 1e-200, 1e-100])
+    def test_tiny_coupling_gives_log_b(self, b):
+        # b^2 underflows; the figure-3 sweep from b_lo = 1e-308 starts here
+        r = lyapunov_exponent(make_alternating_neuron(b), Alternating(A), reference_orbit=alternating_orbit(A))
+        assert r.exponent == pytest.approx(math.log(b), rel=1e-15)
+
+    @pytest.mark.parametrize("amplitude", [-A, A, 3 * A, 5 * A], ids=["-pi/4", "pi/4", "3pi/4", "5pi/4"])
+    def test_log_b_far_past_the_figure3_grid(self, amplitude):
+        # the rounding of -b a + (2 - b) a grows with b, not with the state a
+        for b in _grid(1.5, 30.0, 0.05).tolist() + [100.0, 1e3, 1e6]:
+            r = lyapunov_exponent(make_alternating_neuron(b), Alternating(amplitude), reference_orbit=alternating_orbit(amplitude))
+            assert r.exponent == pytest.approx(math.log(b), rel=1e-14, abs=1e-12)
+
+    @pytest.mark.parametrize("source", ["alternating", "constant"])
+    @pytest.mark.parametrize("tf", [LINEAR, SINE_SIGMOID, TANH], ids=lambda tf: tf.kind)
+    @pytest.mark.parametrize("k, n", [(20, 1), (20, 3), (50, 2)])
+    def test_orbit_reached_by_stepping_passes_the_check(self, k, n, tf, source):
+        # the orbit comes from iterating dynamics.step, rounding and all, not by design
+        res = make_orthogonal_reservoir(k, n, 1.0, seed=k + n)
+        res = Reservoir(W=0.7 * res.W, w_in=res.w_in, tf=tf)
+        spec = Alternating(0.8) if source == "alternating" else Constant(0.8)
+        u, x = generate_input(spec, 2001, n), np.zeros(k)
+        states = []
+        for t in range(1, 2001):
+            x = step(res, x, u[t])[0]
+            states.append(x)
+        orbit = np.array([states[-1], states[-2]] if source == "alternating" else [states[-1]])  # orbit[0] at even t
+        r = lyapunov_exponent(res, spec, reference_orbit=orbit)
+        product = np.eye(k)
+        for t in range(1, len(orbit) + 1):
+            lin = res.W @ orbit[(t - 1) % len(orbit)] + res.w_in @ u[t]
+            product = (_slope(tf.kind, lin)[:, None] * res.W) @ product
+        expected = math.log(np.max(np.abs(np.linalg.eigvals(product)))) / len(orbit)
+        assert r.exponent == pytest.approx(expected, rel=0.0, abs=1e-12)
+        assert r.exponent <= math.log(0.7) + 1e-12  # |theta'| <= 1 and every |eigenvalue| of W is 0.7
 
     # 0.5 and -1 miss theta(2a) = a; at 1e308 the drive overflows, at 5e307
     # theta of the linear state is nan, at 1e-308 theta(2a) is 0

@@ -74,6 +74,14 @@ class TestFigure3:
         assert len(rows) == 21
         np.testing.assert_allclose(rows[:, 1], np.log(rows[:, 0]), rtol=0.0, atol=1e-12)
 
+    def test_strong_coupling_cells_are_log_b(self, tmp_path):
+        # the rounding of the linear state grows with b; none of these cells may fail the orbit check
+        cfg = _write_config(tmp_path, "f3.json", {"b_hi": 20.0})
+        assert main(["figure3", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = np.loadtxt(tmp_path / "figure3_lyapunov.csv", delimiter=",", skiprows=1)
+        assert len(rows) == 391
+        np.testing.assert_allclose(rows[:, 1], np.log(rows[:, 0]), rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -97,6 +105,9 @@ class TestFigure3:
             rows = (tmp_path / "out" / "figure3_lyapunov.csv").read_text().splitlines()
             assert code == 0 and err == ""
             assert len(rows) == 22 and all(row.endswith(",-inf") for row in rows[1:])
+        if key == "b_lo" and value == 1e-308:  # b^2 underflows, log b does not
+            rows = (tmp_path / "out" / "figure3_lyapunov.csv").read_text().splitlines()
+            assert code == 0 and float(rows[1].split(",")[1]) == pytest.approx(math.log(1e-308), rel=1e-15)
         if key == "amplitude" and value in (0.5, -1, 1e-308, 1e308):  # +-a is an orbit only where sin(4a) = 0
             assert err == "error: reference orbit is not an orbit of the driven map\n"
 
