@@ -5,7 +5,9 @@ The guarantee rests on four checkable facts:
 
 1. cover inequality: the squared per-step stretch of the transfer never
    exceeds phi(delta^2) = 1 - eta delta^4 (eta = 1/48), clamped past 1/2;
-2. shape facts: phi <= 1, phi non-increasing, z phi(z) non-decreasing;
+2. shape facts: phi <= 1, phi non-increasing, z phi(z) non-decreasing.
+   These are proved: the first two hold for any eta > 0, the third iff
+   eta (kappa + 1) gamma^kappa <= 1 (here 1/64);
 3. dominance: the recursion q <- q (1 - eta q^2) stays below the closed
    form q*(t) = [(eta/2) t + q0^-2]^(-1/2), which vanishes, so distances
    vanish too (power-law slow, never slower).  This one is proved for
@@ -14,9 +16,9 @@ The guarantee rests on four checkable facts:
 4. per-step audit: simulated boundary reservoirs actually respect the
    cover at every step, for any neuron count via phi_k(z) = phi(z / k^2).
 
-Each check reports its worst margin and its status: dominance is
-"proved" and its margins only tabulate q* - B; the others are "sampled"
-over a grid or run, not a proof.
+Each check reports its worst margin and its status: the shape facts and
+dominance are "proved" (dominance's margins only tabulate q* - B); the
+others are "sampled" over a grid or run, not a proof.
 """
 
 import math
@@ -49,7 +51,7 @@ for tf in (TANH, SINE_SIGMOID, LINEAR):
 
 print()
 rep = check_phi_properties(p)
-print(f"2. cover shape facts: passed={rep.passed}, worst margin {rep.worst_margin:+.2e}")
+print(f"2. cover shape facts: {rep.status}, passed={rep.passed}, margin 1 - eta (kappa+1) gamma^kappa = {rep.worst_margin:+.6f}")
 
 print()
 print("3. dominance of the closed form over the recursion (Bernoulli bound, proved for every t):")

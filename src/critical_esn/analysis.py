@@ -23,9 +23,10 @@ Three tool families live here:
   alternating drive: the parameter b* where the antisymmetric period-2
   orbit x = theta(b x - a) becomes marginally stable, |b theta'| = 1.
   Both conditions meet at a tangency of h_b(x) = theta(b x - a) - x, so
-  b* is found by bisection on the sign of max_x h_b(x) over x in [0, 4];
-  the inner maximum's first-order condition enforces marginal stability
-  for free.
+  b* is found by bisection on the sign of max_x h_b(x) over x in [0, 4].
+  The inner maximum is the best point of a fixed grid, refined by the same
+  bisection on the sign of h_b' where it changes across that point's cell;
+  its first-order condition enforces marginal stability for free.
 """
 
 from __future__ import annotations
@@ -341,24 +342,17 @@ _ORBIT_X_HI = 4.0  # the orbit search covers x in [0, _ORBIT_X_HI]
 _ORBIT_GRID = np.linspace(0.0, _ORBIT_X_HI, 2001)
 
 
-def _golden_max(fun, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi] to width 1e-12; returns (x, fun(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > 1e-12:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
+def _bisect(past, lo: float, hi: float, width: float) -> tuple[float, float]:
+    """Halve [lo, hi] down to width (at most 200 times), keeping past(hi) and not past(lo)."""
+    for _ in range(200):
+        if hi - lo <= width:
+            break
+        mid = 0.5 * (lo + hi)
+        if past(mid):
+            hi = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    x = 0.5 * (a + b)
-    return x, fun(x)
+            lo = mid
+    return lo, hi
 
 
 def _orbit_residual(tf: TransferFunction, b: float, amplitude: float) -> tuple[float, float]:
@@ -366,12 +360,13 @@ def _orbit_residual(tf: TransferFunction, b: float, amplitude: float) -> tuple[f
 
     The interior maximum satisfies b theta'(b x - a) = 1 exactly, so when
     that derivative changes sign across the best grid cell the argmax is
-    located by bisecting it (machine precision); golden section is the
-    fallback.  A boundary maximum at x = 0 (the degenerate zero-amplitude
-    case) is returned as-is.
+    located by bisecting it (machine precision); otherwise the best grid
+    point is taken.  A boundary maximum at x = 0 (the degenerate
+    zero-amplitude case) is returned as-is.
     """
     xs = _ORBIT_GRID
-    h = tf(b * xs - amplitude) - xs
+    with np.errstate(over="ignore"):  # an overflowing b x fails the transfer's finite check
+        h = tf(b * xs - amplitude) - xs
     i = int(np.argmax(h[1:])) + 1  # best interior grid point
     lo = float(xs[i - 1])
     hi = float(xs[min(i + 1, xs.size - 1)])
@@ -381,23 +376,15 @@ def _orbit_residual(tf: TransferFunction, b: float, amplitude: float) -> tuple[f
 
     interior = slope(lo) > 0.0 >= slope(hi)
     if interior:
-        while hi - lo > 1e-15:
-            mid = 0.5 * (lo + hi)
-            if slope(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = _bisect(lambda x: not slope(x) > 0.0, lo, hi, 1e-15)
         x_star = 0.5 * (lo + hi)
         h_star = float(tf(b * x_star - amplitude) - x_star)
     else:
-        x_star, h_star = _golden_max(lambda x: tf(b * x - amplitude) - x, lo, hi)
+        x_star, h_star = float(xs[i]), float(h[i])
     # x = 0 is a trivial fixed point whenever theta(-amplitude) = 0, so the
     # residual must still see the boundary; the reported orbit prefers the
     # interior stationary point when one exists (the near-tangency orbit).
-    r = max(float(h_star), float(h[0]))
-    if interior or h_star > h[0]:
-        return r, float(x_star)
-    return r, float(xs[0])
+    return max(h_star, float(h[0])), x_star if interior or h_star > h[0] else float(xs[0])
 
 
 def find_critical_b(
@@ -432,15 +419,7 @@ def find_critical_b(
         raise ValueError(
             f"bracket does not straddle the critical coupling: r({lo})={r_lo:.3g}, r({hi})={r_hi:.3g}"
         )
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        r_mid, _ = _orbit_residual(tf, mid, a)
-        if r_mid > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(lambda b: _orbit_residual(tf, b, a)[0] > 0.0, lo, hi, tol)
     b_star = 0.5 * (lo + hi)
     _, x_star = _orbit_residual(tf, lo, a)
     if x_star >= _ORBIT_GRID[-2]:

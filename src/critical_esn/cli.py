@@ -470,7 +470,7 @@ def main(argv=None) -> int:
             "exit_code": exit_code,
         }
         _write_json(out / "run_meta.json", meta)
-    except (ConfigError, MemoryError, OSError, TypeError, ValueError) as exc:
+    except (ConfigError, MemoryError, OSError, OverflowError, TypeError, ValueError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     if summary:

@@ -12,12 +12,14 @@ k-neuron network is covered by the same function with its argument
 rescaled by 1/k^2 (:func:`phi_k`).
 
 Everything in this module is a pure function.  Each check takes the cover
-parameters ``p`` and reports its worst margin with a ``status``: the
-dominance of the covering sequence by its closed form is proved
-(Bernoulli's inequality, see :func:`verify_dominance`), and its report
-only tabulates the bound; every other check is "sampled", evaluated on a
-grid or on seeded samples whose ranges are the fixed module constants
-below, and says nothing between its points.
+parameters ``p`` and reports its worst margin with a ``status``.  Two are
+proved: the dominance of the covering sequence by its closed form
+(Bernoulli's inequality, see :func:`verify_dominance`), whose report only
+tabulates the bound, and the cover function's shape facts, which reduce
+to one inequality on (eta, gamma, kappa) (:func:`check_phi_properties`).
+Every other check is "sampled", evaluated on a grid or on seeded samples
+whose ranges are the fixed module constants below, and says nothing
+between its points.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
 
 PASS_SLACK = 1e-12
 _VEC_DELTA_SCALE, _VEC_ZETA_SCALE = 2.0, 4.0  # sampled |Delta_i|, |zeta_i| bounds of the vector check
-_PHI_Z_HI, _PHI_POINTS = 4.0, 4001  # check_phi_properties' grid of z in [0, hi]
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def phi(z, p: CoverParams = CoverParams()):
     if np.any(z < 0):
         raise ValueError("phi argument must be nonnegative")
     clamp = 1.0 - p.eta * p.gamma**p.kappa
-    out = np.where(z < p.gamma, 1.0 - p.eta * z**p.kappa, clamp)
+    out = np.where(z < p.gamma, 1.0 - p.eta * np.minimum(z, p.gamma) ** p.kappa, clamp)  # no overflow past gamma
     return float(out) if scalar else out
 
 
@@ -141,10 +142,10 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     """lo, lo + step, ... up to hi (to the nearest step)."""
     if not (step > 0 and hi >= lo):
         raise ValueError(f"grid needs step > 0 and hi >= lo, got ({lo}, {hi}, {step})")
-    n = (hi - lo) / step
-    if not math.isfinite(n):
-        raise ValueError(f"grid ({lo}, {hi}, {step}) has too many points to count")
-    return lo + step * np.arange(int(round(n)) + 1)
+    try:
+        return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+    except (MemoryError, OverflowError, ValueError) as exc:  # too many to count, or for numpy to build
+        raise ValueError(f"grid ({lo}, {hi}, {step}) has too many points to count") from exc
 
 
 def verify_cover_inequality(
@@ -205,19 +206,19 @@ def verify_cover_inequality_vec(
 
 
 def check_phi_properties(p: CoverParams = CoverParams()) -> VerificationReport:
-    """Grid check of the three cover-function facts the contraction argument uses.
+    """Prove the three cover-function facts the contraction argument uses.
 
-    phi <= 1; phi is non-increasing; z * phi(z) is non-decreasing; on
-    4001 points of z in [0, 4].
+    phi <= 1 and phi is non-increasing for every eta > 0: z^kappa does not
+    decrease for kappa >= 1, and the clamp is phi's value at gamma.
+    z phi(z) is continuous; past gamma it grows with slope
+    1 - eta gamma^kappa > 0 (eta, gamma < 1), and below gamma its slope
+    1 - eta (kappa + 1) z^kappa is least as z -> gamma.  So it is
+    non-decreasing iff eta (kappa + 1) gamma^kappa <= 1, and the report's
+    one margin is 1 - eta (kappa + 1) gamma^kappa, at z = gamma.
     """
-    zs = np.linspace(0.0, _PHI_Z_HI, _PHI_POINTS)
-    ph = phi(zs, p)
-    m1 = 1.0 - ph
-    m2 = -np.diff(ph)
-    m3 = np.diff(zs * ph)
-    margins = np.concatenate([m1, m2, m3])
-    points = np.concatenate([zs, zs[1:], zs[1:]])
-    return _report(margins, points, f"z in [0,{_PHI_Z_HI}], {_PHI_POINTS} points")
+    margin = 1.0 - p.eta * (p.kappa + 1.0) * p.gamma**p.kappa
+    spec = "eta (kappa+1) gamma^kappa <= 1; phi <= 1 and non-increasing for eta > 0"
+    return replace(_report(np.array([margin]), np.array([p.gamma]), spec), status="proved")
 
 
 # -- the scalar covering sequence -------------------------------------------

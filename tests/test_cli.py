@@ -14,7 +14,7 @@ import pytest
 
 import critical_esn
 from critical_esn import analysis, contraction, readout
-from critical_esn.cli import DEFAULTS, main
+from critical_esn.cli import _FORMS, DEFAULTS, main
 from critical_esn.contraction import phi_k
 
 A = math.pi / 4
@@ -105,6 +105,8 @@ class TestFigure3:
             rows = (tmp_path / "out" / "figure3_lyapunov.csv").read_text().splitlines()
             assert code == 0 and err == ""
             assert len(rows) == 22 and all(row.endswith(",-inf") for row in rows[1:])
+        if key == "b_step" and value == 1e-308:  # numpy cannot build the grid; the message names it
+            assert err == "error: grid (0.5, 1.5, 1e-308) has too many points to count\n"
         if key == "b_lo" and value == 1e-308:  # b^2 underflows, log b does not
             rows = (tmp_path / "out" / "figure3_lyapunov.csv").read_text().splitlines()
             assert code == 0 and float(rows[1].split(",")[1]) == pytest.approx(math.log(1e-308), rel=1e-15)
@@ -186,8 +188,9 @@ class TestVerify:
         assert report["cover_tanh"]["passed"] and report["cover_sine_sigmoid"]["passed"]
         assert any(name.startswith("step_audit_") for name in report)
         statuses = {name: rep["status"] for name, rep in report.items() if name != "all_passed"}
-        assert statuses == {name: "proved" if name.startswith("dominance_") else "sampled" for name in statuses}
-        assert sum(s == "proved" for s in statuses.values()) == 3  # one per default q0
+        proved = {name for name in statuses if name.startswith("dominance_") or name == "phi_shape"}
+        assert statuses == {name: "proved" if name in proved else "sampled" for name in statuses}
+        assert len(proved) == 4  # one per default q0, and the shape facts
 
     def test_identity_transfer_fails_with_nonzero_exit(self, tmp_path):
         cfg = _write_config(
@@ -405,6 +408,16 @@ class TestConfigHandling:
             ("mc", {"washout": -1}),
             ("simulate", {"input": {"kind": "file"}}),
             ("simulate", {"input": {"kind": "sawtooth"}}),
+            # an OverflowError: q0^-kappa overflows a Python float ...
+            ("verify", {"kappa": 1e308}),
+            ("verify", {"q0_list": [1e-308]}),
+            # ... or the uniform draw's range high - low does
+            ("mc", {"input_scale": 1e308}),
+            ("mc", {"input_scale": -1e308}),
+            ("mc", {"amplitude": 1e308}),
+            ("mc", {"amplitude": -1e308}),
+            ("simulate", {"reservoir": {"input_scale": 1e308}}),
+            ("simulate", {"reservoir": {"input_scale": -1e308}}),
         ],
     )
     def test_ill_formed_config_exits_2_with_one_line(self, tmp_path, capsys, command, payload):
@@ -420,6 +433,9 @@ class TestConfigHandling:
             ("figure3", {"b_hi": 1e308}, "(0.5, 1e+308, 0.05)"),
             ("verify", {"delta_grid": [0.0, 1e308, 0.01]}, "(0.0, 1e+308, 0.01)"),
             ("verify", {"zeta_grid": [-1e308, 1e308, 0.01]}, "(-1e+308, 1e+308, 0.01)"),
+            # countable, but more points than numpy can allocate or index
+            ("figure3", {"b_step": 1e-12}, "(0.5, 1.5, 1e-12)"),
+            ("verify", {"delta_grid": [0.0, 4.0, 1e-300]}, "(0.0, 4.0, 1e-300)"),
         ],
     )
     def test_grid_too_large_to_count_exits_2_naming_its_bounds(self, tmp_path, capsys, command, payload, bounds):
@@ -618,6 +634,69 @@ class TestConfigHandling:
         assert names == sorted(p.name for p in second.iterdir() if p.name != "run_meta.json")
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+# One cheap base run per subcommand (figure3's grid is in TestFigure3).
+_CHEAP_BASE = {
+    "figure45": {"T": 300},
+    "verify": {**FAST_VERIFY, "n_list": [2], "vector_samples": 200, "q0_list": [0.5], "audit_k_list": [1, 2], "audit_T": 40},
+    "critical-b": {},
+    "mc": {"k": 4, "max_delay": 5, "T": 400, "washout": 20},
+    "simulate": {"T": 50},
+}
+_FLOAT_EXTREMES = (0, -1, 1e308, -1e308, 1e-308)
+_INT_EXTREMES = (0, -1, 10**18)
+_ONLY_LONG = [("verify", ("audit_runs_per_case",), 10**18)]  # a valid run, only 10^18 times longer
+
+
+def _extreme_cases():
+    """(command, key path, value) for each number a config can hold, at each extreme.
+
+    A list takes the value as its one entry; a fixed-length list takes it
+    at each position in turn, the other entries keeping their defaults.
+    """
+
+    def leaves(declared, path):
+        for key, default in declared.items():
+            if isinstance(default, dict):
+                yield from leaves(default, path + (key,))
+                continue
+            form = next((f for f in _FORMS.get(key, (default,)) if isinstance(f, (int, float, list, tuple))), None)
+            entry = form[0] if isinstance(form, (list, tuple)) else form
+            if not isinstance(entry, (int, float)):
+                continue
+            for v in _FLOAT_EXTREMES if isinstance(entry, float) else _INT_EXTREMES:
+                if isinstance(form, tuple):
+                    yield from ((path + (key,), [*form[:i], v, *form[i + 1 :]]) for i in range(len(form)))
+                else:
+                    yield path + (key,), [v] if isinstance(form, list) else v
+
+    for command in _CHEAP_BASE:
+        for path, value in leaves(DEFAULTS[command], ()):
+            if (command, path, value) not in _ONLY_LONG:
+                yield command, path, value
+
+
+class TestExtremeConfigs:
+    @pytest.mark.parametrize(
+        "command, path, value",
+        [pytest.param(c, p, v, id=f"{c}-{'.'.join(p)}={v}") for c, p, v in _extreme_cases()],
+    )
+    def test_extreme_value_exits_cleanly(self, tmp_path, capsys, command, path, value):
+        # main raises nothing (no traceback), and an exit 2 is one line with no files
+        payload = json.loads(json.dumps(_CHEAP_BASE[command]))
+        node = payload
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        cfg = _write_config(tmp_path, "cfg.json", payload)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
 
 
 class TestDeterminismScope:

@@ -71,12 +71,30 @@ class TestPhi:
 
     def test_shape_facts_hold_for_certificate(self):
         rep = check_phi_properties()
-        assert rep.passed and rep.worst_margin >= 0.0
+        assert rep.passed and rep.status == "proved" and rep.n_checked == 1 and rep.worst_point == (0.5,)
+        assert rep.worst_margin == 1.0 - 3.0 * 0.25 / 48.0  # 1 - eta (kappa + 1) gamma^kappa
 
     def test_shape_facts_fail_without_clamp_room(self):
         # large eta makes z * phi(z) decrease before the clamp kicks in
         rep = check_phi_properties(CoverParams(eta=0.9, gamma=0.99, kappa=2.0))
         assert not rep.passed
+
+    def test_shape_facts_catch_a_thin_violation(self):
+        # eta (kappa + 1) gamma^kappa = 1.001: z phi(z) dips too little, too close to gamma, for a grid to see
+        rep = check_phi_properties(CoverParams(eta=1.001 / 1.92, gamma=0.8, kappa=2.0))
+        assert not rep.passed and rep.worst_margin == pytest.approx(-1e-3)
+        assert check_phi_properties(CoverParams(eta=1.0 / 1.92, gamma=0.8, kappa=2.0)).passed  # the boundary case
+
+    @pytest.mark.parametrize(
+        "eta, gamma, kappa",
+        [(0.9, 0.99, 2.0), (0.6, 0.9, 1.0), (0.5, 0.9, 1.0), (0.2, 0.95, 5.0), (0.99, 0.5, 1.5), (1.0 / 48.0, 0.5, 2.0)],
+    )
+    def test_closed_form_agrees_with_a_fine_grid(self, eta, gamma, kappa):
+        p = CoverParams(eta=eta, gamma=gamma, kappa=kappa)
+        zs = np.linspace(0.0, 2.0, 200_001)
+        ph = phi(zs, p)
+        assert ph.max() <= 1.0 and np.all(np.diff(ph) <= 0.0)
+        assert check_phi_properties(p).passed == bool(np.all(np.diff(zs * ph) >= 0.0))
 
 
 class TestOmega:
