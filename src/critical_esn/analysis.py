@@ -65,9 +65,8 @@ class LyapunovResult:
 @dataclass(frozen=True)
 class SweepPoint:
     b: float
-    exponent: float
-    result: Optional[LyapunovResult]
-    error: Optional[str] = None
+    exponent: float  # the closed-form exponent, or NaN where the cell failed
+    error: Optional[str] = None  # why the cell failed
 
 
 def _as_orbit(reference_orbit) -> np.ndarray:
@@ -77,15 +76,6 @@ def _as_orbit(reference_orbit) -> np.ndarray:
     if not np.all(np.isfinite(orbit)):
         raise ValueError("reference orbit must be finite")
     return orbit
-
-
-def _check_run_length(T: int, renorm_interval: int, eps0: float) -> None:
-    if renorm_interval < 1:
-        raise ValueError("need renorm_interval >= 1")
-    if T < 10 * renorm_interval:
-        raise ValueError("need T >= 10 * renorm_interval")
-    if not (0.0 < eps0 <= 1e-6):
-        raise ValueError("need eps0 in (0, 1e-6]")
 
 
 def lyapunov_exponent(
@@ -124,7 +114,12 @@ def lyapunov_exponent(
     spec that has no period, a non-finite x0, reference_orbit or input, or
     an empty reference_orbit.
     """
-    _check_run_length(T, renorm_interval, eps0)
+    if renorm_interval < 1:
+        raise ValueError("need renorm_interval >= 1")
+    if T < 10 * renorm_interval:
+        raise ValueError("need T >= 10 * renorm_interval")
+    if not (0.0 < eps0 <= 1e-6):
+        raise ValueError("need eps0 in (0, 1e-6]")
     start = _as_state(res, x0, "x0")
     if reference_orbit is None:
         return _benettin(res, generate_input(input_spec, T + 1, res.n), start, T, renorm_interval, eps0)
@@ -203,7 +198,8 @@ def _benettin(res, u, start, T, L, eps0) -> LyapunovResult:
             y = x + eps0 * e0
         else:
             y = x + (y - x) * (eps0 / d)
-    return _summary(_log_stretches(dists, eps0), T_used, L)
+    per_step = _log_stretches(dists, eps0) / L  # the exponent is their mean, with its standard error
+    return LyapunovResult(float(np.mean(per_step)), T_used, L, float(np.std(per_step) / math.sqrt(len(per_step))))
 
 
 def _log_stretches(dists, eps0: float) -> np.ndarray:
@@ -221,50 +217,31 @@ def _log_stretches(dists, eps0: float) -> np.ndarray:
     return stretches
 
 
-def _summary(stretches: np.ndarray, T_used: int, L: int) -> LyapunovResult:
-    """Mean log-stretch per step over the blocks, with its standard error."""
-    per_step = stretches / L
-    exponent = float(np.mean(per_step))
-    stderr = float(np.std(per_step) / math.sqrt(len(per_step)))
-    return LyapunovResult(exponent, T_used, L, stderr)
-
-
 def lyapunov_sweep(
     reservoir_factory: Callable[[float], Reservoir],
     input_spec: InputSequence,
     grid: Sequence[float],
-    T: int = 100_000,
-    renorm_interval: int = 10,
-    eps0: float = 1e-9,
-    reference_orbit=None,
+    reference_orbit,
 ) -> list[SweepPoint]:
-    """lyapunov_exponent per grid point, same input realization everywhere.
+    """The closed-form exponent of reference_orbit at every grid point.
 
-    reference_orbit, as in lyapunov_exponent, gives every cell the closed-form
-    exponent of the same known periodic states.  A bad T, renorm_interval, eps0 or
-    reference_orbit raises before any cell runs; a failed cell is flagged
-    on its SweepPoint instead.  Results come in grid order.
+    Each cell is lyapunov_exponent(reservoir_factory(b), input_spec,
+    reference_orbit=reference_orbit): the same known periodic states, pinned
+    as in lyapunov_exponent.  An empty grid or a bad reference_orbit raises
+    before any cell runs; a failed cell is flagged on its SweepPoint
+    instead.  Results come in grid order.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be non-empty")
-    _check_run_length(T, renorm_interval, eps0)
-    if reference_orbit is not None:
-        reference_orbit = _as_orbit(reference_orbit)
+    reference_orbit = _as_orbit(reference_orbit)
 
     def cell(b: float) -> SweepPoint:
         try:
-            result = lyapunov_exponent(
-                reservoir_factory(b),
-                input_spec,
-                T=T,
-                renorm_interval=renorm_interval,
-                eps0=eps0,
-                reference_orbit=reference_orbit,
-            )
-            return SweepPoint(b=b, exponent=result.exponent, result=result)
+            result = lyapunov_exponent(reservoir_factory(b), input_spec, reference_orbit=reference_orbit)
+            return SweepPoint(b=b, exponent=result.exponent)
         except Exception as exc:  # noqa: BLE001 - cell failures are data
-            return SweepPoint(b=b, exponent=math.nan, result=None, error=str(exc))
+            return SweepPoint(b=b, exponent=math.nan, error=str(exc))
 
     return [cell(b) for b in grid]
 
@@ -365,8 +342,7 @@ def _orbit_residual(tf: TransferFunction, b: float, amplitude: float) -> tuple[f
     zero-amplitude case) is returned as-is.
     """
     xs = _ORBIT_GRID
-    with np.errstate(over="ignore"):  # an overflowing b x fails the transfer's finite check
-        h = tf(b * xs - amplitude) - xs
+    h = tf(b * xs - amplitude) - xs
     i = int(np.argmax(h[1:])) + 1  # best interior grid point
     lo = float(xs[i - 1])
     hi = float(xs[min(i + 1, xs.size - 1)])
@@ -402,7 +378,8 @@ def find_critical_b(
     Bisection on b; r <= 0 counts as subcritical.  The orbit search is
     restricted to x in [0, 4], adequate for bounded sigmoid-like transfer
     functions; an orbit located in the last grid cell before x = 4 is the
-    search bound, not a tangency, and raises ValueError.
+    search bound, not a tangency, and raises ValueError, as does a bracket
+    so wide that b x - a overflows there.
 
     With amplitude 0 the tangency degenerates to the origin: b* = 1 and
     the orbit amplitude is 0.
@@ -413,6 +390,10 @@ def find_critical_b(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (lo < hi):
         raise ValueError("need bracket lo < hi")
+    if not math.isfinite(_ORBIT_X_HI * max(-lo, hi) + abs(a)):
+        raise ValueError(
+            f"bracket ({lo:g}, {hi:g}) is too wide for amplitude {a:g}: b x - a overflows for x in [0, {_ORBIT_X_HI:g}]"
+        )
     r_lo, _ = _orbit_residual(tf, lo, a)
     r_hi, _ = _orbit_residual(tf, hi, a)
     if not (r_lo <= 0.0 < r_hi):

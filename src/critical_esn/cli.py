@@ -243,9 +243,16 @@ def _input_from_config(cfg: dict) -> dynamics.InputSequence:
 
 def _reservoir_from_config(cfg: dict) -> Reservoir:
     tf = _transfer_from_config(cfg["transfer"])
+
+    def load(key):
+        try:
+            return load_matrix_csv(cfg[key])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
+
     if cfg["w_csv"] is not None:
-        W = load_matrix_csv(cfg["w_csv"])
-        w_in = np.ones((W.shape[0], 1)) if cfg["w_in_csv"] is None else load_matrix_csv(cfg["w_in_csv"])
+        W = load("w_csv")
+        w_in = np.ones((W.shape[0], 1)) if cfg["w_in_csv"] is None else load("w_in_csv")
     elif cfg["w_in_csv"] is not None:
         raise ConfigError("config key 'w_in_csv' is set but 'w_csv' is not")
     else:

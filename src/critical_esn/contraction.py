@@ -257,7 +257,11 @@ def q_star(t, q0: float, p: CoverParams = CoverParams()):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("need t >= 0")
-    val = ((p.eta / p.kappa) * t + q0 ** (-p.kappa)) ** (-1.0 / p.kappa)
+    try:
+        start = float(q0) ** (-p.kappa)
+    except OverflowError:
+        raise ValueError(f"q0^(-kappa) overflows a float at q0={q0!r}, kappa={p.kappa!r}") from None
+    val = ((p.eta / p.kappa) * t + start) ** (-1.0 / p.kappa)
     val = np.where(t == 0.0, q0, val)
     return float(val) if scalar else val
 

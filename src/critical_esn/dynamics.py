@@ -5,8 +5,8 @@ states x_1..x_T with
 
     x_t = theta(W x_{t-1} + w_in u_t),
 
-the initial state x0 lives in the metadata, and the generated input sample
-u_0 is aligned with x0 (it is never consumed by a transition).  This keeps
+and the generated input sample u_0 is aligned with the initial state x0
+(it is never consumed by a transition).  This keeps
 state and input phases locked: on the alternating-input attractor of the
 single-neuron family below, x_t and u_t carry the same sign at every t.
 
@@ -147,12 +147,12 @@ def generate_input(spec: InputSequence, T: int, n: int = 1) -> np.ndarray:
 class Trajectory:
     """States x_1..x_T (T x k) and the linear states that produced them.
 
-    states[i] == theta(linear_states[i]) elementwise, for every row.
+    states[i] == theta(linear_states[i]) elementwise, for every row; the
+    initial state x0 is the caller's.
     """
 
     states: np.ndarray
     linear_states: np.ndarray
-    x0: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -277,7 +277,7 @@ def run_with_inputs(res: Reservoir, inputs: np.ndarray, x0=None) -> Trajectory:
     T = inputs.shape[0]
     states, linear = np.empty((T, res.k)), np.empty((T, res.k))
     _stepper(res, inputs, floats=False)(x0, 0, T, states, linear)
-    return Trajectory(states=states, linear_states=linear, x0=x0)
+    return Trajectory(states=states, linear_states=linear)
 
 
 def run(res: Reservoir, input_spec: InputSequence, x0, T: int) -> Trajectory:

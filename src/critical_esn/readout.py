@@ -24,9 +24,7 @@ _RUN_ROWS = 1024  # steps per run_with_inputs call, so the whole run's states ne
 
 @dataclass(frozen=True)
 class ReadoutModel:
-    w_out: np.ndarray  # (m, k)
-    ridge: float
-    training_error: float  # RMS over all output entries on the training set
+    w_out: np.ndarray  # (m, k); predict(model, X) is X @ w_out.T
 
 
 def _normal_matrix(X: np.ndarray, ridge: float) -> np.ndarray:
@@ -54,6 +52,8 @@ def fit_readout(
     normal, when given, is the (k, k) matrix states.T @ states + ridge * I,
     formed (and, for ridge = 0, checked) once by a caller that fits many
     targets on the same states; without it the matrix is formed here.
+    The model holds the weights only: the training residual is
+    predict(model, states) - targets.
     """
     X = np.atleast_2d(np.asarray(states, dtype=float))
     Y = np.asarray(targets, dtype=float)
@@ -67,10 +67,7 @@ def fit_readout(
     if normal is not None and np.shape(normal) != (k, k):
         raise ValueError(f"normal matrix must be ({k}, {k}), got {np.shape(normal)}")
     G = _normal_matrix(X, ridge) if normal is None else normal
-    coef = np.linalg.solve(G, X.T @ Y)  # (k, m)
-    resid = X @ coef - Y
-    training_error = float(np.sqrt(np.mean(resid**2)))
-    return ReadoutModel(w_out=coef.T, ridge=float(ridge), training_error=training_error)
+    return ReadoutModel(np.linalg.solve(G, X.T @ Y).T)
 
 
 def predict(model: ReadoutModel, states: np.ndarray) -> np.ndarray:
@@ -141,7 +138,10 @@ def memory_capacity(
             f"need at least {2 * (res.k + 10)}"
         )
     rng = np.random.default_rng(seed)
-    u = rng.uniform(-input_amplitude, input_amplitude, size=(T, res.n))
+    try:
+        u = rng.uniform(-input_amplitude, input_amplitude, size=(T, res.n))
+    except OverflowError:  # the range 2 |input_amplitude| overflows
+        raise ValueError(f"input_amplitude {input_amplitude!r} is too large to draw uniform inputs") from None
     X, x = np.empty((n_rows, res.k)), None  # only the rows the readouts fit
     for t0 in range(0, T, _RUN_ROWS):
         states = run_with_inputs(res, u[t0 : t0 + _RUN_ROWS], x0=x).states

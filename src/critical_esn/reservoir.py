@@ -110,7 +110,10 @@ def make_orthogonal_reservoir(k: int, n: int, input_scale: float, seed: int) -> 
     g = rng.standard_normal((k, k))
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diag(r))
-    w_in = rng.uniform(-input_scale, input_scale, size=(k, n))
+    try:
+        w_in = rng.uniform(-input_scale, input_scale, size=(k, n))
+    except OverflowError:  # the range 2 |input_scale| overflows
+        raise ValueError(f"input_scale {input_scale!r} is too large to draw uniform input weights") from None
     return Reservoir(W=q, w_in=w_in, tf=TANH)
 
 

@@ -48,7 +48,6 @@ def test_criterion_1_lyapunov_zero_crossing():
         make_alternating_neuron,
         Alternating(A),
         [0.95, 1.0, 1.05],
-        T=100_000,
         reference_orbit=alternating_orbit(A),
     )
     elapsed = time.monotonic() - t0

@@ -164,6 +164,21 @@ class TestLyapunovExponent:
         r = lyapunov_exponent(res, Alternating(A), T=100_000, x0=[0.0])
         assert abs(r.exponent) <= 2e-3
 
+    @pytest.mark.parametrize("orbit", [None, alternating_orbit(A)], ids=["free", "pinned"])
+    @pytest.mark.parametrize(
+        "run_length, message",
+        [
+            ({"renorm_interval": 0}, r"need renorm_interval >= 1"),
+            ({"T": 99, "renorm_interval": 10}, r"need T >= 10 \* renorm_interval"),
+            ({"eps0": 0.0}, r"need eps0 in \(0, 1e-6\]"),
+            ({"eps0": 1e-5}, r"need eps0 in \(0, 1e-6\]"),
+        ],
+    )
+    def test_bad_run_length_rejected(self, orbit, run_length, message):
+        # checked before any step, and with an orbit as without one
+        with pytest.raises(ValueError, match=message):
+            lyapunov_exponent(make_alternating_neuron(1.0), Alternating(A), **run_length, reference_orbit=orbit)
+
     def test_stderr_brackets_contracting_exponent(self):
         res = Reservoir(W=[[0.5]], w_in=[[1.0]], tf=TANH)
         r = lyapunov_exponent(res, Constant(0.0), T=10_000, x0=[0.01])
@@ -465,7 +480,6 @@ class TestLyapunovSweep:
             make_alternating_neuron,
             Alternating(A),
             [0.5, 1.0],
-            T=20_000,
             reference_orbit=alternating_orbit(A),
         )
         assert pts[0].exponent < 0
@@ -477,13 +491,11 @@ class TestLyapunovSweep:
             make_alternating_neuron,
             Alternating(A),
             [1.0],
-            T=5000,
             reference_orbit=alternating_orbit(A),
         )
         direct = lyapunov_exponent(
             make_alternating_neuron(1.0),
             Alternating(A),
-            T=5000,
             reference_orbit=alternating_orbit(A),
         )
         assert pts[0].exponent == direct.exponent
@@ -493,7 +505,6 @@ class TestLyapunovSweep:
             make_alternating_neuron,
             Alternating(A),
             [1.2],
-            T=20_000,
             reference_orbit=alternating_orbit(A),
         )
         assert pts[0].exponent > 0
@@ -509,13 +520,13 @@ class TestLyapunovSweep:
                 raise RuntimeError("boom")
             return make_alternating_neuron(b)
 
-        pts = lyapunov_sweep(factory, Alternating(A), [0.5, 1.5], T=1000)
+        pts = lyapunov_sweep(factory, Alternating(A), [0.5, 1.5], alternating_orbit(A))
         assert pts[0].error is None
         assert pts[1].error is not None and math.isnan(pts[1].exponent)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            lyapunov_sweep(make_alternating_neuron, Alternating(A), [], T=1000)
+            lyapunov_sweep(make_alternating_neuron, Alternating(A), [], alternating_orbit(A))
 
     def test_non_finite_reference_orbit_raises_before_any_cell(self):
         built = []
@@ -525,7 +536,7 @@ class TestLyapunovSweep:
             return make_alternating_neuron(b)
 
         with pytest.raises(ValueError, match="reference orbit must be finite"):
-            lyapunov_sweep(factory, Alternating(A), [0.5, 1.0], T=1000, reference_orbit=[[0.5], [math.nan]])
+            lyapunov_sweep(factory, Alternating(A), [0.5, 1.0], reference_orbit=[[0.5], [math.nan]])
         assert built == []
 
     def test_empty_reference_orbit_raises_before_any_cell(self):
@@ -536,12 +547,12 @@ class TestLyapunovSweep:
             return make_alternating_neuron(b)
 
         with pytest.raises(ValueError, match="reference orbit must have at least one state"):
-            lyapunov_sweep(factory, Alternating(A), [0.5, 1.0], T=1000, reference_orbit=np.empty((0, 1)))
+            lyapunov_sweep(factory, Alternating(A), [0.5, 1.0], reference_orbit=np.empty((0, 1)))
         assert built == []
 
     def test_csv_format(self, tmp_path):
         pts = lyapunov_sweep(
-            make_alternating_neuron, Alternating(A), [0.5], T=1000,
+            make_alternating_neuron, Alternating(A), [0.5],
             reference_orbit=alternating_orbit(A),
         )
         path = tmp_path / "sweep.csv"
@@ -631,6 +642,12 @@ class TestFindCriticalB:
             find_critical_b(TANH, 0.0, (1.5, 3.0), 1e-6)
         with pytest.raises(ValueError):
             find_critical_b(TANH, A, (0.1, 0.5), 1e-6)
+
+    @pytest.mark.parametrize("bracket, amplitude", [((1.5, 1e308), A), ((-1e308, 3.0), A), ((1.5, 3e307), -1e308)])
+    def test_bracket_whose_drive_overflows_is_named(self, bracket, amplitude):
+        # b x - a past the float range for some x in [0, 4]
+        with pytest.raises(ValueError, match=r"bracket \(.*\) is too wide for amplitude"):
+            find_critical_b(TANH, amplitude, bracket, 1e-6)
 
     def test_tangency_at_the_search_bound_rejected(self):
         # theta(b x - a) - x is (b - 1) x - a for the identity: its maximum

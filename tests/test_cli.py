@@ -26,6 +26,50 @@ def _write_config(tmp_path, name, payload):
     return str(path)
 
 
+# (command, payload, what its error line names, or None): each exits 2 with one line.
+_ILL_FORMED = [
+    ("figure3", {"b_step": 0}, None),
+    ("verify", {"delta_grid": [0, 4, 0]}, None),
+    ("figure45", {"T": None}, "'T'"),
+    ("simulate", {"input": {"kind": "constant"}}, "'value'"),
+    ("simulate", {"input": 5}, "config.input"),
+    ("simulate", {"reservoir": [1]}, "config.reservoir"),
+    ("critical-b", {"bracket": [1.5]}, "'bracket'"),
+    ("figure3", {"amplitude": 0.5}, None),  # not an orbit of the driven map
+    ("figure3", {"b_lo": -1e308}, None),  # too many grid points to count
+    ("verify", {"delta_grid": [0.0, 4.0, 1e-320]}, None),
+    ("simulate", {"T": 0}, None),
+    ("critical-b", {"bracket": [0.1, 0.5]}, "bracket"),
+    ("mc", {"T": 100}, None),
+    ("verify", {"audit_T": 1}, None),
+    # the states are finite, the twin's are not: no states.csv without the rest
+    ("simulate", {"reservoir": {"transfer": "sine_sigmoid"}, "x0": [0.0], "y0": [1e308], "T": 50}, None),
+    # the identity's orbit search ends on its bound x = 4, not on a tangency
+    ("critical-b", {"transfer": "linear", "bracket": [0.5, 3.0]}, None),
+    # rejected before the simulation, not after it
+    ("mc", {"ridge": -1.0}, "ridge"),
+    ("mc", {"washout": -1}, "washout"),
+    ("simulate", {"input": {"kind": "file"}}, "'path'"),
+    ("simulate", {"input": {"kind": "sawtooth"}}, None),
+    # q0^-kappa overflows a Python float ...
+    ("verify", {"kappa": 1e308}, "kappa=1e+308"),
+    ("verify", {"q0_list": [1e-308]}, "q0=1e-308"),
+    # ... or the uniform draw's range high - low does
+    ("mc", {"input_scale": 1e308}, "input_scale 1e+308"),
+    ("mc", {"input_scale": -1e308}, "input_scale -1e+308"),
+    ("mc", {"amplitude": 1e308}, "input_amplitude 1e+308"),
+    ("mc", {"amplitude": -1e308}, "input_amplitude -1e+308"),
+    ("simulate", {"reservoir": {"input_scale": 1e308}}, "input_scale 1e+308"),
+    ("simulate", {"reservoir": {"input_scale": -1e308}}, "input_scale -1e+308"),
+    # ... or b x - amplitude does, for x in the orbit search range [0, 4]
+    ("critical-b", {"bracket": [1.5, 1e308]}, "bracket (1.5, 1e+308)"),
+    ("critical-b", {"bracket": [-1e308, 3.0]}, "bracket (-1e+308, 3)"),
+    # an empty path is no file
+    ("mc", {"w_csv": ""}, "config key 'w_csv'"),
+    ("simulate", {"reservoir": {"w_csv": ""}}, "config key 'w_csv'"),
+]
+
+
 class TestFigure3:
     def test_small_grid_crosses_zero(self, tmp_path):
         cfg = _write_config(
@@ -383,48 +427,16 @@ class TestConfigHandling:
         assert main(["mc", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
-        "command, payload",
-        [
-            ("figure3", {"b_step": 0}),
-            ("verify", {"delta_grid": [0, 4, 0]}),
-            ("figure45", {"T": None}),
-            ("simulate", {"input": {"kind": "constant"}}),
-            ("simulate", {"input": 5}),
-            ("simulate", {"reservoir": [1]}),
-            ("critical-b", {"bracket": [1.5]}),
-            ("figure3", {"amplitude": 0.5}),  # not an orbit of the driven map
-            ("figure3", {"b_lo": -1e308}),  # too many grid points to count
-            ("verify", {"delta_grid": [0.0, 4.0, 1e-320]}),
-            ("simulate", {"T": 0}),
-            ("critical-b", {"bracket": [0.1, 0.5]}),
-            ("mc", {"T": 100}),
-            ("verify", {"audit_T": 1}),
-            # the states are finite, the twin's are not: no states.csv without the rest
-            ("simulate", {"reservoir": {"transfer": "sine_sigmoid"}, "x0": [0.0], "y0": [1e308], "T": 50}),
-            # the identity's orbit search ends on its bound x = 4, not on a tangency
-            ("critical-b", {"transfer": "linear", "bracket": [0.5, 3.0]}),
-            # rejected before the simulation, not after it
-            ("mc", {"ridge": -1.0}),
-            ("mc", {"washout": -1}),
-            ("simulate", {"input": {"kind": "file"}}),
-            ("simulate", {"input": {"kind": "sawtooth"}}),
-            # an OverflowError: q0^-kappa overflows a Python float ...
-            ("verify", {"kappa": 1e308}),
-            ("verify", {"q0_list": [1e-308]}),
-            # ... or the uniform draw's range high - low does
-            ("mc", {"input_scale": 1e308}),
-            ("mc", {"input_scale": -1e308}),
-            ("mc", {"amplitude": 1e308}),
-            ("mc", {"amplitude": -1e308}),
-            ("simulate", {"reservoir": {"input_scale": 1e308}}),
-            ("simulate", {"reservoir": {"input_scale": -1e308}}),
-        ],
+        "command, payload, named",
+        _ILL_FORMED,
+        ids=[f"{command}-payload{i}" for i, (command, _, _) in enumerate(_ILL_FORMED)],
     )
-    def test_ill_formed_config_exits_2_with_one_line(self, tmp_path, capsys, command, payload):
+    def test_ill_formed_config_exits_2_with_one_line(self, tmp_path, capsys, command, payload, named):
         cfg = _write_config(tmp_path, "bad.json", payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert named is None or named in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -577,6 +589,25 @@ class TestConfigHandling:
         assert err.startswith("error: ") and err.count("\n") == 1 and "'w_in_csv'" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["mc", "simulate"])
+    @pytest.mark.parametrize(
+        "key, text",
+        [("w_csv", ""), ("w_csv", "not a matrix\n"), ("w_in_csv", "")],
+        ids=["w_csv-empty", "w_csv-ill-formed", "w_in_csv-empty"],
+    )
+    def test_unreadable_matrix_file_exits_2_naming_its_key(self, tmp_path, capsys, command, key, text):
+        from critical_esn.reservoir import save_matrix_csv
+
+        save_matrix_csv(tmp_path / "w.csv", np.eye(2) * 0.5)
+        (tmp_path / "bad.csv").write_text(text)
+        matrices = {"w_csv": str(tmp_path / "w.csv"), key: str(tmp_path / "bad.csv")}
+        payload = {"reservoir": matrices} if command == "simulate" else {**matrices, "T": 400, "max_delay": 5}
+        cfg = _write_config(tmp_path, "bad.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key!r}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_run_meta_records_config_hash_and_versions(self, tmp_path):
         metas = []
         for run, payload in (("a", {"T": 300}), ("b", {"T": 300, "b": 1})):
@@ -677,26 +708,55 @@ def _extreme_cases():
                 yield command, path, value
 
 
+_WRONG_FORMS = ("", [], {}, None, True, "x")
+
+
+def _wrong_form_cases():
+    """(command, key path, value) for each declared key, nested ones and objects included, at each of _WRONG_FORMS."""
+
+    def keys(declared, path):
+        for key, default in declared.items():
+            yield path + (key,)
+            if isinstance(default, dict):
+                yield from keys(default, path + (key,))
+
+    for command in _CHEAP_BASE:
+        for path in keys(DEFAULTS[command], ()):
+            for value in _WRONG_FORMS:
+                yield command, path, value
+
+
+def _assert_exits_cleanly(tmp_path, capsys, command, path, value):
+    # main raises nothing (no traceback), and an exit 2 is one line with no files
+    payload = json.loads(json.dumps(_CHEAP_BASE[command]))
+    node = payload
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    cfg = _write_config(tmp_path, "cfg.json", payload)
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestExtremeConfigs:
     @pytest.mark.parametrize(
         "command, path, value",
         [pytest.param(c, p, v, id=f"{c}-{'.'.join(p)}={v}") for c, p, v in _extreme_cases()],
     )
     def test_extreme_value_exits_cleanly(self, tmp_path, capsys, command, path, value):
-        # main raises nothing (no traceback), and an exit 2 is one line with no files
-        payload = json.loads(json.dumps(_CHEAP_BASE[command]))
-        node = payload
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = value
-        cfg = _write_config(tmp_path, "cfg.json", payload)
-        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err
-        if code == 2:
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert not (tmp_path / "out").exists()
+        _assert_exits_cleanly(tmp_path, capsys, command, path, value)
+
+    @pytest.mark.parametrize(
+        "command, path, value",
+        [pytest.param(c, p, v, id=f"{c}-{'.'.join(p)}={json.dumps(v)}") for c, p, v in _wrong_form_cases()],
+    )
+    def test_empty_or_wrong_type_value_exits_cleanly(self, tmp_path, capsys, command, path, value):
+        _assert_exits_cleanly(tmp_path, capsys, command, path, value)
 
 
 class TestDeterminismScope:

@@ -1,6 +1,7 @@
 """Cover function, covering sequence, contraction bounds, and step audits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +260,15 @@ class TestDominance:
             verify_dominance(0.0)
         with pytest.raises(ValueError, match="need T >= 1"):
             verify_dominance(0.5, T=0)
+
+    @pytest.mark.parametrize("q0, kappa", [(0.1, 1e308), (1e-308, 2.0)])
+    def test_overflowing_start_names_q0_and_kappa(self, q0, kappa):
+        # q0^(-kappa) past the float range, where Python's ** raises OverflowError
+        message = re.escape(f"q0^(-kappa) overflows a float at q0={q0!r}, kappa={kappa!r}")
+        with pytest.raises(ValueError, match=message):
+            verify_dominance(q0, CoverParams(kappa=kappa), T=10)
+        with pytest.raises(ValueError, match=message):
+            q_star(1.0, q0, CoverParams(kappa=kappa))
 
 
 class TestTauBound:

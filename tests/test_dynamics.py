@@ -429,7 +429,7 @@ class TestTraceCsv:
         vals = np.random.default_rng(T).standard_normal((T, 3))
         vals.flat[:3] = -0.0, 1e-300, 1e17
         vals.flat[-1] = 1e17
-        write_states_csv(tmp_path / "s.csv", Trajectory(vals, vals, np.zeros(3)))
+        write_states_csv(tmp_path / "s.csv", Trajectory(vals, vals))
         line = "%d,%.17g,%.17g,%.17g\n"
         expected = "t,x0,x1,x2\n" + "".join(line % (t, *row) for t, row in enumerate(vals.tolist(), start=1))
         assert (tmp_path / "s.csv").read_bytes() == expected.encode()
@@ -448,7 +448,7 @@ class TestTraceCsv:
         def ref(v):
             return f"{v:.17g}"
 
-        write_states_csv(tmp_path / "s.csv", Trajectory(M, M, np.zeros(2)))
+        write_states_csv(tmp_path / "s.csv", Trajectory(M, M))
         expected = "t,x0,x1\n" + "".join(
             f"{t}," + ",".join(ref(v) for v in row) + "\n" for t, row in enumerate(M, start=1)
         )

@@ -1,5 +1,6 @@
 """Readout regression and the delay-reconstruction memory benchmark."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -41,7 +42,7 @@ class TestFitReadout:
         M = rng.standard_normal((2, 5))
         model = fit_readout(X, X @ M.T, ridge=0.0)
         np.testing.assert_allclose(model.w_out, M, atol=1e-8)
-        assert model.training_error <= 1e-8
+        np.testing.assert_allclose(predict(model, X), X @ M.T, atol=1e-8)
 
     def test_singular_states_need_ridge(self):
         X = np.ones((50, 2))  # rank one
@@ -66,7 +67,6 @@ class TestFitReadout:
         a = fit_readout(X, Y, ridge=ridge)
         b = fit_readout(X, Y, ridge=ridge, normal=G)
         assert a.w_out.tobytes() == b.w_out.tobytes()
-        assert a.training_error == b.training_error
 
     @pytest.mark.parametrize("shape", [(3, 3), (4, 5), (4,), (16,)])
     def test_normal_matrix_of_the_wrong_shape_rejected(self, shape):
@@ -86,14 +86,6 @@ class TestPredict:
         X = np.random.default_rng(4).standard_normal((20, 3))
         model = fit_readout(X, np.zeros((20, 1)), ridge=0.0)
         np.testing.assert_array_equal(predict(model, X), np.zeros((20, 1)))
-
-    def test_training_error_is_recomputable(self):
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((100, 4))
-        Y = X @ rng.standard_normal((4, 2)) + 0.01 * rng.standard_normal((100, 2))
-        model = fit_readout(X, Y, ridge=1e-8)
-        rms = float(np.sqrt(np.mean((predict(model, X) - Y) ** 2)))
-        assert rms == pytest.approx(model.training_error, rel=1e-12)
 
     def test_dimension_mismatch(self):
         X = np.ones((10, 3))
@@ -125,6 +117,11 @@ class TestMemoryCapacity:
             for r in (1e-8, 1e-4, 1e-2, 1.0)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
+
+    @pytest.mark.parametrize("amplitude", [1e308, -1e308])
+    def test_amplitude_whose_range_overflows_is_named(self, amplitude):
+        with pytest.raises(ValueError, match=re.escape(f"input_amplitude {amplitude!r} is too large")):
+            memory_capacity(_scaled(4, 0.9, seed=0), amplitude, max_delay=3, T=300)
 
     def test_constant_prediction_scores_zero(self):
         # with w_in = 0 the states, so the predictions, stay 0 and have no variance

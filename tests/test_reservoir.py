@@ -1,5 +1,7 @@
 """Reservoir construction, spectral summaries, boundary verdicts, matrix IO."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,11 @@ class TestMakeOrthogonalReservoir:
             make_orthogonal_reservoir(0, 1, 1.0, 0)
         with pytest.raises(ValueError):
             make_orthogonal_reservoir(1, 0, 1.0, 0)
+
+    @pytest.mark.parametrize("scale", [1e308, -1e308])
+    def test_input_scale_whose_range_overflows_is_named(self, scale):
+        with pytest.raises(ValueError, match=re.escape(f"input_scale {scale!r} is too large")):
+            make_orthogonal_reservoir(2, 1, scale, 0)
 
     def test_thousand_seeded_reservoirs_sit_on_boundary(self):
         for i in range(1000):
