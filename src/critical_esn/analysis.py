@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import ZERO_FLOOR, ConvergenceTrace, InputSequence, _as_state, _check_inputs, _norms, _stepper
+from .dynamics import ZERO_FLOOR, ConvergenceTrace, InputSequence, _advance, _as_state, _norms
 from .dynamics import _PERIODS, generate_input
 from .reservoir import Reservoir
 from .transfer import TransferFunction
@@ -165,7 +165,6 @@ def _orbit_linear_states(res: Reservoir, input_spec: InputSequence, reference_or
         raise ValueError(f"a reference orbit needs a periodic input, not {type(input_spec).__name__}")
     N = math.lcm(len(orbit), period)
     u = generate_input(input_spec, N + 1, res.n)
-    _check_inputs(u)
     x = orbit[np.arange(N + 1) % len(orbit)]
     with np.errstate(over="ignore", invalid="ignore"):  # a state off the finite range fails the check
         lin = x[:-1] @ res.W.T + u[1:] @ res.w_in.T
@@ -180,14 +179,13 @@ def _orbit_linear_states(res: Reservoir, input_spec: InputSequence, reference_or
 
 
 def _benettin(res, u, start, T, L, eps0) -> LyapunovResult:
-    advance = _stepper(res, u, floats=False)
     x, e0 = start, np.eye(res.k)[0]
     y = x + eps0 * e0
     T_used = T // L * L
     dists = []
     for t in range(L, T_used + 1, L):  # t: last step of the block
         try:  # x and y step as the columns of one (k, 2) block
-            x, y = advance(np.column_stack([x, y]), t - L + 1, t + 1).T
+            x, y = _advance(res, u[t - L + 1 : t + 1], np.column_stack([x, y])).T
             d = float(_norms(y, x)[0])
         except ValueError:  # the run diverged
             d = math.inf

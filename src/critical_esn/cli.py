@@ -123,6 +123,7 @@ _FORMS = {
     "w_in_csv": ("", None),
     "path": ("", None),
     "spectrum_target": (0.0, None),
+    "spectrum_mode": (frozenset({"singular", "eigen"}),),
     "value": (0.0, None),
     "x0": (frozenset({"zeros"}), [0.0]),
     "y0": (frozenset({"zeros"}), [0.0], None),

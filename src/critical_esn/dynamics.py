@@ -14,29 +14,8 @@ Distances in convergence traces use the Euclidean norm.  Once twin states
 collide (distance below 1e-300, or bitwise equality), the trace is floored
 to exactly zero from that step on and the index is recorded.
 
-Every simulation steps through one kernel, ``_stepper``: it rejects
-non-finite inputs, then advances a state with a plain-float body (k = n = 1
-twin traces under tanh or the sine sigmoid) or an array body (everything
-else, including ``run_with_inputs`` and free-running Lyapunov runs at every
-k).  The float body precomputes the drive as a list of floats
-and runs the transfer's plain-float loop over it (``transfer._FLOAT_STEPS``),
-which holds the formula in its body, so no step pays a Python call.  The
-array body works in place: it computes a span's drive ``w_in u_t`` up front,
-bit for bit the per-step product, in the linear-state rows when it keeps
-them; each step adds ``W x`` onto its drive row and makes one checked
-``TransferFunction`` call, writing into the output row.  Given a (k, B)
-block of B states, it steps them at once, one GEMM per step; the
-free-running Lyapunov pair uses this with B = 2.
-
-The kernel owns the divergence rule: a state that leaves the finite range
-raises ``ValueError("states must stay finite")`` on either body, which
-trajectories pass on, twin traces report as ``"twin states must stay
-finite"`` and the Lyapunov estimate turns into its +inf sentinel.  A
-non-finite initial state is rejected by name (``x0 must be finite``) before
-any step.  Twin traces and Lyapunov runs take distances with one row-norm
-helper, ``_norms``: a block's distances in one stacked matmul, bit for bit
-the per-row norm, and ``math.hypot`` where the squares overflow (a distance
-above about 1.3e154).
+Every simulation steps through one kernel, ``_advance``, whose docstring
+describes its two bodies and the divergence rule it owns.
 """
 
 from __future__ import annotations
@@ -114,21 +93,21 @@ def generate_input(spec: InputSequence, T: int, n: int = 1) -> np.ndarray:
     """Materialize the first T input vectors as a (T, n) array.
 
     Deterministic given the spec (seeds included).  Scalar kinds are
-    broadcast across the n input coordinates.
+    broadcast across the n input coordinates.  Raises ValueError("inputs
+    must be finite") unless every sample is finite.
     """
     if T < 1:
         raise ValueError("need T >= 1")
     if isinstance(spec, Alternating):
         a, u = float(spec.amplitude), np.empty((T, n))
         u[0::2], u[1::2] = a, -a
-        return u
-    if isinstance(spec, IidSign):
+    elif isinstance(spec, IidSign):
         rng = np.random.default_rng(spec.seed)
         signs = rng.integers(0, 2, size=(T, n)) * 2.0 - 1.0
-        return signs * spec.amplitude
-    if isinstance(spec, Constant):
-        return np.full((T, n), float(spec.value))
-    if isinstance(spec, FileInput):
+        u = signs * spec.amplitude
+    elif isinstance(spec, Constant):
+        u = np.full((T, n), float(spec.value))
+    elif isinstance(spec, FileInput):
         try:
             data = np.loadtxt(spec.path, delimiter=",", ndmin=2)
         except OSError as exc:
@@ -139,8 +118,16 @@ def generate_input(spec: InputSequence, T: int, n: int = 1) -> np.ndarray:
             raise IOError(f"input file {spec.path!r} has {data.shape[0]} rows, need {T}")
         if data.shape[1] != n:
             raise IOError(f"input file {spec.path!r} has {data.shape[1]} columns, need {n}")
-        return data[:T]
-    raise TypeError(f"unknown input spec {spec!r}")
+        u = data[:T]
+    else:
+        raise TypeError(f"unknown input spec {spec!r}")
+    _check_inputs(u)
+    return u
+
+
+def _check_inputs(inputs: np.ndarray) -> None:
+    if not np.all(np.isfinite(inputs)):
+        raise ValueError("inputs must be finite")
 
 
 @dataclass(frozen=True)
@@ -168,7 +155,7 @@ def _as_state(res: Reservoir, x, name: str) -> np.ndarray:
         return np.zeros(res.k)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (res.k,):
-        raise ValueError(f"state must have shape ({res.k},)")
+        raise ValueError(f"{name} must have shape ({res.k},)")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} must be finite")
     return x
@@ -178,7 +165,7 @@ def step(res: Reservoir, x, u):
     """One update: returns (x_next, x_lin_next) with x_lin = W x + w_in u.
 
     No simulation goes through it; it is the plain statement of the update
-    that the stepping-kernel tests compare ``_stepper`` against.
+    that the stepping-kernel tests compare ``_advance`` against.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -190,67 +177,54 @@ def step(res: Reservoir, x, u):
     return res.tf(x_lin), x_lin
 
 
-def _check_inputs(inputs: np.ndarray) -> None:
-    if not np.all(np.isfinite(inputs)):
-        raise ValueError("inputs must be finite")
+def _advance(res: Reservoir, u: np.ndarray, x: np.ndarray, out=None, lin_out=None) -> np.ndarray:
+    """Apply x_t = theta(W x_{t-1} + w_in u_t) for each row u_t of the span u; return the last state.
 
+    The package's one stepping kernel.  With out it stores the i-th state
+    in out[i], with lin_out its linear state, and it writes nothing else.
+    The inputs are not checked here: generate_input, run_with_inputs and
+    perturbation_experiment reject non-finite ones where they are made.
 
-def _stepper(res: Reservoir, inputs: np.ndarray, floats: bool):
-    """Return advance(x, t0, t1, out=None, lin_out=None), the package's stepping loop.
+    A call at k = n = 1 on a 1-D state that stores states in out and no
+    linear states (the twin traces) runs the transfer's plain-float loop
+    (``transfer._FLOAT_STEPS``) where its kind has one: the drive w_in u_t
+    as a list of floats, the formula in the loop's body, so no step pays a
+    Python call.  Every other call steps the array body.  It computes the
+    span's drive w_in u_t in one stacked matmul, bit for bit the per-step
+    product, into lin_out when given, adds W x_{t-1} onto each drive row in
+    place (d + Wx is Wx + d bit for bit) and writes theta of that row into
+    out[i] through one checked TransferFunction.__call__ per step.  Given a
+    (k, B) block x, it steps B states driven alike, one GEMM per step; the
+    free-running Lyapunov pair uses this with B = 2.
 
-    advance applies x_t = theta(W x_{t-1} + w_in u_t), u_t = inputs[t], for
-    t0 <= t < t1 and returns the last state; with out it stores x_t in
-    out[t - t0], with lin_out the linear states, and it writes nothing
-    else.  It owns the divergence rule: a state that leaves the finite
-    range raises ValueError("states must stay finite").  The bodies raise
-    on a non-finite linear state, so an earlier state cannot leave the
-    range without raising, and advance checks the last one.
-
-    floats=True (k = n = 1 twin traces, which always pass out) picks the
-    transfer's plain-float loop (``transfer._FLOAT_STEPS``) over the drive
-    w_in u_t, precomputed as a list of floats, for the kinds that have one.
-    Every other run steps the array body.  It computes the span's drive
-    w_in u_t in one stacked matmul, into lin_out when given, adds
-    W x_{t-1} onto each drive row in place (d + Wx is Wx + d bit for bit)
-    and writes theta of that row into out[t - t0] through one checked
-    TransferFunction.__call__ per step.  Given a (k, B) block x, it steps
-    B states driven alike, one GEMM per step.
+    It owns the divergence rule: a state that leaves the finite range
+    raises ValueError("states must stay finite") on either body, which
+    trajectories pass on, twin traces report as "twin states must stay
+    finite" and the Lyapunov estimate turns into its +inf sentinel.  Both
+    bodies raise on a non-finite linear state, so an earlier state cannot
+    leave the range without raising, and the last one is checked.
     """
-    _check_inputs(inputs)
     W, w_in, tf = res.W, res.w_in, res.tf
+    floats = out is not None and lin_out is None and x.ndim == 1 and res.k == res.n == 1
     steps = _FLOAT_STEPS.get(tf.kind) if floats else None
-    if steps is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite drive raises in the loop
-            w, drive = float(W[0, 0]), (inputs[:, 0] * float(w_in[0, 0])).tolist()
-
-        def body(x, t0, t1, out, lin_out):
-            return np.array([steps(float(x[0]), w, drive[t0:t1], out)])
-
-    else:
-
-        def body(x, t0, t1, out, lin_out):
-            # the drive w_in u_t for the whole span: one stacked matmul, bit for
-            # bit the per-step product, written into lin_out when given
-            drive_out = None if lin_out is None else lin_out[: t1 - t0, :, None]
-            lin = np.matmul(w_in, inputs[t0:t1, :, None], out=drive_out)
-            lin = lin[:, :, 0] if x.ndim == 1 else lin.repeat(x.shape[1], axis=2)
-            for i, row in enumerate(lin):
-                row += W @ x
-                x = tf(row, out=None if out is None else out[i])
-            return x
-
-    def advance(x, t0, t1, out=None, lin_out=None):
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                x = body(x, t0, t1, out, lin_out)
-                finite = np.all(np.isfinite(x))
-            except ValueError:  # a non-finite linear state met the transfer function
-                finite = False
-        if not finite:
-            raise ValueError("states must stay finite")
-        return x
-
-    return advance
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if steps is not None:
+                drive = (u[:, 0] * float(w_in[0, 0])).tolist()
+                x = np.array([steps(float(x[0]), float(W[0, 0]), drive, out)])
+            else:
+                drive_out = None if lin_out is None else lin_out[: len(u), :, None]
+                lin = np.matmul(w_in, u[:, :, None], out=drive_out)
+                lin = lin[:, :, 0] if x.ndim == 1 else lin.repeat(x.shape[1], axis=2)
+                for i, row in enumerate(lin):
+                    row += W @ x
+                    x = tf(row, out=None if out is None else out[i])
+            finite = np.all(np.isfinite(x))
+        except ValueError:  # a non-finite linear state met the transfer function
+            finite = False
+    if not finite:
+        raise ValueError("states must stay finite")
+    return x
 
 
 def _norms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -274,9 +248,10 @@ def run_with_inputs(res: Reservoir, inputs: np.ndarray, x0=None) -> Trajectory:
     if inputs.shape[1] != res.n:
         raise ValueError(f"inputs must have {res.n} columns")
     x0 = _as_state(res, x0, "x0")
+    _check_inputs(inputs)
     T = inputs.shape[0]
     states, linear = np.empty((T, res.k)), np.empty((T, res.k))
-    _stepper(res, inputs, floats=False)(x0, 0, T, states, linear)
+    _advance(res, inputs, x0, states, linear)
     return Trajectory(states=states, linear_states=linear)
 
 
@@ -296,8 +271,6 @@ def _twin_trace(res, u_x, u_y, x0, y0, shared_from) -> ConvergenceTrace:
     # shared_from: first step index from which both copies see identical
     # inputs.  A collision at or after it is permanent, so stepping stops
     # there and the rest of q stays zero.
-    floats = res.k == res.n == 1
-    advance_x, advance_y = (_stepper(res, u, floats) for u in (u_x, u_y))
     T = u_x.shape[0]
     q = np.zeros(T)
     q[0] = _norms(x0, y0)[0]
@@ -316,8 +289,8 @@ def _twin_trace(res, u_x, u_y, x0, y0, shared_from) -> ConvergenceTrace:
             break
         t0, t1 = t1, min(t1 + _BLOCK, T)
         try:
-            x = advance_x(x, t0, t1, X)
-            y = advance_y(y, t0, t1, Y)
+            x = _advance(res, u_x[t0:t1], x, X)
+            y = _advance(res, u_y[t0:t1], y, Y)
         except ValueError:
             raise ValueError("twin states must stay finite") from None
         q[t0:t1] = _norms(X[: t1 - t0], Y[: t1 - t0])
@@ -360,7 +333,10 @@ def perturbation_experiment(
     if delta.shape != (res.n,):
         raise ValueError(f"delta_u must have shape ({res.n},)")
     u_pert = u.copy()
-    u_pert[perturb_at] += delta
+    with np.errstate(over="ignore"):
+        u_pert[perturb_at] += delta
+    if not np.all(np.isfinite(u_pert[perturb_at])):
+        raise ValueError(f"delta_u {delta.tolist()} at perturb_at={perturb_at} makes a non-finite input")
     return _twin_trace(res, u, u_pert, x0, x0.copy(), perturb_at + 1)
 
 

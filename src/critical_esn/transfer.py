@@ -21,12 +21,8 @@ Four kinds are provided:
 
 Each fixed kind's formulas live in one row of the table ``_FORMULAS``:
 theta on arrays and theta' on arrays.  The tanh and the sine sigmoid also
-have a plain-float stepping loop (``_FLOAT_STEPS``), which the k = n = 1
-twin traces of ``dynamics._stepper`` run: each holds its formula in its
-body, so no step pays a call to a Python function.  As in the array body,
-a non-finite linear state raises ``ValueError`` in both loops: the tanh
-loop checks it (``math.tanh(inf)`` is 1.0) and ``math.sin`` raises on it.
-The linear and tailored kinds have no loop and step the array body.
+have a plain-float stepping loop (``_FLOAT_STEPS``), which
+``dynamics._advance`` runs where it can serve the call.
 ``__call__`` and ``derivative`` check their input is finite and read
 their column; ``__call__(x, out=)`` is that check followed by
 ``_theta(arr, out=None)``, the unchecked evaluation, which writes
@@ -89,7 +85,9 @@ _FORMULAS = {
 }
 # The plain-float stepping loops, by kind: steps(x, w, drive, out) sets
 # x_t = theta(w x_{t-1} + d_t) for each float d_t in drive, stores x_t in
-# out[t] and returns the last x_t.
+# out[t] and returns the last x_t.  A non-finite linear state raises
+# ValueError, as in the checked array call: the tanh loop checks it and
+# math.sin raises on it.
 _FLOAT_STEPS = {"tanh": _tanh_steps, "sine_sigmoid": _sine_sigmoid_steps}
 _KINDS = (*_FORMULAS, "tailored")
 

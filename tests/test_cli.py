@@ -67,6 +67,11 @@ _ILL_FORMED = [
     # an empty path is no file
     ("mc", {"w_csv": ""}, "config key 'w_csv'"),
     ("simulate", {"reservoir": {"w_csv": ""}}, "config key 'w_csv'"),
+    # the perturbed sample 1e308 + 1e308 overflows
+    ("figure45", {"amplitude": 1e308, "delta_u": 1e308, "perturb_at": 2, "T": 50}, "delta_u"),
+    # a start of the wrong length names its key
+    ("simulate", {"x0": []}, "x0 must have shape (1,)"),
+    ("simulate", {"y0": [0.1, 0.2]}, "y0 must have shape (1,)"),
 ]
 
 
@@ -566,6 +571,8 @@ class TestConfigHandling:
             ("critical-b", {"bracket": [1.5]}, "bracket"),
             ("verify", {"n_list": [2.5]}, "n_list"),
             ("verify", {"audit_k_list": [4.0]}, "audit_k_list"),
+            ("simulate", {"reservoir": {"spectrum_mode": "x"}}, "spectrum_mode"),
+            ("mc", {"spectrum_mode": "x"}, "spectrum_mode"),
         ],
     )
     def test_wrong_type_exits_2_naming_it(self, tmp_path, capsys, command, payload, key):

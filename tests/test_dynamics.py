@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from critical_esn.reservoir import (
     save_matrix_csv,
     scale_to_spectrum,
 )
-from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH
+from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction, tailored
 
 A = math.pi / 4
 
@@ -97,6 +98,17 @@ class TestGenerateInput:
         np.savetxt(path, np.ones((4, 1)), delimiter=",")
         with pytest.raises(IOError, match="has 1 columns, need 2"):
             generate_input(FileInput(str(path)), 4, n=2)
+
+    @pytest.mark.parametrize("spec", [Alternating(math.inf), IidSign(math.nan, 0), Constant(-math.inf)], ids=repr)
+    def test_non_finite_samples_raise(self, spec):
+        with pytest.raises(ValueError, match="^inputs must be finite$"):
+            generate_input(spec, 4)
+
+    def test_file_with_a_nan_row_raises(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("0.5\nnan\n0.5\n")
+        with pytest.raises(ValueError, match="^inputs must be finite$"):
+            generate_input(FileInput(str(path)), 3)
 
     def test_unknown_spec_raises(self):
         with pytest.raises(TypeError, match="unknown input spec"):
@@ -176,7 +188,7 @@ class TestRun:
         np.testing.assert_array_equal(traj.states, u)
 
     def test_start_of_the_wrong_shape_raises(self):
-        with pytest.raises(ValueError, match=r"state must have shape \(1,\)"):
+        with pytest.raises(ValueError, match=r"^x0 must have shape \(1,\)$"):
             run(make_alternating_neuron(1.0), Alternating(A), [0.1, 0.2], T=5)
 
     def test_inputs_of_the_wrong_width_raise(self):
@@ -323,6 +335,13 @@ class TestPerturbationExperiment:
         with pytest.raises(ValueError):
             perturbation_experiment(res, Alternating(A), 100, 0.01, T=100)
 
+    def test_overflowing_perturbation_raises_naming_it_without_a_warning(self):
+        res = Reservoir(W=[[0.5]], w_in=[[1.0]], tf=TANH)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^delta_u \[1e\+308\] at perturb_at=1 makes a non-finite input$"):
+                perturbation_experiment(res, Constant(1e308), 1, 1e308, 10)
+
     def test_multi_neuron_delta_shape(self):
         res = make_orthogonal_reservoir(3, 2, 0.5, seed=0)
         with pytest.raises(ValueError):
@@ -373,6 +392,48 @@ def test_non_finite_input_row_rejected(tmp_path, k, call):
     }
     with pytest.raises(ValueError):
         calls[call]()
+
+
+def _transfer_calls(monkeypatch) -> list:
+    """The shapes that TransferFunction.__call__ is given from now on."""
+    shapes = []
+    call = TransferFunction.__call__
+
+    def counted(self, x, out=None):
+        shapes.append(np.shape(x))
+        return call(self, x, out=out)
+
+    monkeypatch.setattr(TransferFunction, "__call__", counted)
+    return shapes
+
+
+class TestKernelBody:
+    # _advance runs the plain-float loop, which makes no TransferFunction
+    # call, only for k = n = 1 twin traces under a kind that has one
+    @pytest.mark.parametrize(
+        "tf, float_loop",
+        [(TANH, True), (SINE_SIGMOID, True), (LINEAR, False), (tailored([-2.0, 1.5]), False)],
+        ids=["tanh", "sine_sigmoid", "linear", "tailored"],
+    )
+    def test_single_neuron_twin_traces(self, monkeypatch, tf, float_loop):
+        res = Reservoir(W=[[0.5]], w_in=[[1.0]], tf=tf)
+        calls = _transfer_calls(monkeypatch)
+        convergence_trace(res, IidSign(0.5, 0), [0.3], [-0.2], 50)
+        assert (calls == []) == float_loop
+        calls.clear()
+        perturbation_experiment(res, IidSign(0.5, 0), 1, 0.1, 50)
+        assert (calls == []) == float_loop
+
+    def test_run_with_inputs_calls_the_transfer_once_per_step(self, monkeypatch):
+        calls = _transfer_calls(monkeypatch)
+        run_with_inputs(Reservoir(W=[[0.5]], w_in=[[1.0]], tf=TANH), np.full((37, 1), 0.3))
+        assert calls == [(1,)] * 37
+
+    def test_two_input_twin_trace_steps_the_array_body(self, monkeypatch):
+        calls = _transfer_calls(monkeypatch)
+        res = Reservoir(W=[[0.5]], w_in=[[1.0, 0.0]], tf=TANH)
+        trace = convergence_trace(res, IidSign(0.5, 0), [0.3], [-0.2], 20)
+        assert trace.floor_hit_at is None and calls == [(1,)] * 2 * 19
 
 
 class TestNonFiniteStart:

@@ -222,7 +222,7 @@ class TestMatrixCsv:
         path = tmp_path / "w.csv"
         save_matrix_csv(path, W)
         np.testing.assert_array_equal(load_matrix_csv(path), W)
-        assert open(path).readline() == "# 4,2\n"
+        assert path.read_text().splitlines()[0] == "# 4,2"
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

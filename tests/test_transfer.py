@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from critical_esn.dynamics import _stepper
+from critical_esn.dynamics import _advance
 from critical_esn.reservoir import Reservoir
 from critical_esn.transfer import (
     LINEAR,
@@ -238,17 +238,17 @@ class TestTailored:
 
     @pytest.mark.parametrize("kind", sorted(_FLOAT_STEPS))
     def test_scalar_and_array_paths_agree(self, kind):
-        # the float loop of a k = n = 1 stepper with w = 0 and unit input
-        # weight steps x_t = theta(u_t); run it over the whole grid at once
-        # and in spans of 7 steps, each storing its states in out
+        # _advance's float loop at k = n = 1 with w = 0 and unit input weight
+        # steps x_t = theta(u_t); run it over the whole grid at once and in
+        # spans of 7 steps, each storing its states in out
         tf = TransferFunction(kind)
         xs = np.linspace(-6, 6, 301)
-        advance = _stepper(Reservoir(W=[[0.0]], w_in=[[1.0]], tf=tf), xs[:, None], floats=True)
+        res, u = Reservoir(W=[[0.0]], w_in=[[1.0]], tf=tf), xs[:, None]
         whole, spans = np.full((xs.size, 1), np.nan), np.full((xs.size, 1), np.nan)
-        assert advance(np.array([0.5]), 0, xs.size, whole) == whole[-1]
+        assert _advance(res, u, np.array([0.5]), whole) == whole[-1]
         x = np.array([0.5])
         for t0 in range(0, xs.size, 7):
-            x = advance(x, t0, min(t0 + 7, xs.size), spans[t0:])
+            x = _advance(res, u[t0 : t0 + 7], x, spans[t0:])
         assert spans.tobytes() == whole.tobytes()
         if kind == "tanh":  # math.tanh and np.tanh differ in the last bit
             np.testing.assert_array_max_ulp(whole[:, 0], tf(xs), maxulp=1)
