@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from critical_esn import LINEAR, SINE_SIGMOID, TANH, tailored
-from critical_esn.transfer import continuity_defect
+from critical_esn import LINEAR, SINE_SIGMOID, TANH
 
 print("== slope audit (numerical Lipschitz check on [-4, 4]) ==")
 for tf in (TANH, SINE_SIGMOID, LINEAR):
@@ -27,15 +26,6 @@ print(f"  sine sigmoid on [0, 4pi]: {np.round(pts, 6).tolist()}")
 print("  ... which all sit on the line y = x/2:")
 for p in pts:
     print(f"      theta({p:.6f}) = {SINE_SIGMOID(p):.6f} = p/2 ? {abs(SINE_SIGMOID(p) - p/2) < 1e-12}")
-
-print()
-print("== a tailored transfer: place the unit-slope anchors where you want ==")
-tf = tailored([-2.0, 1.5])
-print(f"  anchors: {tf.params}")
-print(f"  unit-slope points found on [-5, 5]: {tf.epi_critical_points(-5, 5)}")
-print(f"  (0 appears because the plain-tanh piece owns the region far from anchors)")
-defect = continuity_defect(tf, -5.0, 5.0)
-print(f"  continuity defect: {defect:.4f}  (piece switching is not continuous in general)")
 
 print()
 print("== the identity transfer is the counterexample ==")

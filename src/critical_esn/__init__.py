@@ -11,7 +11,7 @@ Library layout:
 * :mod:`critical_esn.cli`         - experiment harness (figure3, figure45, verify, ...)
 """
 
-from .transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction, tailored
+from .transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction
 from .reservoir import (
     EscVerdict,
     Reservoir,

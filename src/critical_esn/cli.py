@@ -48,7 +48,7 @@ import numpy as np
 
 from . import analysis, contraction, dynamics, readout
 from .reservoir import Reservoir, load_matrix_csv, make_orthogonal_reservoir, scale_to_spectrum
-from .transfer import TransferFunction
+from .transfer import _FORMULAS, TransferFunction
 
 _PI4 = math.pi / 4
 
@@ -127,10 +127,10 @@ _FORMS = {
     "value": (0.0, None),
     "x0": (frozenset({"zeros"}), [0.0]),
     "y0": (frozenset({"zeros"}), [0.0], None),
-    "transfer": ("", {}),
+    "transfer": (frozenset(_FORMULAS),),
 }
 
-_NOUNS = {type(None): "null", dict: "an object", str: "a string", int: "an integer", float: "a finite number"}
+_NOUNS = {type(None): "null", str: "a string", int: "an integer", float: "a finite number"}
 
 
 class ConfigError(Exception):
@@ -214,15 +214,6 @@ def _load_config(path: str | None, command: str, seed: int | None) -> dict:
     return _overlay(DEFAULTS[command], user, seed)
 
 
-def _transfer_from_config(value) -> TransferFunction:
-    if isinstance(value, str):
-        return TransferFunction(value)
-    try:
-        return TransferFunction(**value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad transfer spec {value!r}: {exc}") from exc
-
-
 def _input_from_config(cfg: dict) -> dynamics.InputSequence:
     kind = cfg["kind"]
 
@@ -243,8 +234,6 @@ def _input_from_config(cfg: dict) -> dynamics.InputSequence:
 
 
 def _reservoir_from_config(cfg: dict) -> Reservoir:
-    tf = _transfer_from_config(cfg["transfer"])
-
     def load(key):
         try:
             return load_matrix_csv(cfg[key])
@@ -261,7 +250,7 @@ def _reservoir_from_config(cfg: dict) -> Reservoir:
         W, w_in = base.W, base.w_in
     if cfg["spectrum_target"] is not None:
         W = scale_to_spectrum(W, cfg["spectrum_target"], cfg["spectrum_mode"])
-    return Reservoir(W=W, w_in=w_in, tf=tf)
+    return Reservoir(W=W, w_in=w_in, tf=TransferFunction(cfg["transfer"]))
 
 
 def _jsonable(v):
@@ -319,7 +308,7 @@ def _verify_checks(cfg: dict) -> dict:
     for key in ("transfer_kinds", "n_list", "q0_list"):
         if not cfg[key]:
             raise ConfigError(f"config key {key!r} must name at least one entry")
-    kinds = [(kind, _transfer_from_config(kind)) for kind in cfg["transfer_kinds"]]
+    kinds = [(kind, TransferFunction(kind)) for kind in cfg["transfer_kinds"]]
     if any(n < 2 for n in cfg["n_list"]):
         raise ConfigError(f"n_list entries must be >= 2, got {cfg['n_list']!r}")
     p = contraction.CoverParams(eta=cfg["eta"], gamma=cfg["gamma"], kappa=cfg["kappa"])
@@ -370,7 +359,7 @@ def cmd_verify(cfg: dict) -> tuple[dict, str, int]:
 
 
 def cmd_critical_b(cfg: dict) -> tuple[dict, str, int]:
-    tf = _transfer_from_config(cfg["transfer"])
+    tf = TransferFunction(cfg["transfer"])
     b_star, orbit_amp = analysis.find_critical_b(tf, cfg["amplitude"], cfg["bracket"], cfg["tol"])
     x_lin = b_star * orbit_amp - cfg["amplitude"]
     payload = {

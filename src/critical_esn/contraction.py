@@ -157,8 +157,7 @@ def verify_cover_inequality(
     """Check phi(delta^2) >= omega(delta, zeta) on the full (delta, zeta) grid.
 
     Passes for tanh and the sine sigmoid with the default parameters; the
-    linear transfer fails everywhere (omega is identically 1).  For the
-    tailored kind this is an empirical check only.
+    linear transfer fails everywhere (omega is identically 1).
     """
     deltas = _grid(*delta_grid)
     deltas = deltas[deltas > 0]

@@ -186,14 +186,14 @@ def _advance(res: Reservoir, u: np.ndarray, x: np.ndarray, out=None, lin_out=Non
     perturbation_experiment reject non-finite ones where they are made.
 
     A call at k = n = 1 on a 1-D state that stores states in out and no
-    linear states (the twin traces) runs the transfer's plain-float loop
-    (``transfer._FLOAT_STEPS``) where its kind has one: the drive w_in u_t
-    as a list of floats, the formula in the loop's body, so no step pays a
-    Python call.  Every other call steps the array body.  It computes the
-    span's drive w_in u_t in one stacked matmul, bit for bit the per-step
-    product, into lin_out when given, adds W x_{t-1} onto each drive row in
-    place (d + Wx is Wx + d bit for bit) and writes theta of that row into
-    out[i] through one checked TransferFunction.__call__ per step.  Given a
+    linear states (the twin traces) runs its kind's plain-float loop
+    (``transfer._FLOAT_STEPS``): the drive w_in u_t as a list of floats,
+    the formula in the loop's body, so no step pays a Python call.  Every
+    other call steps the array body.  It computes the span's drive w_in u_t
+    in one stacked matmul, bit for bit the per-step product, into lin_out
+    when given, adds W x_{t-1} onto each drive row in place (d + Wx is
+    Wx + d bit for bit) and writes theta of that row into out[i] through
+    one checked TransferFunction.__call__ per step.  Given a
     (k, B) block x, it steps B states driven alike, one GEMM per step; the
     free-running Lyapunov pair uses this with B = 2.
 
@@ -206,12 +206,11 @@ def _advance(res: Reservoir, u: np.ndarray, x: np.ndarray, out=None, lin_out=Non
     """
     W, w_in, tf = res.W, res.w_in, res.tf
     floats = out is not None and lin_out is None and x.ndim == 1 and res.k == res.n == 1
-    steps = _FLOAT_STEPS.get(tf.kind) if floats else None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            if steps is not None:
+            if floats:
                 drive = (u[:, 0] * float(w_in[0, 0])).tolist()
-                x = np.array([steps(float(x[0]), float(W[0, 0]), drive, out)])
+                x = np.array([_FLOAT_STEPS[tf.kind](float(x[0]), float(W[0, 0]), drive, out)])
             else:
                 drive_out = None if lin_out is None else lin_out[: len(u), :, None]
                 lin = np.matmul(w_in, u[:, :, None], out=drive_out)

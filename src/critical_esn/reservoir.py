@@ -89,6 +89,15 @@ class SpectralSummary:
 
 @dataclass(frozen=True)
 class EscVerdict:
+    """check_esc's spectral verdict.
+
+    covered_by_theorem: W is on the critical boundary (S = 1) and the
+    transfer is tanh or the sine sigmoid, the kinds the paper's S = 1
+    theorem covers through its cover phi (CoverParams' defaults), whose
+    inequality contraction.verify_cover_inequality checks for both
+    (acceptance criterion 5).  The linear kind is never covered.
+    """
+
     c1_necessary: bool
     c2_sufficient: bool
     critical_boundary: bool

@@ -29,7 +29,7 @@ from critical_esn.dynamics import (
 )
 from critical_esn.contraction import _grid
 from critical_esn.reservoir import Reservoir, make_orthogonal_reservoir, scale_to_spectrum
-from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction, tailored
+from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction
 
 A = math.pi / 4
 
@@ -69,13 +69,8 @@ def _benettin_by_step(res, spec, T, L, eps0=1e-9, x0=None, orbit=None):
 
 
 # Odd transfer functions, so that x_t = (-1)^t theta(z) can follow an
-# alternating drive; the tailored anchors are symmetric for that reason.
-ORBIT_TRANSFERS = {
-    "linear": LINEAR,
-    "sine_sigmoid": SINE_SIGMOID,
-    "tanh": TANH,
-    "tailored": tailored([-0.7, 0.7]),
-}
+# alternating drive.
+ORBIT_TRANSFERS = {"linear": LINEAR, "sine_sigmoid": SINE_SIGMOID, "tanh": TANH}
 
 
 def _slope(kind, z):
@@ -85,10 +80,7 @@ def _slope(kind, z):
         return np.ones_like(z)
     if kind == "sine_sigmoid":
         return np.sin(z) ** 2
-    if kind == "tanh":
-        return 1.0 / np.cosh(z) ** 2
-    pivot = np.where(z < 0.0, -0.7, 0.7)  # the tailored piece that owns z, else plain tanh
-    return 1.0 / np.cosh(np.where(np.abs(z - pivot) <= 1.0, z - pivot, z)) ** 2
+    return 1.0 / np.cosh(z) ** 2  # tanh
 
 
 def _designed_orbit(kind, W, z, source, n=1):
@@ -114,18 +106,25 @@ def _designed_orbit(kind, W, z, source, n=1):
     return res, spec, orbit
 
 
-# One-neuron coupling w and linear state z per kind: Floquet multipliers
-# w theta'(z) of 0.9, -1.13, 1.007 and 1.06, near the critical value 1.
-ONE_NEURON_ORBITS = {"linear": (0.9, 0.5), "sine_sigmoid": (-1.3, 1.2), "tanh": (1.1, 0.3), "tailored": (1.1, 0.9)}
+# One-neuron coupling w and linear state z per kind, with the Floquet
+# multiplier w theta'(z) near the critical value 1 on each side of the unit
+# circle: 0.9 and 1.1 (linear), -0.956 and -1.13 (sine sigmoid), 0.961 and
+# 1.007 (tanh).
+ONE_NEURON_ORBITS = {
+    "linear": {"inside": (0.9, 0.5), "outside": (1.1, 0.5)},
+    "sine_sigmoid": {"inside": (-1.1, 1.2), "outside": (-1.3, 1.2)},
+    "tanh": {"inside": (1.05, 0.3), "outside": (1.1, 0.3)},
+}
+SIDES = ["inside", "outside"]
 
 
-def _coupled_orbit(kind, k, n, source):
+def _coupled_orbit(kind, side, k, n, source):
     """A k-neuron designed orbit whose Jacobian diag(theta'(z)) W has spectral radius |ONE_NEURON_ORBITS multiplier|."""
     rng = np.random.default_rng(10 * k + n)
     z = rng.uniform(-1.2, 1.2, k)
     A = rng.normal(size=(k, k))
     W = (A + A.T) / 2  # diag(theta') W is then similar to a symmetric matrix: a real spectrum
-    w, z1 = ONE_NEURON_ORBITS[kind]
+    w, z1 = ONE_NEURON_ORBITS[kind][side]
     target = abs(w * float(_slope(kind, z1)))
     W *= target / np.max(np.abs(np.linalg.eigvals(_slope(kind, z)[:, None] * W)))
     return _designed_orbit(kind, W, z, source, n), z, target
@@ -294,9 +293,10 @@ class TestPinnedOrbit:
     # ulps of the state: 3.0e-7 at most over both grids below
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("L", [1, 3, 10, 37])
+    @pytest.mark.parametrize("side", SIDES)
     @pytest.mark.parametrize("kind", sorted(ORBIT_TRANSFERS))
-    def test_matches_per_step_reference(self, kind, L, n):
-        w, z = ONE_NEURON_ORBITS[kind]
+    def test_matches_per_step_reference(self, kind, side, L, n):
+        w, z = ONE_NEURON_ORBITS[kind][side]
         res, spec, orbit = _designed_orbit(kind, [[w]], [z], "alternating", n)
         r = lyapunov_exponent(res, spec, T=50 * L + 2, renorm_interval=L, reference_orbit=orbit)
         exponent, _ = _benettin_by_step(res, spec, 50 * L + 2, L, orbit=orbit)
@@ -306,9 +306,10 @@ class TestPinnedOrbit:
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("L", [1, 3, 10, 37])
+    @pytest.mark.parametrize("side", SIDES)
     @pytest.mark.parametrize("kind", sorted(ORBIT_TRANSFERS))
-    def test_fixed_point_matches_per_step_reference(self, kind, L, n):
-        w, z = ONE_NEURON_ORBITS[kind]
+    def test_fixed_point_matches_per_step_reference(self, kind, side, L, n):
+        w, z = ONE_NEURON_ORBITS[kind][side]
         res, spec, orbit = _designed_orbit(kind, [[w]], [z], "constant", n)
         r = lyapunov_exponent(res, spec, T=50 * L + 2, renorm_interval=L, reference_orbit=orbit)
         exponent, _ = _benettin_by_step(res, spec, 50 * L + 2, L, orbit=orbit)
@@ -318,12 +319,13 @@ class TestPinnedOrbit:
 
     # the oracle's companion turns towards the top eigenvector from e0, an
     # error that falls as 1/T: 1.2e-3 at most over this grid at T = 4000
+    @pytest.mark.parametrize("side", SIDES)
     @pytest.mark.parametrize("kind", sorted(ORBIT_TRANSFERS))
     @pytest.mark.parametrize("source", ["alternating", "constant"])
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("k", [2, 3])
-    def test_coupled_orbit_takes_the_top_exponent(self, k, n, source, kind):
-        (res, spec, orbit), z, target = _coupled_orbit(kind, k, n, source)
+    def test_coupled_orbit_takes_the_top_exponent(self, k, n, source, kind, side):
+        (res, spec, orbit), z, target = _coupled_orbit(kind, side, k, n, source)
         r = lyapunov_exponent(res, spec, T=4000, reference_orbit=orbit)
         exponent, _ = _benettin_by_step(res, spec, 4000, 10, orbit=orbit)
         assert r.exponent == pytest.approx(exponent, rel=0.0, abs=5e-3)
@@ -351,9 +353,10 @@ class TestPinnedOrbit:
             lyapunov_exponent(res, spec, reference_orbit=orbit[pick])
 
     @pytest.mark.parametrize("source", ["alternating", "constant"])
+    @pytest.mark.parametrize("side", SIDES)
     @pytest.mark.parametrize("kind", sorted(ORBIT_TRANSFERS))
-    def test_orbit_moved_off_by_a_billionth_raises(self, kind, source):
-        w, z = ONE_NEURON_ORBITS[kind]
+    def test_orbit_moved_off_by_a_billionth_raises(self, kind, side, source):
+        w, z = ONE_NEURON_ORBITS[kind][side]
         res, spec, orbit = _designed_orbit(kind, [[w]], [z], source)
         with pytest.raises(ValueError, match="reference orbit is not an orbit of the driven map"):
             lyapunov_exponent(res, spec, reference_orbit=orbit + 1e-9)

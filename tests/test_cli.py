@@ -356,25 +356,13 @@ class TestSimulate:
         rows = (tmp_path / "states.csv").read_text().splitlines()
         assert rows[0] == "t,x0" and len(rows) == 17
 
-    def test_transfer_accepts_kind_params_record(self, tmp_path):
-        cfg = _write_config(
-            tmp_path,
-            "sim.json",
-            {
-                "reservoir": {
-                    "k": 1,
-                    "n": 1,
-                    "seed": 0,
-                    "transfer": {"kind": "tailored", "params": [-1.5, 2.0]},
-                },
-                "input": {"kind": "constant", "value": 0.2},
-                "T": 10,
-                "x0": [0.0],
-            },
-        )
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
-        recorded = json.loads((tmp_path / "simulate_config.json").read_text())
-        assert recorded["reservoir"]["transfer"]["params"] == [-1.5, 2.0]
+    @pytest.mark.parametrize("kind", ["linear", "sine_sigmoid", "tanh"])
+    def test_transfer_takes_each_kind_name(self, tmp_path, kind):
+        cfg = _write_config(tmp_path, "sim.json", {"reservoir": {"transfer": kind}, "T": 10})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        recorded = json.loads((tmp_path / "out" / "simulate_config.json").read_text())
+        assert recorded["reservoir"]["transfer"] == kind
+        assert len((tmp_path / "out" / "states.csv").read_text().splitlines()) == 11
 
     def test_twin_trace_written_when_y0_given(self, tmp_path):
         cfg = _write_config(
@@ -521,8 +509,9 @@ class TestConfigHandling:
             ({"transfer_kinds": []}, "error: config key 'transfer_kinds' must name at least one entry\n"),
             ({"n_list": []}, "error: config key 'n_list' must name at least one entry\n"),
             ({"q0_list": []}, "error: config key 'q0_list' must name at least one entry\n"),
+            ({"transfer_kinds": ["tailored"]}, "error: unknown transfer kind 'tailored'\n"),
         ],
-        ids=["transfer_kinds", "n_list", "empty_transfer_kinds", "empty_n_list", "empty_q0_list"],
+        ids=["transfer_kinds", "n_list", "empty_transfer_kinds", "empty_n_list", "empty_q0_list", "tailored_kind"],
     )
     def test_bad_verify_value_exits_2_before_making_the_output_directory(
         self, tmp_path, capsys, payload, message
@@ -540,7 +529,7 @@ class TestConfigHandling:
             ("simulate", {"input": {"amplitud": 1}}, "amplitud"),
             ("figure3", {"b_grid": [1.0]}, "b_grid"),
             ("mc", {"mc_seed": 1}, "mc_seed"),
-            ("simulate", {"reservoir": {"transfer": {"kind": "tailored", "params": [0.5], "x": 1}}}, "x"),
+            ("simulate", {"reservoir": {"params": [0.5]}}, "params"),  # a transfer is a name alone
             ("verify", {"dominance_T": 100_000}, "dominance_T"),  # dominance is proved for every t
             # figure3's exponent is in closed form, with no run length
             ("figure3", {"T": 100_000}, "T"),
@@ -573,6 +562,11 @@ class TestConfigHandling:
             ("verify", {"audit_k_list": [4.0]}, "audit_k_list"),
             ("simulate", {"reservoir": {"spectrum_mode": "x"}}, "spectrum_mode"),
             ("mc", {"spectrum_mode": "x"}, "spectrum_mode"),
+            # a transfer is one of the three kind names, and nothing else
+            ("simulate", {"reservoir": {"transfer": "tailored"}}, "transfer"),
+            ("simulate", {"reservoir": {"transfer": {"kind": "tanh"}}}, "transfer"),
+            ("mc", {"transfer": "tailored"}, "transfer"),
+            ("mc", {"transfer": {"kind": "tanh"}}, "transfer"),
         ],
     )
     def test_wrong_type_exits_2_naming_it(self, tmp_path, capsys, command, payload, key):

@@ -33,7 +33,7 @@ from critical_esn.reservoir import (
     save_matrix_csv,
     scale_to_spectrum,
 )
-from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction, tailored
+from critical_esn.transfer import _FORMULAS, LINEAR, SINE_SIGMOID, TANH, TransferFunction
 
 A = math.pi / 4
 
@@ -304,6 +304,32 @@ class TestConvergenceTrace:
         assert np.all(tr.q <= envelope)
 
 
+class TestLinearTwins:
+    # The drive cancels in a linear twin difference, so q_t = |w|^t q_0 on
+    # the k = n = 1 float loop: at |w| = 1 the linear counterexample never forgets.
+    @pytest.mark.parametrize("w", [0.5, 0.999, -0.999, 1.0, -1.0])
+    def test_distance_scales_by_abs_w_each_step(self, w):
+        q = convergence_trace(Reservoir([[w]], [[1.0]], LINEAR), IidSign(0.7, 3), [0.3], [-0.2], 2000).q
+        np.testing.assert_allclose(q, 0.5 * abs(w) ** np.arange(2000), rtol=0.0, atol=1e-12)
+
+
+class TestCriticalForgetting:
+    # At a unit-slope point theta'' = 0 and theta''' = -2 (tanh at 0, the sine
+    # sigmoid at pi/2), so a one-neuron deviation with |w| = 1 obeys
+    # |e| -> |e| - |e|^3/3 + O(e^5): 1/q_t^2 = 1/q_0^2 + (2/3) t + O(log t).
+    TWINS = {
+        "sine_sigmoid": (make_alternating_neuron(1.0), Alternating(A), [A], [A + 0.01]),
+        "tanh": (Reservoir([[1.0]], [[1.0]], TANH), Constant(0.0), [0.0], [0.01]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(TWINS))
+    def test_inverse_square_distance_grows_at_two_thirds(self, kind):
+        q = convergence_trace(*self.TWINS[kind], 10_001).q
+        t = np.arange(10, 10_001)
+        slope, intercept = np.polyfit(t, q[t] ** -2.0, 1)
+        assert abs(slope - 2.0 / 3.0) <= 1e-3 and abs(intercept - 1e4) <= 1.0
+
+
 class TestPerturbationExperiment:
     def test_zero_perturbation_is_null(self):
         res = make_alternating_neuron(1.0)
@@ -408,21 +434,15 @@ def _transfer_calls(monkeypatch) -> list:
 
 
 class TestKernelBody:
-    # _advance runs the plain-float loop, which makes no TransferFunction
-    # call, only for k = n = 1 twin traces under a kind that has one
-    @pytest.mark.parametrize(
-        "tf, float_loop",
-        [(TANH, True), (SINE_SIGMOID, True), (LINEAR, False), (tailored([-2.0, 1.5]), False)],
-        ids=["tanh", "sine_sigmoid", "linear", "tailored"],
-    )
-    def test_single_neuron_twin_traces(self, monkeypatch, tf, float_loop):
-        res = Reservoir(W=[[0.5]], w_in=[[1.0]], tf=tf)
+    # _advance runs its kind's plain-float loop, which makes no
+    # TransferFunction call, for every k = n = 1 twin trace
+    @pytest.mark.parametrize("kind", sorted(_FORMULAS))
+    def test_single_neuron_twin_traces(self, monkeypatch, kind):
+        res = Reservoir(W=[[0.5]], w_in=[[1.0]], tf=TransferFunction(kind))
         calls = _transfer_calls(monkeypatch)
         convergence_trace(res, IidSign(0.5, 0), [0.3], [-0.2], 50)
-        assert (calls == []) == float_loop
-        calls.clear()
         perturbation_experiment(res, IidSign(0.5, 0), 1, 0.1, 50)
-        assert (calls == []) == float_loop
+        assert calls == []
 
     def test_run_with_inputs_calls_the_transfer_once_per_step(self, monkeypatch):
         calls = _transfer_calls(monkeypatch)

@@ -2,11 +2,10 @@
 
 A k = 1, n = 2 reservoir with w_in = [[a, 0]] driven by rows [u, 0] steps
 its twin traces on the array body; the k = n = 1 reservoir [[a]] driven by
-u steps them on the float body for tanh and the sine sigmoid, and on the
-array body for the linear and tailored kinds, which have no float loop.
-Both compute the same map, so their twin traces (free, and from an input
-perturbation as in figure45) and free-running Lyapunov exponents (where
-both n step the (1, 2) block on the array body) must match: exactly where
+u steps them on its kind's float body.  Both compute the same map, so
+their twin traces (free, and from an input perturbation as in figure45)
+and free-running Lyapunov exponents (where both n step the (1, 2) block
+on the array body) must match: exactly where
 both run the array body or the math-module and numpy forms agree bitwise,
 within rounding for tanh.
 Where the map diverges (linear or sine sigmoid with |w| = 3), both free
@@ -14,7 +13,7 @@ twin traces raise ValueError("twin states must stay finite"), both
 free-running Lyapunov estimates report the +inf sentinel, and both
 perturbed traces raise the same ValueError, unless their twins collide
 before the state overflows (sine sigmoid from x0 = 1), when both stop at
-the same collision.  The bounded kinds (tanh, tailored) stay finite there.
+the same collision.  The bounded tanh stays finite there.
 """
 
 import math
@@ -25,9 +24,9 @@ import pytest
 from critical_esn.analysis import lyapunov_exponent
 from critical_esn.dynamics import FileInput, convergence_trace, perturbation_experiment
 from critical_esn.reservoir import Reservoir
-from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH, tailored
+from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH
 
-TRANSFERS = {"sine_sigmoid": SINE_SIGMOID, "linear": LINEAR, "tanh": TANH, "tailored": tailored([-2.0, 1.5])}
+TRANSFERS = {"sine_sigmoid": SINE_SIGMOID, "linear": LINEAR, "tanh": TANH}
 UNBOUNDED = ("linear", "sine_sigmoid")
 DIVERGED = "twin states must stay finite"
 
@@ -45,9 +44,9 @@ def _cases(per_kind=8, seed=1411):
     # Twins that decay to zero through distances below 1.5e-154, whose squares underflow.
     cases.append(("linear", 0.1, 0.0, 400, 0.5, -0.5, 0))
     cases.append(("sine_sigmoid", 0.2, 0.0, 200, 0.5, -0.5, 0))
-    # Corners outside the box: tanh and tailored stay bounded, linear grows
+    # Corners outside the box: tanh stays bounded, linear grows
     # like 3^t and sine sigmoid like 1.5^t until the state overflows.
-    for kind, T in (("tanh", 500), ("tailored", 500), ("linear", 1000), ("sine_sigmoid", 2000)):
+    for kind, T in (("tanh", 500), ("linear", 1000), ("sine_sigmoid", 2000)):
         cases.append((kind, 3.0, 2.0, T, 1.0, -1.0, 0))
         cases.append((kind, -3.0, -2.0, T, -1.0, 0.0, 1))
     return cases

@@ -13,9 +13,8 @@ from critical_esn.transfer import (
     SINE_SIGMOID,
     TANH,
     _FLOAT_STEPS,
+    _FORMULAS,
     TransferFunction,
-    continuity_defect,
-    tailored,
 )
 
 PI = math.pi
@@ -46,7 +45,7 @@ class TestEval:
 
 
 class TestOut:
-    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR, tailored([-2.5, 3.0])], ids=lambda tf: tf.kind)
+    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR], ids=lambda tf: tf.kind)
     def test_out_is_filled_and_returned_bitwise(self, tf):
         xs = GRID.reshape(-1, 1)
         rows = np.full((3, xs.size), np.nan)
@@ -74,7 +73,7 @@ class TestFiniteCheck:
 
     def test_empty_input_passes(self):
         empty = np.empty(0)
-        for tf in (TANH, SINE_SIGMOID, LINEAR, tailored([-2.5, 3.0])):
+        for tf in (TANH, SINE_SIGMOID, LINEAR):
             assert tf(empty).shape == (0,) and tf.derivative(empty).shape == (0,)
             buf = np.empty(0)
             assert tf(empty, out=buf) is buf
@@ -92,7 +91,7 @@ class TestFiniteCheck:
     }
 
     @pytest.mark.parametrize("form", FORMS)
-    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR, tailored([-2.5, 3.0])], ids=lambda tf: tf.kind)
+    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR], ids=lambda tf: tf.kind)
     def test_every_input_form_gives_the_converted_values(self, tf, form):
         values = [-3, 0, 2, 5]
         x = self.FORMS[form](values)
@@ -128,7 +127,7 @@ class TestDerivative:
         with pytest.raises(ValueError):
             LINEAR.derivative(math.inf)
 
-    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, tailored([-2.5, 3.0])])
+    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR])
     def test_slope_stays_in_unit_band(self, tf):
         d = tf.derivative(GRID)
         assert np.all(d >= -1e-15)
@@ -165,7 +164,7 @@ class TestEpiCriticalPoints:
         with pytest.raises(ValueError):
             TANH.epi_critical_points(1.0, 1.0)
 
-    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, tailored([-2.5, 3.0])])
+    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID])
     def test_reported_points_have_unit_slope(self, tf):
         for p in tf.epi_critical_points(-8.0, 8.0):
             assert abs(tf.derivative(p) - 1.0) <= 1e-12
@@ -195,47 +194,21 @@ class TestMaxSlopeEstimate:
             TANH.max_slope_estimate(-1.0, 1.0, 1)
 
 
-class TestMonotonicity:
-    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR])
-    def test_non_decreasing_on_grid(self, tf):
-        ys = tf(GRID)
-        assert np.all(np.diff(ys) >= -1e-15)
+class TestAdmissible:
+    # The paper's class: non-decreasing and 1-Lipschitz.  Every kind is in
+    # it, the linear counterexample too (slope 1 everywhere, so it never contracts).
+    @pytest.mark.parametrize("kind", sorted(_FORMULAS))
+    def test_non_decreasing_and_1_lipschitz(self, kind):
+        xs = np.linspace(-8.0, 8.0, 1_600_001)
+        dy = np.diff(TransferFunction(kind)(xs))
+        assert np.all(dy >= 0.0)
+        assert np.max(dy / np.diff(xs)) <= 1.0 + 1e-9
+
+    def test_every_kind_has_a_float_loop(self):
+        assert set(_FLOAT_STEPS) == set(_FORMULAS)
 
 
-class TestTailored:
-    def test_needs_anchors(self):
-        with pytest.raises(ValueError):
-            TransferFunction("tailored")
-
-    def test_anchors_sorted_and_unique(self):
-        tf = tailored([3.0, -2.5])
-        assert tf.params == (-2.5, 3.0)
-        with pytest.raises(ValueError):
-            tailored([1.0, 1.0])
-
-    def test_piece_near_anchor(self):
-        tf = tailored([-2.5, 3.0])
-        assert tf(3.2) == pytest.approx(math.tanh(0.2) + math.tanh(3.0), abs=1e-15)
-        # far from every anchor the plain curve applies
-        assert tf(0.0) == 0.0
-
-    def test_tie_breaks_toward_smaller_anchor(self):
-        tf = tailored([0.0, 1.0])
-        assert tf(0.5) == pytest.approx(math.tanh(0.5), abs=1e-15)
-
-    def test_unit_slope_points_include_anchors_and_origin(self):
-        tf = tailored([-2.5, 3.0])
-        np.testing.assert_allclose(tf.epi_critical_points(-5.0, 5.0), [-2.5, 0.0, 3.0], atol=1e-12)
-
-    def test_origin_suppressed_when_owned_by_anchor(self):
-        tf = tailored([0.5])
-        pts = tf.epi_critical_points(-5.0, 5.0)
-        np.testing.assert_allclose(pts, [0.5], atol=1e-12)
-
-    def test_continuity_defect_detects_piece_jumps(self):
-        assert continuity_defect(TANH, -5.0, 5.0) <= 1e-6
-        assert continuity_defect(tailored([3.0]), -5.0, 5.0) > 0.5
-
+class TestFloatSteps:
     @pytest.mark.parametrize("kind", sorted(_FLOAT_STEPS))
     def test_scalar_and_array_paths_agree(self, kind):
         # _advance's float loop at k = n = 1 with w = 0 and unit input weight
@@ -255,19 +228,21 @@ class TestTailored:
         else:
             assert whole[:, 0].tobytes() == tf(xs).tobytes()
 
-    def test_origin_at_radius_boundary(self):
-        # an anchor exactly _ANCHOR_RADIUS from 0 owns it; one just beyond does not
-        assert tailored([1.0]).epi_critical_points(-5.0, 5.0) == [1.0]
-        assert tailored([-1.5]).epi_critical_points(-5.0, 5.0) == [-1.5, 0.0]
 
-    def test_rejects_non_finite_anchor(self):
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                tailored([0.0, bad])
+class TestSineSigmoidFormula:
+    def test_bitwise_the_textbook_expression(self):
+        # 0.25*(y - sin y) with y = 2z against 0.5z - 0.25 sin 2z: from the
+        # smallest subnormal to 4e307 (2z stays finite), both signs, and +-0
+        mags = np.geomspace(5e-324, 4e307, 200_001)
+        z = np.concatenate([mags, -mags, [0.0, -0.0], np.linspace(-20.0, 20.0, 200_001)])
+        textbook = np.subtract(0.5 * z, 0.25 * np.sin(2.0 * z))
+        assert SINE_SIGMOID(z).tobytes() == textbook.tobytes()
+        buf = np.empty_like(z)
+        assert SINE_SIGMOID(z, out=buf) is buf and buf.tobytes() == textbook.tobytes()
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR, tailored([-1.0, 2.0])])
+    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR])
     def test_roundtrip(self, tf):
         assert TransferFunction(**dataclasses.asdict(tf)) == tf
 
@@ -276,5 +251,6 @@ class TestSerialization:
             TransferFunction("sigmoid")
 
     def test_rejects_params_on_fixed_kinds(self):
-        with pytest.raises(ValueError):
+        # a transfer function is its kind's name alone
+        with pytest.raises(TypeError):
             TransferFunction("tanh", (1.0,))
