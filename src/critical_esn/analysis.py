@@ -3,11 +3,10 @@
 Three tool families live here:
 
 * Largest Lyapunov exponent of an input-driven run.  A free-running run
-  takes the standard two-trajectory method with periodic renormalization
-  (Benettin et al., Meccanica 15 (1980) 9-20): the reference and its
-  companion step as the two columns of one (k, 2) block, one GEMM per
-  step, at every k.  A run pinned to a known periodic orbit (the unstable
-  side of the coupling sweep, which a free-running reference leaves
+  renormalizes a tangent vector periodically (Benettin et al., Meccanica
+  15 (1980) 9-20): state and tangent step as the two columns of one
+  (k, 2) block, one GEMM per step, at every k.  A run pinned to a known
+  periodic orbit (the unstable side of the coupling sweep, which a free-running reference leaves
   through rounding noise within ~37/ln(b) steps) takes the orbit's exponent
   in closed form instead: over one joint period N of the orbit and the
   input, (1/N) log rho(J_N ... J_1) with J_t = diag(theta'(W x_{t-1} +
@@ -37,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import ZERO_FLOOR, ConvergenceTrace, InputSequence, _advance, _as_state, _norms
+from .dynamics import ConvergenceTrace, InputSequence, _advance, _as_state
 from .dynamics import _PERIODS, generate_input
 from .reservoir import Reservoir
 from .transfer import TransferFunction
@@ -83,19 +82,18 @@ def lyapunov_exponent(
     input_spec: InputSequence,
     T: int = 100_000,
     renorm_interval: int = 10,
-    eps0: float = 1e-9,
     x0=None,
     reference_orbit=None,
 ) -> LyapunovResult:
     """Largest Lyapunov exponent (natural log per step) of the driven run.
 
-    Free-running from x0: a companion started eps0 away is renormalized
-    back to separation eps0 every renorm_interval steps; the exponent is
-    the mean log-stretch per step.  If the twins collide bitwise the
-    separation is floored at 1e-300 for that block and re-injected, which
-    drives the estimate strongly negative; divergence to non-finite state
-    reports the +inf sentinel.  The reference and the companion step as one
-    (k, 2) block, so the run carries GEMM rounding.
+    Free-running from x0: a tangent v = e_1 follows the state, v ->
+    theta'(lin_t) W v, and is rescaled to norm 1 every renorm_interval
+    steps (and after shorter spans wherever ||W||_F^renorm_interval could
+    pass 1e300, so v cannot overflow); the exponent is the mean log-stretch
+    per step.  A v that becomes exactly zero stays zero and gives -inf;
+    divergence to non-finite state gives the +inf sentinel at the end of
+    its block (T_used).  Both have stderr NaN.
 
     reference_orbit: optional (P, k) array of known periodic states, x_t =
     orbit[t mod P] (how one measures the exponent of an unstable orbit).
@@ -108,21 +106,18 @@ def lyapunov_exponent(
     unless the product is exactly zero (a zero slope, say), which gives
     -inf.  T_used is N and renorm_interval 1, the steps taken and the
     rescaling interval; stderr is 0.0.  The closed form needs no run
-    length, so T, renorm_interval and eps0, which every call has, are
-    checked as for a free run and then ignored; x0 contradicts the orbit,
-    which fixes every state, so giving both raises ValueError.  So does a
-    spec that has no period, a non-finite x0, reference_orbit or input, or
-    an empty reference_orbit.
+    length, so T and renorm_interval are checked as for a free run and
+    then ignored; x0 contradicts the orbit, which fixes every state, so
+    giving both raises ValueError.  So does a spec that has no period, a
+    non-finite x0, reference_orbit or input, or an empty reference_orbit.
     """
     if renorm_interval < 1:
         raise ValueError("need renorm_interval >= 1")
     if T < 10 * renorm_interval:
         raise ValueError("need T >= 10 * renorm_interval")
-    if not (0.0 < eps0 <= 1e-6):
-        raise ValueError("need eps0 in (0, 1e-6]")
     start = _as_state(res, x0, "x0")
     if reference_orbit is None:
-        return _benettin(res, generate_input(input_spec, T + 1, res.n), start, T, renorm_interval, eps0)
+        return _benettin(res, generate_input(input_spec, T + 1, res.n), start, T, renorm_interval)
     lin = _orbit_linear_states(res, input_spec, reference_orbit)
     if x0 is not None:
         raise ValueError("x0 does nothing with a reference orbit")
@@ -178,41 +173,30 @@ def _orbit_linear_states(res: Reservoir, input_spec: InputSequence, reference_or
     return lin
 
 
-def _benettin(res, u, start, T, L, eps0) -> LyapunovResult:
-    x, e0 = start, np.eye(res.k)[0]
-    y = x + eps0 * e0
+def _benettin(res, u, start, T, L) -> LyapunovResult:
+    xv = np.column_stack([start, np.eye(res.k)[0]])  # the state and its unit tangent
+    with np.errstate(over="ignore"):  # spans of m steps, ||W||_F^m < e^690 ~ 1e300, cannot overflow v
+        size_W = float(np.linalg.norm(res.W))
+    m = L if size_W <= 1.0 else max(1, int(690.0 / math.log(size_W)))
     T_used = T // L * L
-    dists = []
+    per_step = []  # each block's log-stretch per step: the exponent is their mean, with its standard error
     for t in range(L, T_used + 1, L):  # t: last step of the block
-        try:  # x and y step as the columns of one (k, 2) block
-            x, y = _advance(res, u[t - L + 1 : t + 1], np.column_stack([x, y])).T
-            d = float(_norms(y, x)[0])
-        except ValueError:  # the run diverged
-            d = math.inf
-        if not math.isfinite(d):
-            return LyapunovResult(math.inf, t, L, math.nan)
-        dists.append(d)
-        if d <= ZERO_FLOOR:
-            y = x + eps0 * e0
-        else:
-            y = x + (y - x) * (eps0 / d)
-    per_step = _log_stretches(dists, eps0) / L  # the exponent is their mean, with its standard error
+        stretch = 0.0
+        for s in range(t - L, t, m):  # spans of at most m steps, rescaling v after each
+            try:
+                xv = _advance(res, u[s + 1 : min(s + m, t) + 1], xv)
+            except ValueError:  # the run diverged
+                return LyapunovResult(math.inf, t, L, math.nan)
+            size = math.hypot(*xv[:, 1].tolist())
+            if size > 0.0:
+                xv[:, 1] /= size
+                stretch += math.log(size)
+            else:  # v stays zero from here on
+                stretch = -math.inf
+        per_step.append(stretch / L)
+    if per_step[-1] == -math.inf:
+        return LyapunovResult(-math.inf, T_used, L, math.nan)
     return LyapunovResult(float(np.mean(per_step)), T_used, L, float(np.std(per_step) / math.sqrt(len(per_step))))
-
-
-def _log_stretches(dists, eps0: float) -> np.ndarray:
-    """Each block's log-stretch math.log(max(d, ZERO_FLOOR) / eps0).
-
-    Where that quotient overflows (d above about 1.8e299 at eps0 = 1e-9) it
-    is log(d) - log(eps0) instead, so every finite quotient keeps its bits.
-    """
-    d = np.maximum(dists, ZERO_FLOOR)
-    with np.errstate(over="ignore"):
-        ratio = d / eps0
-    stretches = np.fromiter(map(math.log, ratio.tolist()), dtype=float, count=ratio.size)
-    for i in np.flatnonzero(np.isinf(ratio)).tolist():
-        stretches[i] = math.log(d[i]) - math.log(eps0)
-    return stretches
 
 
 def lyapunov_sweep(

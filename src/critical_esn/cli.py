@@ -128,6 +128,7 @@ _FORMS = {
     "x0": (frozenset({"zeros"}), [0.0]),
     "y0": (frozenset({"zeros"}), [0.0], None),
     "transfer": (frozenset(_FORMULAS),),
+    "transfer_kinds": ([frozenset(_FORMULAS)],),
 }
 
 _NOUNS = {type(None): "null", str: "a string", int: "an integer", float: "a finite number"}
@@ -159,6 +160,8 @@ def _conform(form, value):
 def _describe(form) -> str:
     if isinstance(form, frozenset):
         return " or ".join(map(repr, sorted(form)))
+    if isinstance(form, list) and isinstance(form[0], frozenset):  # "a list of 'a' or 'b'"
+        return f"a list of {_describe(form[0])}"
     if isinstance(form, (list, tuple)):  # "a list of 2 finite numbers", "a list of integers"
         size = f"{len(form)} " if isinstance(form, tuple) else ""
         return f"a list of {size}{_NOUNS[type(form[0])].split(' ', 1)[1]}s"

@@ -27,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .reservoir import Reservoir
-from .transfer import _FLOAT_STEPS, SINE_SIGMOID, TANH
+from .transfer import _FLOAT_STEPS, _FORMULAS, SINE_SIGMOID, TANH
 
 __all__ = [
     "Alternating",
@@ -193,9 +193,10 @@ def _advance(res: Reservoir, u: np.ndarray, x: np.ndarray, out=None, lin_out=Non
     in one stacked matmul, bit for bit the per-step product, into lin_out
     when given, adds W x_{t-1} onto each drive row in place (d + Wx is
     Wx + d bit for bit) and writes theta of that row into out[i] through
-    one checked TransferFunction.__call__ per step.  Given a
-    (k, B) block x, it steps B states driven alike, one GEMM per step; the
-    free-running Lyapunov pair uses this with B = 2.
+    one checked TransferFunction.__call__ per step.  Given a (k, 2) block
+    [x v] of a state and its tangent, it takes W [x v] in one GEMM per
+    step, adds the drive to column 0 alone and sets x = theta(lin) through
+    that call and v = theta'(lin) W v, theta' unchecked from _FORMULAS.
 
     It owns the divergence rule: a state that leaves the finite range
     raises ValueError("states must stay finite") on either body, which
@@ -213,11 +214,18 @@ def _advance(res: Reservoir, u: np.ndarray, x: np.ndarray, out=None, lin_out=Non
                 x = np.array([_FLOAT_STEPS[tf.kind](float(x[0]), float(W[0, 0]), drive, out)])
             else:
                 drive_out = None if lin_out is None else lin_out[: len(u), :, None]
-                lin = np.matmul(w_in, u[:, :, None], out=drive_out)
-                lin = lin[:, :, 0] if x.ndim == 1 else lin.repeat(x.shape[1], axis=2)
-                for i, row in enumerate(lin):
-                    row += W @ x
-                    x = tf(row, out=None if out is None else out[i])
+                lin = np.matmul(w_in, u[:, :, None], out=drive_out)[:, :, 0]
+                if x.ndim == 1:
+                    for i, row in enumerate(lin):
+                        row += W @ x
+                        x = tf(row, out=None if out is None else out[i])
+                else:  # the tangent block [x v]
+                    x, Wx, slope = x.copy(), np.empty_like(x), _FORMULAS[tf.kind][1]
+                    for row in lin:
+                        np.matmul(W, x, out=Wx)
+                        row += Wx[:, 0]
+                        tf(row, out=x[:, 0])
+                        np.multiply(slope(row), Wx[:, 1], out=x[:, 1])
             finite = np.all(np.isfinite(x))
         except ValueError:  # a non-finite linear state met the transfer function
             finite = False

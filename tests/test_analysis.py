@@ -14,7 +14,6 @@ from critical_esn.analysis import (
     write_sweep_csv,
 )
 from critical_esn.dynamics import (
-    ZERO_FLOOR,
     Alternating,
     Constant,
     ConvergenceTrace,
@@ -34,37 +33,31 @@ from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction
 A = math.pi / 4
 
 
-def _benettin_by_step(res, spec, T, L, eps0=1e-9, x0=None, orbit=None):
-    """Reference two-trajectory (exponent, T_used): x and y each advanced by dynamics.step.
+def _tangent_by_step(res, spec, T, L, orbit=None):
+    """Reference tangent-map (exponent, T_used): x advanced by dynamics.step, v by theta'(lin) W v.
 
-    With orbit, x follows orbit[t mod P] instead of stepping, from x0 or
-    orbit[0].  A collision floors the block's stretch and restarts the
-    companion at x + eps0; a non-finite state reports +inf at its block's end.
+    theta' comes from TransferFunction.derivative.  With orbit, x follows
+    orbit[t mod P] instead, from orbit[0], and lin is stepped from it.  v
+    starts at the first unit vector and is rescaled to norm 1 every L
+    steps; a non-finite state reports +inf at its block's end.
     """
     u = generate_input(spec, T + 1, res.n)
-    e0 = np.eye(res.k)[0]
-    if x0 is None:
-        x0 = np.zeros(res.k) if orbit is None else orbit[0]
-    x = np.asarray(x0, float)
-    y = x + eps0 * e0
+    x = np.zeros(res.k) if orbit is None else np.asarray(orbit[0], float)
+    v = np.eye(res.k)[0]
     stretches = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T // L * L + 1):
+            if orbit is not None:
+                x = np.asarray(orbit[(t - 1) % len(orbit)], float)
             try:
-                y, _ = step(res, y, u[t])
+                x, lin = step(res, x, u[t])
             except ValueError:  # a non-finite state met the transfer function
                 return math.inf, -(-t // L) * L
-            x = step(res, x, u[t])[0] if orbit is None else np.asarray(orbit[t % len(orbit)], float)
+            v = res.tf.derivative(lin) * (res.W @ v)
             if t % L == 0:
-                d = math.hypot(*(y - x))  # no overflow in the squares
-                if not math.isfinite(d):
-                    return math.inf, t
-                if d <= ZERO_FLOOR:
-                    stretches.append(math.log(ZERO_FLOOR / eps0))
-                    y = x + eps0 * e0
-                else:  # d / eps0 may overflow for a finite d
-                    stretches.append(math.log(d) - math.log(eps0))
-                    y = x + (y - x) * (eps0 / d)
+                d = math.hypot(*v)
+                stretches.append(math.log(d))
+                v = v / d
     return float(np.mean(np.asarray(stretches) / L)), T // L * L
 
 
@@ -169,14 +162,19 @@ class TestLyapunovExponent:
         [
             ({"renorm_interval": 0}, r"need renorm_interval >= 1"),
             ({"T": 99, "renorm_interval": 10}, r"need T >= 10 \* renorm_interval"),
-            ({"eps0": 0.0}, r"need eps0 in \(0, 1e-6\]"),
-            ({"eps0": 1e-5}, r"need eps0 in \(0, 1e-6\]"),
         ],
     )
     def test_bad_run_length_rejected(self, orbit, run_length, message):
         # checked before any step, and with an orbit as without one
         with pytest.raises(ValueError, match=message):
             lyapunov_exponent(make_alternating_neuron(1.0), Alternating(A), **run_length, reference_orbit=orbit)
+
+    @pytest.mark.parametrize("b", [0.1, 0.2, 0.3])
+    def test_contracting_alternating_neuron_gives_log_b(self, b):
+        # a 1e-9 separation would fall below one ulp of the state within a
+        # 10-step block here; the tangent needs no separation
+        r = lyapunov_exponent(make_alternating_neuron(b), Alternating(A), T=2000)
+        assert r.exponent == pytest.approx(math.log(b), rel=0.0, abs=1e-3)
 
     def test_stderr_brackets_contracting_exponent(self):
         res = Reservoir(W=[[0.5]], w_in=[[1.0]], tf=TANH)
@@ -204,28 +202,37 @@ class TestLyapunovExponent:
         res = make_orthogonal_reservoir(4, 1, 0.5, seed=0)
         r = lyapunov_exponent(res, IidSign(A, 0), T=1005)
         assert len(shapes) == r.T_used == 1000
-        assert set(shapes) == {(4, 2)}
+        assert set(shapes) == {(4,)}  # the state's column; theta' of it is read unchecked
 
     @pytest.mark.parametrize("k", [2, 16])
     def test_paired_block_matches_per_copy_steps(self, k):
-        # GEMM rounds unlike GEMV, and the 1e-9 separation magnifies that to ~1e-7 per block
+        # the block's GEMM rounds unlike the oracle's GEMVs
         res = make_orthogonal_reservoir(k, 1, 0.5, seed=k)
         r = lyapunov_exponent(res, IidSign(A, k), T=3000)
-        assert r.exponent == pytest.approx(_benettin_by_step(res, IidSign(A, k), 3000, 10)[0], rel=1e-6)
+        assert r.exponent == pytest.approx(_tangent_by_step(res, IidSign(A, k), 3000, 10)[0], rel=1e-6)
 
-    def test_pair_colliding_every_block_reports_the_floor(self):
-        # the saturating sine sigmoid merges the twins within every 10-step block
+    def test_saturating_sine_sigmoid_takes_the_tangent_exponent(self):
+        # the saturating sine sigmoid would merge two states 1e-9 apart within
+        # every 10-step block
         base = make_orthogonal_reservoir(4, 1, 0.5, seed=0)
         res = Reservoir(W=base.W, w_in=base.w_in, tf=SINE_SIGMOID)
         r = lyapunov_exponent(res, IidSign(A, 3), T=2000)
-        assert r.exponent == math.log(ZERO_FLOOR / 1e-9) / 10
+        assert r.exponent == pytest.approx(_tangent_by_step(res, IidSign(A, 3), 2000, 10)[0], rel=1e-6)
+        assert r.exponent == pytest.approx(-4.2172, abs=1e-4)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_zero_tangent_gives_minus_infinity(self, k):
+        # theta'(0) = 0 for the sine sigmoid, so the first step zeroes v, which stays zero
+        res = Reservoir(W=0.5 * np.eye(k), w_in=np.ones((k, 1)), tf=SINE_SIGMOID)
+        r = lyapunov_exponent(res, Constant(0.0), T=1000)
+        assert (r.exponent, r.T_used) == (-math.inf, 1000) and math.isnan(r.stderr)
 
     def test_validation(self):
         res = make_alternating_neuron(1.0)
         with pytest.raises(ValueError):
             lyapunov_exponent(res, Alternating(A), T=50, renorm_interval=10)
-        with pytest.raises(ValueError):
-            lyapunov_exponent(res, Alternating(A), T=1000, eps0=1e-3)
+        with pytest.raises(TypeError, match="eps0"):  # the tangent map needs no separation
+            lyapunov_exponent(res, Alternating(A), T=1000, eps0=1e-9)
 
     @pytest.mark.parametrize("orbit", [None, [[A], [-A]]])
     def test_non_finite_x0_raises(self, orbit):
@@ -243,8 +250,8 @@ class TestLyapunovExponent:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_free_running_stretch_past_the_float_range_stays_finite(self, n):
-        # x stays at 0 and the companion grows from 1e-9 to 1e300 in each block,
-        # so d / eps0 overflows though d is finite
+        # x stays at 0 and the unit tangent would grow by 10^309 in each block,
+        # past the float range, unless it is rescaled within the block
         res = Reservoir(W=[[10.0]], w_in=[[1.0]] if n == 1 else [[1.0, 0.0]], tf=LINEAR)
         r = lyapunov_exponent(res, Constant(0.0), T=3090, renorm_interval=309, x0=[0.0])
         assert r.T_used == 3090
@@ -282,15 +289,14 @@ class TestPinnedOrbit:
         assert r.exponent == 0.0
 
     @pytest.mark.parametrize("b", [0.55, 1.0, 1.45])
-    def test_agrees_with_the_two_trajectory_oracle(self, b):
+    def test_agrees_with_the_tangent_oracle(self, b):
         res, orbit = make_alternating_neuron(b), alternating_orbit(A)
         r = lyapunov_exponent(res, Alternating(A), T=100_000, reference_orbit=orbit)
-        exponent, _ = _benettin_by_step(res, Alternating(A), 100_000, 10, orbit=orbit)
-        assert r.exponent == pytest.approx(exponent, rel=0.0, abs=1e-5)
+        exponent, _ = _tangent_by_step(res, Alternating(A), 100_000, 10, orbit=orbit)
+        assert r.exponent == pytest.approx(exponent, rel=0.0, abs=1e-12)
 
-    # the oracle's stretch over one block of L steps carries O(eps0) curvature
-    # and, where the orbit contracts, the rounding of a separation near the
-    # ulps of the state: 3.0e-7 at most over both grids below
+    # the oracle multiplies the orbit's own one-step slopes, so it agrees to
+    # rounding: 8.3e-17 at most over both grids below
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("L", [1, 3, 10, 37])
     @pytest.mark.parametrize("side", SIDES)
@@ -299,8 +305,8 @@ class TestPinnedOrbit:
         w, z = ONE_NEURON_ORBITS[kind][side]
         res, spec, orbit = _designed_orbit(kind, [[w]], [z], "alternating", n)
         r = lyapunov_exponent(res, spec, T=50 * L + 2, renorm_interval=L, reference_orbit=orbit)
-        exponent, _ = _benettin_by_step(res, spec, 50 * L + 2, L, orbit=orbit)
-        assert r.exponent == pytest.approx(exponent, rel=0.0, abs=1e-5)
+        exponent, _ = _tangent_by_step(res, spec, 50 * L + 2, L, orbit=orbit)
+        assert r.exponent == pytest.approx(exponent, rel=0.0, abs=1e-12)
         assert r.exponent == pytest.approx(math.log(abs(w * float(_slope(kind, z)))), rel=0.0, abs=1e-14)
         assert (r.T_used, r.renorm_interval, r.stderr) == (2, 1, 0.0)
 
@@ -312,12 +318,12 @@ class TestPinnedOrbit:
         w, z = ONE_NEURON_ORBITS[kind][side]
         res, spec, orbit = _designed_orbit(kind, [[w]], [z], "constant", n)
         r = lyapunov_exponent(res, spec, T=50 * L + 2, renorm_interval=L, reference_orbit=orbit)
-        exponent, _ = _benettin_by_step(res, spec, 50 * L + 2, L, orbit=orbit)
-        assert r.exponent == pytest.approx(exponent, rel=0.0, abs=1e-5)
+        exponent, _ = _tangent_by_step(res, spec, 50 * L + 2, L, orbit=orbit)
+        assert r.exponent == pytest.approx(exponent, rel=0.0, abs=1e-12)
         assert r.exponent == pytest.approx(math.log(abs(w * float(_slope(kind, z)))), rel=0.0, abs=1e-14)
         assert (r.T_used, r.renorm_interval, r.stderr) == (1, 1, 0.0)
 
-    # the oracle's companion turns towards the top eigenvector from e0, an
+    # the oracle's tangent turns towards the top eigenvector from e0, an
     # error that falls as 1/T: 1.2e-3 at most over this grid at T = 4000
     @pytest.mark.parametrize("side", SIDES)
     @pytest.mark.parametrize("kind", sorted(ORBIT_TRANSFERS))
@@ -327,15 +333,15 @@ class TestPinnedOrbit:
     def test_coupled_orbit_takes_the_top_exponent(self, k, n, source, kind, side):
         (res, spec, orbit), z, target = _coupled_orbit(kind, side, k, n, source)
         r = lyapunov_exponent(res, spec, T=4000, reference_orbit=orbit)
-        exponent, _ = _benettin_by_step(res, spec, 4000, 10, orbit=orbit)
+        exponent, _ = _tangent_by_step(res, spec, 4000, 10, orbit=orbit)
         assert r.exponent == pytest.approx(exponent, rel=0.0, abs=5e-3)
         assert r.exponent == pytest.approx(math.log(target), rel=0.0, abs=1e-13)
         assert r.T_used == len(orbit)
 
-    @pytest.mark.parametrize("T,L,eps0", [(10, 1, 1e-6), (1000, 100, 1e-9), (100_001, 7, 1e-300), (2_000_000, 10, 5e-7)])
-    def test_run_length_and_renormalisation_leave_the_exponent_alone(self, T, L, eps0):
+    @pytest.mark.parametrize("T,L", [(10, 1), (1000, 100), (100_001, 7), (2_000_000, 10)])
+    def test_run_length_and_renormalisation_leave_the_exponent_alone(self, T, L):
         res, spec, orbit = _designed_orbit("tanh", [[1.1]], [0.3], "alternating")
-        r = lyapunov_exponent(res, spec, T=T, renorm_interval=L, eps0=eps0, reference_orbit=orbit)
+        r = lyapunov_exponent(res, spec, T=T, renorm_interval=L, reference_orbit=orbit)
         assert r == lyapunov_exponent(res, spec, reference_orbit=orbit)
 
     @pytest.mark.parametrize("reps", [1, 2, 3])

@@ -18,6 +18,7 @@ from critical_esn.cli import _FORMS, DEFAULTS, main
 from critical_esn.contraction import phi_k
 
 A = math.pi / 4
+_KINDS = "a list of 'linear' or 'sine_sigmoid' or 'tanh'"  # verify's transfer_kinds form
 
 
 def _write_config(tmp_path, name, payload):
@@ -258,6 +259,23 @@ class TestVerify:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert not report["cover_tanh"]["passed"]
         assert report["dominance_q0_0.5"]["passed"]
+
+    def test_kappa_one_certificate_passes(self, tmp_path):
+        # kappa = 1 bounds the distance by t^(-1/2), the measured critical rate
+        cfg = _write_config(tmp_path, "v.json", {"kappa": 1, "eta": 0.1, "gamma": 0.5})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "verify_report.json").read_text())["all_passed"] is True
+
+    def test_kappa_one_cover_fails_past_eta_one_sixth(self, tmp_path):
+        # near delta = 0 the kappa = 1 cover margin is delta^2 (1/6 - eta)
+        cfg = _write_config(tmp_path, "v.json", {"kappa": 1, "eta": 0.16, "gamma": 0.5})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        failed = {name: rep["worst_margin"] for name, rep in report.items() if name != "all_passed" and not rep["passed"]}
+        assert failed == {
+            "cover_tanh": pytest.approx(-2.06e-3, rel=1e-2),
+            "cover_sine_sigmoid": pytest.approx(-2.97e-4, rel=1e-2),
+        }
 
     def test_cover_params_reach_vector_and_step_checks(self, tmp_path, monkeypatch):
         seen = []
@@ -503,13 +521,13 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "payload, message",
         [
-            ({"transfer_kinds": ["foo"]}, "error: unknown transfer kind 'foo'\n"),
+            ({"transfer_kinds": ["foo"]}, f"error: config key 'transfer_kinds' in config must be {_KINDS}, got [\"foo\"]\n"),
             ({"n_list": [1]}, "error: n_list entries must be >= 2, got [1]\n"),
             # an empty list would leave a report that passes over fewer checks
             ({"transfer_kinds": []}, "error: config key 'transfer_kinds' must name at least one entry\n"),
             ({"n_list": []}, "error: config key 'n_list' must name at least one entry\n"),
             ({"q0_list": []}, "error: config key 'q0_list' must name at least one entry\n"),
-            ({"transfer_kinds": ["tailored"]}, "error: unknown transfer kind 'tailored'\n"),
+            ({"transfer_kinds": ["tailored"]}, f"error: config key 'transfer_kinds' in config must be {_KINDS}, got [\"tailored\"]\n"),
         ],
         ids=["transfer_kinds", "n_list", "empty_transfer_kinds", "empty_n_list", "empty_q0_list", "tailored_kind"],
     )
@@ -567,6 +585,10 @@ class TestConfigHandling:
             ("simulate", {"reservoir": {"transfer": {"kind": "tanh"}}}, "transfer"),
             ("mc", {"transfer": "tailored"}, "transfer"),
             ("mc", {"transfer": {"kind": "tanh"}}, "transfer"),
+            # verify's transfer_kinds is a list of those names
+            ("verify", {"transfer_kinds": ["tailored"]}, "transfer_kinds"),
+            ("verify", {"transfer_kinds": ["tanh", 1]}, "transfer_kinds"),
+            ("verify", {"transfer_kinds": "tanh"}, "transfer_kinds"),
         ],
     )
     def test_wrong_type_exits_2_naming_it(self, tmp_path, capsys, command, payload, key):

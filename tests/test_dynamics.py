@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from critical_esn.analysis import lyapunov_exponent
+from critical_esn.analysis import fit_decay, lyapunov_exponent
 from critical_esn.dynamics import (
     Alternating,
     Constant,
@@ -328,6 +328,13 @@ class TestCriticalForgetting:
         t = np.arange(10, 10_001)
         slope, intercept = np.polyfit(t, q[t] ** -2.0, 1)
         assert abs(slope - 2.0 / 3.0) <= 1e-3 and abs(intercept - 1e4) <= 1.0
+
+    def test_figure4_trace_falls_as_t_to_the_minus_three_halves(self):
+        # both twins start at 0, off the orbit, so q is the difference of two
+        # t^(-1/2) approaches shifted in time
+        trace = perturbation_experiment(make_alternating_neuron(1.0), Alternating(A), 1, 0.01, 10_000)
+        fit = fit_decay(trace, t_start=1000)
+        assert fit.law == "power_law" and -1.51 <= fit.exponent_pow <= -1.48
 
 
 class TestPerturbationExperiment:
