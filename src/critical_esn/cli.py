@@ -48,7 +48,7 @@ import numpy as np
 
 from . import analysis, contraction, dynamics, readout
 from .reservoir import Reservoir, load_matrix_csv, make_orthogonal_reservoir, scale_to_spectrum
-from .transfer import _FORMULAS, TransferFunction
+from .transfer import _COVERED, _FORMULAS, TransferFunction
 
 _PI4 = math.pi / 4
 
@@ -73,7 +73,7 @@ DEFAULTS: dict[str, dict] = {
         "fit_t_start": 10,
     },
     "verify": {
-        "transfer_kinds": ["tanh", "sine_sigmoid"],
+        "transfer_kinds": list(_COVERED),
         "eta": 1.0 / 48.0,
         "gamma": 0.5,
         "kappa": 2.0,
@@ -314,6 +314,10 @@ def _verify_checks(cfg: dict) -> dict:
     kinds = [(kind, TransferFunction(kind)) for kind in cfg["transfer_kinds"]]
     if any(n < 2 for n in cfg["n_list"]):
         raise ConfigError(f"n_list entries must be >= 2, got {cfg['n_list']!r}")
+    if any(k < 1 for k in cfg["audit_k_list"]):
+        raise ConfigError(f"audit_k_list entries must be >= 1, got {cfg['audit_k_list']!r}")
+    if cfg["audit_runs_per_case"] < 0:
+        raise ConfigError(f"audit_runs_per_case must be >= 0, got {cfg['audit_runs_per_case']!r}")
     p = contraction.CoverParams(eta=cfg["eta"], gamma=cfg["gamma"], kappa=cfg["kappa"])
     checks: dict[str, contraction.VerificationReport] = {}
     for kind, tf in kinds:

@@ -27,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .reservoir import Reservoir
-from .transfer import _FLOAT_STEPS, _FORMULAS, SINE_SIGMOID, TANH
+from .transfer import _FORMULAS, SINE_SIGMOID, TANH
 
 __all__ = [
     "Alternating",
@@ -180,15 +180,17 @@ def step(res: Reservoir, x, u):
 def _advance(res: Reservoir, u: np.ndarray, x: np.ndarray, out=None, lin_out=None) -> np.ndarray:
     """Apply x_t = theta(W x_{t-1} + w_in u_t) for each row u_t of the span u; return the last state.
 
-    The package's one stepping kernel.  With out it stores the i-th state
-    in out[i], with lin_out its linear state, and it writes nothing else.
-    The inputs are not checked here: generate_input, run_with_inputs and
-    perturbation_experiment reject non-finite ones where they are made.
+    The package's one stepping kernel.  It stores the i-th state in out[i]
+    (a 1-D state always comes with out), with lin_out its linear state, and
+    it writes nothing else.  The inputs are not checked here:
+    generate_input, run_with_inputs and perturbation_experiment reject
+    non-finite ones where they are made.
 
-    A call at k = n = 1 on a 1-D state that stores states in out and no
-    linear states (the twin traces) runs its kind's plain-float loop
-    (``transfer._FLOAT_STEPS``): the drive w_in u_t as a list of floats,
-    the formula in the loop's body, so no step pays a Python call.  Every
+    A call at k = n = 1 on a 1-D state with no linear states to store (the
+    twin traces) runs the one plain-float loop: the drive w_in u_t as a list
+    of floats, z = w x + d, a ValueError unless z is finite, and x = theta(z)
+    from the float column of _FORMULAS (math.sin raises where the sine
+    sigmoid's 2z overflows), so no step touches an array.  Every
     other call steps the array body.  It computes the span's drive w_in u_t
     in one stacked matmul, bit for bit the per-step product, into lin_out
     when given, adds W x_{t-1} onto each drive row in place (d + Wx is
@@ -206,19 +208,25 @@ def _advance(res: Reservoir, u: np.ndarray, x: np.ndarray, out=None, lin_out=Non
     leave the range without raising, and the last one is checked.
     """
     W, w_in, tf = res.W, res.w_in, res.tf
-    floats = out is not None and lin_out is None and x.ndim == 1 and res.k == res.n == 1
+    floats = lin_out is None and x.ndim == 1 and res.k == res.n == 1
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             if floats:
-                drive = (u[:, 0] * float(w_in[0, 0])).tolist()
-                x = np.array([_FLOAT_STEPS[tf.kind](float(x[0]), float(W[0, 0]), drive, out)])
+                w, theta, isfinite, xf = float(W[0, 0]), _FORMULAS[tf.kind][2], math.isfinite, float(x[0])
+                states = out[:, 0]  # storing one element costs a quarter of storing a row
+                for i, d in enumerate((u[:, 0] * float(w_in[0, 0])).tolist()):
+                    z = w * xf + d
+                    if not isfinite(z):
+                        raise ValueError("transfer function input must be finite")
+                    xf = states[i] = theta(z)
+                x = np.array([xf])
             else:
                 drive_out = None if lin_out is None else lin_out[: len(u), :, None]
                 lin = np.matmul(w_in, u[:, :, None], out=drive_out)[:, :, 0]
                 if x.ndim == 1:
                     for i, row in enumerate(lin):
                         row += W @ x
-                        x = tf(row, out=None if out is None else out[i])
+                        x = tf(row, out=out[i])
                 else:  # the tangent block [x v]
                     x, Wx, slope = x.copy(), np.empty_like(x), _FORMULAS[tf.kind][1]
                     for row in lin:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transfer import TANH, TransferFunction
+from .transfer import _COVERED, TANH, TransferFunction
 
 __all__ = [
     "Reservoir",
@@ -174,7 +174,7 @@ def check_esc(reservoir: Reservoir) -> EscVerdict:
     )
     c1 = s.max_abs_eigenvalue < 1.0 - _ESC_TOL
     c2 = s.max_singular_value < 1.0 - _ESC_TOL
-    covered = critical and reservoir.tf.kind in ("tanh", "sine_sigmoid")
+    covered = critical and reservoir.tf.kind in _COVERED
     return EscVerdict(
         c1_necessary=bool(c1),
         c2_sufficient=bool(c2),

@@ -16,9 +16,10 @@ Three kinds are provided:
                       counterexample that never contracts.
 
 Each kind's formulas live in one row of the table ``_FORMULAS``: theta on
-arrays and theta' on arrays.  Each kind also has a plain-float stepping
-loop (``_FLOAT_STEPS``), which ``dynamics._advance`` runs where it can
-serve the call.
+arrays, theta' on arrays and theta on a Python float.  The module holds
+formulas only; all stepping lives in ``dynamics._advance``, whose
+plain-float loop evaluates the third column.  ``_COVERED`` names the
+kinds the S = 1 theorem covers.
 ``__call__`` and ``derivative`` check their input is finite and read
 their column; ``__call__(x, out=)`` is that check followed by
 ``_theta(arr, out=None)``, the unchecked evaluation, which writes
@@ -44,35 +45,6 @@ __all__ = [
 ]
 
 
-def _tanh_steps(x, w, drive, out):
-    # math.tanh(inf) is 1.0, so the linear state is checked as the array body checks it
-    tanh, isfinite = math.tanh, math.isfinite
-    for i, d in enumerate(drive):
-        z = w * x + d
-        if not isfinite(z):
-            raise ValueError("transfer function input must be finite")
-        x = out[i] = tanh(z)
-    return x
-
-
-def _sine_sigmoid_steps(x, w, drive, out):
-    sin = math.sin
-    for i, d in enumerate(drive):
-        z = w * x + d
-        x = out[i] = 0.5 * z - 0.25 * sin(2.0 * z)
-    return x
-
-
-def _linear_steps(x, w, drive, out):
-    isfinite = math.isfinite
-    for i, d in enumerate(drive):
-        z = w * x + d
-        if not isfinite(z):
-            raise ValueError("transfer function input must be finite")
-        x = out[i] = z
-    return x
-
-
 def _sine_sigmoid(x, out=None):
     # 0.25*(y - sin y) with y = 2x is 0.5x - 0.25 sin 2x bit for bit: 0.5x = 0.25y
     # and 0.25 sin y are exact scalings, and y - sin y is 0 wherever it would be
@@ -81,19 +53,17 @@ def _sine_sigmoid(x, out=None):
     return np.multiply(np.subtract(y, np.sin(y), out=out), 0.25, out=out)
 
 
-# Each kind's formulas: (theta on arrays, theta' on arrays).  theta on
-# arrays takes out= like a ufunc.
+# Each kind's formulas: (theta on arrays, theta' on arrays, theta on a
+# float).  theta on arrays takes out= like a ufunc; theta on a float is
+# the body of dynamics._advance's plain-float loop.
 _FORMULAS = {
-    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
-    "sine_sigmoid": (_sine_sigmoid, lambda x: 0.5 - 0.5 * np.cos(2.0 * x)),
-    "linear": (np.positive, np.ones_like),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, math.tanh),
+    "sine_sigmoid": (_sine_sigmoid, lambda x: 0.5 - 0.5 * np.cos(2.0 * x), lambda z: 0.5 * z - 0.25 * math.sin(2.0 * z)),
+    "linear": (np.positive, np.ones_like, float),
 }
-# The plain-float stepping loops, by kind: steps(x, w, drive, out) sets
-# x_t = theta(w x_{t-1} + d_t) for each float d_t in drive, stores x_t in
-# out[t] and returns the last x_t.  A non-finite linear state raises
-# ValueError, as in the checked array call: the tanh and linear loops
-# check it and math.sin raises on it.
-_FLOAT_STEPS = {"tanh": _tanh_steps, "sine_sigmoid": _sine_sigmoid_steps, "linear": _linear_steps}
+# The kinds the paper's S = 1 theorem covers: acceptance criterion 5
+# certifies their cover inequality and shows that the linear kind fails it.
+_COVERED = ("tanh", "sine_sigmoid")
 
 
 def _check_finite(x) -> np.ndarray:

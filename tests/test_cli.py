@@ -528,8 +528,14 @@ class TestConfigHandling:
             ({"n_list": []}, "error: config key 'n_list' must name at least one entry\n"),
             ({"q0_list": []}, "error: config key 'q0_list' must name at least one entry\n"),
             ({"transfer_kinds": ["tailored"]}, f"error: config key 'transfer_kinds' in config must be {_KINDS}, got [\"tailored\"]\n"),
+            # a negative count used to drop the step audits silently; k = 0 names no reservoir
+            ({"audit_runs_per_case": -3}, "error: audit_runs_per_case must be >= 0, got -3\n"),
+            ({"audit_k_list": [4, 0]}, "error: audit_k_list entries must be >= 1, got [4, 0]\n"),
         ],
-        ids=["transfer_kinds", "n_list", "empty_transfer_kinds", "empty_n_list", "empty_q0_list", "tailored_kind"],
+        ids=[
+            "transfer_kinds", "n_list", "empty_transfer_kinds", "empty_n_list", "empty_q0_list", "tailored_kind",
+            "negative_audit_runs", "audit_k_below_1",
+        ],
     )
     def test_bad_verify_value_exits_2_before_making_the_output_directory(
         self, tmp_path, capsys, payload, message

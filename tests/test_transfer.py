@@ -12,7 +12,6 @@ from critical_esn.transfer import (
     LINEAR,
     SINE_SIGMOID,
     TANH,
-    _FLOAT_STEPS,
     _FORMULAS,
     TransferFunction,
 )
@@ -204,12 +203,23 @@ class TestAdmissible:
         assert np.all(dy >= 0.0)
         assert np.max(dy / np.diff(xs)) <= 1.0 + 1e-9
 
-    def test_every_kind_has_a_float_loop(self):
-        assert set(_FLOAT_STEPS) == set(_FORMULAS)
+    @pytest.mark.parametrize("kind", sorted(_FORMULAS))
+    def test_float_column_matches_the_array_column(self, kind):
+        # theta on a float, the body of _advance's float loop, against theta
+        # on arrays: from the smallest subnormal to 4e307, both signs, +-0
+        # and the range the states visit
+        mags = np.geomspace(5e-324, 4e307, 200_001)
+        z = np.concatenate([mags, -mags, [0.0, -0.0], np.linspace(-50.0, 50.0, 200_001)])
+        theta, theta_float = _FORMULAS[kind][0], _FORMULAS[kind][2]
+        floats = np.array([theta_float(v) for v in z.tolist()])
+        if kind == "tanh":  # math.tanh and np.tanh differ in the last bits
+            np.testing.assert_array_max_ulp(floats, theta(z), maxulp=2)
+        else:
+            assert floats.tobytes() == theta(z).tobytes()
 
 
 class TestFloatSteps:
-    @pytest.mark.parametrize("kind", sorted(_FLOAT_STEPS))
+    @pytest.mark.parametrize("kind", sorted(_FORMULAS))
     def test_scalar_and_array_paths_agree(self, kind):
         # _advance's float loop at k = n = 1 with w = 0 and unit input weight
         # steps x_t = theta(u_t); run it over the whole grid at once and in
