@@ -38,7 +38,7 @@ import numpy as np
 
 from .dynamics import ConvergenceTrace, InputSequence, _advance, _as_state
 from .dynamics import _PERIODS, generate_input
-from .reservoir import Reservoir
+from .reservoir import Reservoir, _write_csv
 from .transfer import TransferFunction
 
 __all__ = [
@@ -229,10 +229,7 @@ def lyapunov_sweep(
 
 
 def write_sweep_csv(path, points: Sequence[SweepPoint]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("b,lyapunov\n")
-        for pt in points:
-            fh.write(f"{pt.b:.17g},{pt.exponent:.17g}\n")
+    _write_csv(path, "b,lyapunov", [(pt.b, pt.exponent) for pt in points])
 
 
 # -- decay-law classification -------------------------------------------------
@@ -265,19 +262,18 @@ R2_MARGIN = 0.02
 POW_EXPONENT_FLOOR = -0.05
 
 
-def fit_decay(trace: ConvergenceTrace, t_start: int = 10, t_end: Optional[int] = None) -> DecayFit:
+def fit_decay(trace: ConvergenceTrace, t_start: int = 10) -> DecayFit:
     """Classify a convergence trace as exponential, power-law, or neither.
 
     Fits log q against t and against log t over the strictly positive
-    samples in [t_start, t_end], excluding everything at or after the zero
+    samples from t_start on, excluding everything at or after the zero
     floor.  Needs at least 20 usable samples; otherwise returns law "none"
     with zero r^2.
     """
     q = np.asarray(trace.q, dtype=float)
     t = np.arange(q.size)
-    hi = q.size - 1 if t_end is None else min(t_end, q.size - 1)
-    lo = max(t_start, 1)
-    mask = (t >= lo) & (t <= hi) & (q > 0)
+    lo, hi = max(t_start, 1), q.size - 1
+    mask = (t >= lo) & (q > 0)
     if trace.floor_hit_at is not None:
         mask &= t < trace.floor_hit_at
     ts = t[mask].astype(float)

@@ -25,7 +25,7 @@ between its points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
 
 PASS_SLACK = 1e-12
 _VEC_DELTA_SCALE, _VEC_ZETA_SCALE = 2.0, 4.0  # sampled |Delta_i|, |zeta_i| bounds of the vector check
+_COVER_CELLS = 1 << 14  # (delta, zeta) cells per omega evaluation in verify_cover_inequality
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,10 @@ class VerificationReport:
     status: str = "sampled"
 
 
-def _report(margins: np.ndarray, points: np.ndarray, grid_spec: str) -> VerificationReport:
-    """Report on margins[i] >= 0, evaluated at points[i] (a scalar or a row)."""
+def _report(
+    margins: np.ndarray, points: np.ndarray, grid_spec: str, n_checked: int | None = None, status: str = "sampled"
+) -> VerificationReport:
+    """Report on margins[i] >= 0, evaluated at points[i] (a scalar or a row); n_checked defaults to their count."""
     if margins.size == 0:
         raise ValueError(f"no points to check: {grid_spec}")
     i = int(np.argmin(margins))
@@ -100,7 +103,8 @@ def _report(margins: np.ndarray, points: np.ndarray, grid_spec: str) -> Verifica
         worst_margin=worst,
         worst_point=tuple(np.atleast_1d(points[i]).tolist()),
         grid_spec=grid_spec,
-        n_checked=int(margins.size),
+        n_checked=int(margins.size if n_checked is None else n_checked),
+        status=status,
     )
 
 
@@ -162,19 +166,16 @@ def verify_cover_inequality(
     deltas = _grid(*delta_grid)
     deltas = deltas[deltas > 0]
     zetas = _grid(*zeta_grid)
-    theta_z = tf(zetas)
-    worst = np.empty(deltas.size)
     worst_zeta = np.empty(deltas.size)
-    for i, d in enumerate(deltas):
-        ratio = (tf(d + zetas) - theta_z) / d
-        w = ratio * ratio
-        j = int(np.argmax(w))
-        worst[i] = w[j]
-        worst_zeta[i] = zetas[j]
-    margins = phi(deltas * deltas, p) - worst
+    block = max(1, _COVER_CELLS // zetas.size)  # delta rows per omega evaluation
+    for i in range(0, deltas.size, block):
+        rows = omega(tf, deltas[i : i + block, None], zetas)
+        worst_zeta[i : i + block] = zetas[np.argmax(rows, axis=1)]
+    with np.errstate(over="ignore"):  # phi clamps wherever delta^2 >= gamma, an overflowed square included
+        margins = phi(deltas * deltas, p) - omega(tf, deltas, worst_zeta)
     points = np.column_stack([deltas, worst_zeta])
     spec = f"delta in ({delta_grid[0]},{delta_grid[1]}] step {delta_grid[2]}, zeta in [{zeta_grid[0]},{zeta_grid[1]}] step {zeta_grid[2]}"
-    return replace(_report(margins, points, spec), n_checked=deltas.size * zetas.size)
+    return _report(margins, points, spec, n_checked=deltas.size * zetas.size)
 
 
 def verify_cover_inequality_vec(
@@ -217,7 +218,7 @@ def check_phi_properties(p: CoverParams = CoverParams()) -> VerificationReport:
     """
     margin = 1.0 - p.eta * (p.kappa + 1.0) * p.gamma**p.kappa
     spec = "eta (kappa+1) gamma^kappa <= 1; phi <= 1 and non-increasing for eta > 0"
-    return replace(_report(np.array([margin]), np.array([p.gamma]), spec), status="proved")
+    return _report(np.array([margin]), np.array([p.gamma]), spec, status="proved")
 
 
 # -- the scalar covering sequence -------------------------------------------
@@ -282,7 +283,7 @@ def verify_dominance(q0: float, p: CoverParams = CoverParams(), T: int = 100000)
     cover = q_star(ts, q0, p)
     bound = (p.kappa * p.eta * ts + q0 ** (-p.kappa)) ** (-1.0 / p.kappa)
     bound[0] = q0
-    return replace(_report(cover - bound, ts, f"t in [0,{T}], q0={q0}"), status="proved")
+    return _report(cover - bound, ts, f"t in [0,{T}], q0={q0}", status="proved")
 
 
 def tau_bound(

@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .reservoir import Reservoir
+from .reservoir import Reservoir, _read_csv, _write_csv
 from .transfer import _FORMULAS, SINE_SIGMOID, TANH
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
 
 ZERO_FLOOR = 1e-300
 _BLOCK = 256  # twin-trace steps between collision and finiteness checks
-_CSV_ROWS = 256  # CSV rows formatted by one % operation
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ class Constant:
 
 @dataclass(frozen=True)
 class FileInput:
-    """Inputs read from a CSV file, one time step per row."""
+    """Inputs read from a CSV file, one time step per row; blank and '#' comment lines are skipped."""
 
     path: str
 
@@ -109,7 +108,7 @@ def generate_input(spec: InputSequence, T: int, n: int = 1) -> np.ndarray:
         u = np.full((T, n), float(spec.value))
     elif isinstance(spec, FileInput):
         try:
-            data = np.loadtxt(spec.path, delimiter=",", ndmin=2)
+            _, data = _read_csv(spec.path)
         except OSError as exc:
             raise IOError(f"cannot read input file {spec.path!r}: {exc}") from exc
         except ValueError as exc:
@@ -355,6 +354,16 @@ def perturbation_experiment(
     return _twin_trace(res, u, u_pert, x0, x0.copy(), perturb_at + 1)
 
 
+def write_trace_csv(path, trace: ConvergenceTrace) -> None:
+    """Columns t,q with full-precision floats; deterministic byte-for-byte."""
+    _write_csv(path, "t,q", trace.q, first=range(trace.q.size))
+
+
+def write_states_csv(path, traj: Trajectory) -> None:
+    T, k = traj.states.shape
+    _write_csv(path, "t," + ",".join(f"x{i}" for i in range(k)), traj.states, first=range(1, T + 1))
+
+
 # -- named single-neuron families ------------------------------------------
 
 def make_alternating_neuron(b: float) -> Reservoir:
@@ -386,36 +395,3 @@ def alternating_orbit(amplitude: float = math.pi / 4) -> np.ndarray:
 def make_overtuned_neuron(b: float) -> Reservoir:
     """One-neuron tanh net x_{t+1} = tanh(-b x_t + u_t) (unit input coupling)."""
     return Reservoir(W=[[-b]], w_in=[[1.0]], tf=TANH)
-
-
-# -- CSV export --------------------------------------------------------------
-
-def _write_rows(fh, t0: int, values: np.ndarray) -> None:
-    """Rows "t,v_1,...,v_k" for t = t0, t0 + 1, ..., formatted _CSV_ROWS rows per % operation.
-
-    t sits as an integral float in column 0 of a float block, and %d prints
-    it as the int; the bytes are those of formatting each row on its own.
-    Only one block of Python floats is alive at a time.
-    """
-    rows, k = values.shape
-    line = "%d," + ",".join(["%.17g"] * k) + "\n"
-    block = np.empty((_CSV_ROWS, k + 1))
-    for i in range(0, rows, _CSV_ROWS):
-        n = min(_CSV_ROWS, rows - i)
-        block[:n, 0] = np.arange(t0 + i, t0 + i + n)
-        block[:n, 1:] = values[i : i + n]
-        fh.write((line * n) % tuple(block[:n].ravel().tolist()))
-
-
-def write_trace_csv(path, trace: ConvergenceTrace) -> None:
-    """Columns t,q with full-precision floats; deterministic byte-for-byte."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,q\n")
-        _write_rows(fh, 0, trace.q[:, None])
-
-
-def write_states_csv(path, traj: Trajectory) -> None:
-    k = traj.states.shape[1]
-    with open(path, "w", newline="") as fh:
-        fh.write("t," + ",".join(f"x{i}" for i in range(k)) + "\n")
-        _write_rows(fh, 1, traj.states)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import run_with_inputs
-from .reservoir import Reservoir
+from .reservoir import Reservoir, _write_csv
 
 __all__ = [
     "ReadoutModel",
@@ -169,8 +169,4 @@ def memory_capacity(
 
 def write_mc_csv(path, result: McResult) -> None:
     """Columns delay,score plus a final totals row."""
-    with open(path, "w", newline="") as fh:
-        fh.write("delay,score\n")
-        for d, s in result.per_delay:
-            fh.write(f"{d},{s:.17g}\n")
-        fh.write(f"total,{result.mc_total:.17g}\n")
+    _write_csv(path, "delay,score", result.per_delay, total=result.mc_total)

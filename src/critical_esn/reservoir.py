@@ -13,6 +13,8 @@ Two classic spectral checks are exposed through :func:`check_esc`:
 plus a flag for sitting on the boundary itself, and whether the
 boundary case is covered by the contraction argument for the given
 transfer function (tanh and the sine sigmoid are; the identity is not).
+
+The package's one CSV writer and one CSV parser live here too.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 _ESC_TOL = 1e-9  # check_esc's margin around the spectral boundary
+_CSV_ROWS = 256  # CSV rows formatted by one % operation
 
 
 def _square_matrix(W) -> np.ndarray:
@@ -183,24 +186,53 @@ def check_esc(reservoir: Reservoir) -> EscVerdict:
     )
 
 
+# -- the CSV format ----------------------------------------------------------
+
+def _write_csv(path, header: str, values, first=None, total=None) -> None:
+    """Write the header line, a line per row of values led by first[i] if given, then "total,<total>" if given.
+
+    Every number prints as %.17g, an integral float (t, a delay) as %d
+    prints it.  _CSV_ROWS rows are formatted per % operation from one float
+    block, and first may be a range, so nothing row-count sized is made.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        values = values[:, None]
+    lead = int(first is not None)
+    rows, m = values.shape
+    line = ",".join(["%.17g"] * (lead + m)) + "\n"
+    block = np.empty((_CSV_ROWS, lead + m))
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for i in range(0, rows, _CSV_ROWS):
+            n = min(_CSV_ROWS, rows - i)
+            if lead:
+                block[:n, 0] = first[i : i + n]
+            block[:n, lead:] = values[i : i + n]
+            fh.write((line * n) % tuple(block[:n].ravel().tolist()))
+        if total is not None:
+            fh.write("total,%.17g\n" % total)
+
+
+def _read_csv(path) -> tuple[list, np.ndarray]:
+    """The '#' comment lines of a CSV file and its other non-blank lines as a 2-D float array, or ValueError."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    body = [ln for ln in lines if not ln.startswith("#")]
+    if not body:
+        raise ValueError("no data lines")
+    return [ln for ln in lines if ln.startswith("#")], np.loadtxt(body, delimiter=",", ndmin=2)
+
+
 def save_matrix_csv(path, W: np.ndarray) -> None:
     """Row-major CSV with a '# rows,cols' comment header."""
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {W.shape[0]},{W.shape[1]}\n")
-        line = ",".join(["%.17g"] * W.shape[1]) + "\n"
-        fh.writelines(line % tuple(row.tolist()) for row in W)
+    _write_csv(path, f"# {W.shape[0]},{W.shape[1]}", W)
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"empty matrix file: {path}")
-    body = [ln for ln in lines if not ln.startswith("#")]
-    rows = [[float(v) for v in ln.split(",")] for ln in body]
-    out = np.asarray(rows, dtype=float)
-    header = [ln for ln in lines if ln.startswith("#")]
+    """The matrix of a CSV file, checked against its '# rows,cols' header where it has one."""
+    header, out = _read_csv(path)
     if header:
         try:
             r, c = (int(v) for v in header[0].lstrip("#").split(","))

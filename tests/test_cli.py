@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,14 @@ class TestVerify:
         assert statuses == {name: "proved" if name in proved else "sampled" for name in statuses}
         assert len(proved) == 4  # one per default q0, and the shape facts
 
+    def test_delta_grid_whose_squares_overflow_passes_without_a_warning(self, tmp_path):
+        # phi takes its clamp at delta^2 = inf as at every delta^2 >= gamma
+        cfg = _write_config(tmp_path, "v.json", {**FAST_VERIFY, "delta_grid": [0.0, 1e300, 1e299]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "verify_report.json").read_text())["all_passed"] is True
+
     def test_identity_transfer_fails_with_nonzero_exit(self, tmp_path):
         cfg = _write_config(
             tmp_path, "v.json", {**FAST_VERIFY, "transfer_kinds": ["linear"]}
@@ -409,6 +418,17 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "d"), "--seed", "7"]) == 0
         recorded = json.loads((tmp_path / "d" / "simulate_config.json").read_text())
         assert recorded["reservoir"]["seed"] == recorded["input"]["seed"] == 7
+
+    @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank"])
+    def test_file_input_with_no_data_lines_exits_2_with_one_line(self, tmp_path, capsys, text):
+        (tmp_path / "u.csv").write_text(text)
+        cfg = _write_config(tmp_path, "sim.json", {"input": {"kind": "file", "path": str(tmp_path / "u.csv")}, "T": 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: ill-formed input file {str(tmp_path / 'u.csv')!r}: no data lines\n"
+        assert not (tmp_path / "out").exists()
 
     def test_file_input_drives_the_run(self, tmp_path):
         u = np.linspace(-1.0, 1.0, 11)[:, None]

@@ -8,6 +8,7 @@ import pytest
 
 from critical_esn.contraction import (
     CoverParams,
+    _grid,
     audit_step_inequality,
     check_phi_properties,
     iterate_q,
@@ -146,6 +147,24 @@ class TestCoverInequality:
     def test_overgreedy_eta_fails(self):
         rep = verify_cover_inequality(TANH, CoverParams(eta=0.5))
         assert not rep.passed
+
+    @pytest.mark.parametrize(
+        "delta_grid, zeta_grid",
+        [((0.0, 4.0, 1e-2), (-4.0, 4.0, 1e-2)), ((0.0, 0.5, 0.1), (-4.0, 4.0, 4e-4))],
+        ids=["many_rows_per_block", "one_row_per_block"],
+    )
+    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR], ids=lambda tf: tf.kind)
+    def test_blocked_check_matches_a_per_delta_loop(self, tf, delta_grid, zeta_grid):
+        zetas = _grid(*zeta_grid)
+        margins, points = [], []
+        for d in _grid(*delta_grid)[1:]:
+            w = omega(tf, d, zetas)
+            j = int(np.argmax(w))
+            margins.append(phi(d * d) - w[j])
+            points.append((d, zetas[j]))
+        rep = verify_cover_inequality(tf, delta_grid=delta_grid, zeta_grid=zeta_grid)
+        i = int(np.argmin(margins))
+        assert (rep.worst_margin, rep.worst_point) == (margins[i], points[i])
 
     def test_report_invariant(self):
         for rep in (verify_cover_inequality(TANH), verify_cover_inequality(LINEAR)):

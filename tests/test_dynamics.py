@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from critical_esn.analysis import fit_decay, lyapunov_exponent
+from critical_esn.analysis import SweepPoint, fit_decay, lyapunov_exponent, write_sweep_csv
 from critical_esn.dynamics import (
     Alternating,
     Constant,
@@ -33,6 +33,7 @@ from critical_esn.reservoir import (
     save_matrix_csv,
     scale_to_spectrum,
 )
+from critical_esn.readout import McResult, write_mc_csv
 from critical_esn.transfer import _FORMULAS, LINEAR, SINE_SIGMOID, TANH, TransferFunction
 
 A = math.pi / 4
@@ -88,6 +89,20 @@ class TestGenerateInput:
         garbled.write_text("1.0\nnot-a-number\n")
         with pytest.raises(IOError):
             generate_input(FileInput(str(garbled)), 2)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n# a comment\n"], ids=["empty", "blank"])
+    def test_file_with_no_data_lines_raises_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "u.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IOError, match="no data lines"):
+                generate_input(FileInput(str(path)), 1)
+
+    def test_file_skips_comment_and_blank_lines(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("# a header\n0.5\n\n  \n# between\n-0.25\n")
+        np.testing.assert_array_equal(generate_input(FileInput(str(path)), 2), [[0.5], [-0.25]])
 
     def test_needs_positive_horizon(self):
         with pytest.raises(ValueError):
@@ -527,6 +542,11 @@ class TestTraceCsv:
         expected = "t,q\n" + "".join("%d,%.17g\n" % tv for tv in enumerate(q.tolist()))
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
+        scores = np.random.default_rng(T + 1).uniform(size=300).tolist()
+        write_mc_csv(tmp_path / "mc.csv", McResult(mc_total=sum(scores), per_delay=tuple(enumerate(scores, start=1))))
+        expected = "delay,score\n" + "".join("%d,%.17g\n" % ds for ds in enumerate(scores, start=1))
+        assert (tmp_path / "mc.csv").read_bytes() == (expected + "total,%.17g\n" % sum(scores)).encode()
+
     def test_writers_match_fstring_reference(self, tmp_path):
         # the writers format whole rows with one %-format; the bytes must be
         # those of formatting every value with f"{v:.17g}"
@@ -549,3 +569,15 @@ class TestTraceCsv:
         save_matrix_csv(tmp_path / "m.csv", M)
         expected = "# 3,2\n" + "".join(",".join(ref(v) for v in row) + "\n" for row in M)
         assert (tmp_path / "m.csv").read_bytes() == expected.encode()
+
+        # a failed cell's NaN and b = 0's -inf among the exponents
+        exponents = [math.nan, -math.inf, math.inf, *vals]
+        points = [SweepPoint(b=0.05 * i, exponent=e) for i, e in enumerate(exponents)]
+        write_sweep_csv(tmp_path / "sweep.csv", points)
+        expected = "b,lyapunov\n" + "".join(f"{ref(pt.b)},{ref(pt.exponent)}\n" for pt in points)
+        assert (tmp_path / "sweep.csv").read_bytes() == expected.encode()
+
+        result = McResult(mc_total=float(np.sum(vals)), per_delay=tuple(enumerate(vals.tolist(), start=1)))
+        write_mc_csv(tmp_path / "mc.csv", result)
+        expected = "delay,score\n" + "".join(f"{d},{ref(s)}\n" for d, s in result.per_delay)
+        assert (tmp_path / "mc.csv").read_bytes() == (expected + f"total,{ref(result.mc_total)}\n").encode()
