@@ -266,16 +266,14 @@ def fit_decay(trace: ConvergenceTrace, t_start: int = 10) -> DecayFit:
     """Classify a convergence trace as exponential, power-law, or neither.
 
     Fits log q against t and against log t over the strictly positive
-    samples from t_start on, excluding everything at or after the zero
-    floor.  Needs at least 20 usable samples; otherwise returns law "none"
-    with zero r^2.
+    samples from t_start on; a trace is exactly zero from its floor_hit_at
+    on, so that excludes everything at or after the zero floor.  Needs at
+    least 20 usable samples; otherwise returns law "none" with zero r^2.
     """
     q = np.asarray(trace.q, dtype=float)
     t = np.arange(q.size)
     lo, hi = max(t_start, 1), q.size - 1
     mask = (t >= lo) & (q > 0)
-    if trace.floor_hit_at is not None:
-        mask &= t < trace.floor_hit_at
     ts = t[mask].astype(float)
     qs = q[mask]
     if ts.size < 20:

@@ -166,6 +166,10 @@ def verify_cover_inequality(
     deltas = _grid(*delta_grid)
     deltas = deltas[deltas > 0]
     zetas = _grid(*zeta_grid)
+    spec = f"delta in ({delta_grid[0]},{delta_grid[1]}] step {delta_grid[2]}, zeta in [{zeta_grid[0]},{zeta_grid[1]}] step {zeta_grid[2]}"
+    reach, limit = float(np.max(deltas, initial=0.0)) + float(np.max(np.abs(zetas))), np.finfo(float).max / 2
+    if reach > limit:  # the sine sigmoid doubles its argument, so theta(delta + zeta) is NaN past limit
+        raise ValueError(f"{spec}: |delta| + |zeta| reaches {reach:g}, past the transfers' finite domain {limit:g}")
     worst_zeta = np.empty(deltas.size)
     block = max(1, _COVER_CELLS // zetas.size)  # delta rows per omega evaluation
     for i in range(0, deltas.size, block):
@@ -174,7 +178,6 @@ def verify_cover_inequality(
     with np.errstate(over="ignore"):  # phi clamps wherever delta^2 >= gamma, an overflowed square included
         margins = phi(deltas * deltas, p) - omega(tf, deltas, worst_zeta)
     points = np.column_stack([deltas, worst_zeta])
-    spec = f"delta in ({delta_grid[0]},{delta_grid[1]}] step {delta_grid[2]}, zeta in [{zeta_grid[0]},{zeta_grid[1]}] step {zeta_grid[2]}"
     return _report(margins, points, spec, n_checked=deltas.size * zetas.size)
 
 

@@ -10,9 +10,9 @@ and the generated input sample u_0 is aligned with the initial state x0
 state and input phases locked: on the alternating-input attractor of the
 single-neuron family below, x_t and u_t carry the same sign at every t.
 
-Distances in convergence traces use the Euclidean norm.  Once twin states
-collide (distance below 1e-300, or bitwise equality), the trace is floored
-to exactly zero from that step on and the index is recorded.
+Distances in convergence traces are Euclidean, by one rule at every k.
+Once twin states collide (distance at most 1e-300), the trace is exactly
+zero from that step on and the index is recorded as floor_hit_at.
 
 Every simulation steps through one kernel, ``_advance``, whose docstring
 describes its two bodies and the divergence rule it owns.
@@ -50,7 +50,7 @@ __all__ = [
     "write_states_csv",
 ]
 
-ZERO_FLOOR = 1e-300
+ZERO_FLOOR = 1e-300  # twins that decay together stop here, not on subnormal states (tens of times slower)
 _BLOCK = 256  # twin-trace steps between collision and finiteness checks
 
 
@@ -143,7 +143,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
-    """Twin-trajectory distances q_t for t = 0..T-1 (q_0 from the initial pair)."""
+    """Twin-trajectory distances q_t for t = 0..T-1 (q_0 from the initial pair), exactly zero from floor_hit_at on."""
 
     q: np.ndarray
     floor_hit_at: Optional[int] = None
@@ -242,16 +242,16 @@ def _advance(res: Reservoir, u: np.ndarray, x: np.ndarray, out=None, lin_out=Non
 
 
 def _norms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of X - Y, bit for bit np.linalg.norm of the row.
+    """The Euclidean norm of each row of X - Y, by one rule at every k.
 
-    One coordinate takes abs, where squaring could underflow; more take
-    sqrt(D.D) in one stacked matmul.  Where the squares overflow (a norm
-    above about 1.3e154), math.hypot takes the norm without squaring.
+    sqrt(D.D) in one stacked matmul, bit for bit np.linalg.norm of the row
+    where the squares are normal; math.hypot, which squares nothing, retakes
+    each row below 1e-146 (a square may underflow) or infinite (one overflowed).
     """
     with np.errstate(over="ignore"):
         D = np.atleast_2d(X - Y)
-        q = np.abs(D[:, 0]) if D.shape[1] == 1 else np.sqrt(np.matmul(D[:, None], D[:, :, None])[:, 0, 0])
-    for i in np.flatnonzero(np.isinf(q)).tolist():
+        q = np.sqrt(np.matmul(D[:, None], D[:, :, None])[:, 0, 0])
+    for i in np.flatnonzero((q < 1e-146) | np.isinf(q)).tolist():
         q[i] = math.hypot(*D[i].tolist())
     return q
 
@@ -283,8 +283,8 @@ def run(res: Reservoir, input_spec: InputSequence, x0, T: int) -> Trajectory:
 
 def _twin_trace(res, u_x, u_y, x0, y0, shared_from) -> ConvergenceTrace:
     # shared_from: first step index from which both copies see identical
-    # inputs.  A collision at or after it is permanent, so stepping stops
-    # there and the rest of q stays zero.
+    # inputs.  A collision at or after it is permanent: stepping stops there,
+    # the rest of q stays zero, and it is floor_hit_at if some q before it is positive.
     T = u_x.shape[0]
     q = np.zeros(T)
     q[0] = _norms(x0, y0)[0]
@@ -298,9 +298,9 @@ def _twin_trace(res, u_x, u_y, x0, y0, shared_from) -> ConvergenceTrace:
         hits = hits[hits >= shared_from]
         if hits.size:
             q[hits[0] + 1 :] = 0.0
-            break
+            return ConvergenceTrace(q, int(hits[0]) if q[: hits[0]].any() else None)
         if t1 == T:
-            break
+            return ConvergenceTrace(q)
         t0, t1 = t1, min(t1 + _BLOCK, T)
         try:
             x = _advance(res, u_x[t0:t1], x, X)
@@ -308,16 +308,10 @@ def _twin_trace(res, u_x, u_y, x0, y0, shared_from) -> ConvergenceTrace:
         except ValueError:
             raise ValueError("twin states must stay finite") from None
         q[t0:t1] = _norms(X[: t1 - t0], Y[: t1 - t0])
-    positive = np.flatnonzero(q > 0.0)
-    zeros = np.flatnonzero(q[positive[0] :] == 0.0) if positive.size else positive
-    floor_at = int(positive[0] + zeros[0]) if zeros.size else None
-    return ConvergenceTrace(q=q, floor_hit_at=floor_at)
 
 
 def convergence_trace(res: Reservoir, input_spec: InputSequence, x0, y0, T: int) -> ConvergenceTrace:
     """Distances between twin trajectories driven by one input realization."""
-    if T < 1:
-        raise ValueError("need T >= 1")
     x0 = _as_state(res, x0, "x0")
     y0 = _as_state(res, y0, "y0")
     u = generate_input(input_spec, T, res.n)

@@ -74,6 +74,15 @@ _ILL_FORMED = [
     # a start of the wrong length names its key
     ("simulate", {"x0": []}, "x0 must have shape (1,)"),
     ("simulate", {"y0": [0.1, 0.2]}, "y0 must have shape (1,)"),
+    # the sine sigmoid doubles delta + zeta, which overflows past max float / 2
+    ("verify", {"delta_grid": [0.0, 1.7e308, 1e307]}, "delta in (0.0,1.7e+308] step 1e+307"),
+    ("verify", {"zeta_grid": [0.0, 1.7e308, 1e307]}, "zeta in [0.0,1.7e+308] step 1e+307"),
+    ("verify", {"zeta_grid": [-1.7e308, 0.0, 1e307]}, "zeta in [-1.7e+308,0.0] step 1e+307"),
+    (
+        "verify",
+        {"delta_grid": [0.0, 1e308, 1e307], "zeta_grid": [1e308, 1.7e308, 1e307]},
+        "delta in (0.0,1e+308] step 1e+307, zeta in [1e+308,1.7e+308] step 1e+307",
+    ),
 ]
 
 

@@ -166,6 +166,14 @@ class TestCoverInequality:
         i = int(np.argmin(margins))
         assert (rep.worst_margin, rep.worst_point) == (margins[i], points[i])
 
+    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR], ids=lambda tf: tf.kind)
+    def test_grids_past_half_the_float_range_raise_before_any_evaluation(self, tf):
+        # the sine sigmoid's theta(x) is NaN for |x| > max float / 2 ~ 8.99e307
+        rep = verify_cover_inequality(tf, delta_grid=(0.0, 8e307, 1e307), zeta_grid=(-4.0, 4.0, 1.0))
+        assert math.isfinite(rep.worst_margin)
+        with pytest.raises(ValueError, match=r"zeta in \[-4.0,4.0\] step 1.0: \|delta\| \+ \|zeta\| reaches 9e\+307, past"):
+            verify_cover_inequality(tf, delta_grid=(0.0, 9e307, 1e307), zeta_grid=(-4.0, 4.0, 1.0))
+
     def test_report_invariant(self):
         for rep in (verify_cover_inequality(TANH), verify_cover_inequality(LINEAR)):
             assert rep.passed == (rep.worst_margin >= -1e-12)

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion on the library in this checkout."""
+"""Every demo script runs to completion on the library in this checkout, every warning an error."""
 
 import os
 import shutil
@@ -19,7 +19,7 @@ def test_demo_runs(tmp_path, script):
     shutil.copytree(REPO / "demos", demos, ignore=shutil.ignore_patterns("out"))
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(demos / script)],
+        [sys.executable, "-W", "error", str(demos / script)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

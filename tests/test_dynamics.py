@@ -299,15 +299,31 @@ class TestConvergenceTrace:
             convergence_trace(res, IidSign(0.7, 1), [0.3], [0.2], T=100)
 
     @pytest.mark.filterwarnings("error")
-    def test_distance_past_the_squares_range_matches_one_coordinate(self):
-        # the twins start 1e200 apart and halve their distance each step, so at
-        # k = 2 its square overflows for about 150 steps; at k = 1 nothing is squared
+    @pytest.mark.parametrize(
+        "spec, x0, y0, T, floor_hit_at",
+        [
+            # the twins start 1e200 apart and halve their distance each step,
+            # so its square overflows for about 150 steps
+            (IidSign(0.7, 1), 0.0, 1e200, 600, None),
+            # they start 0.5 apart and halve it each step, so its square
+            # underflows from about t = 510 until they collide below 1e-300
+            (Constant(0.0), 1.0, 0.5, 1200, 996),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_distance_past_the_squares_range_matches_one_coordinate(self, spec, x0, y0, T, floor_hit_at):
         one = Reservoir(W=[[0.5]], w_in=[[1.0]], tf=LINEAR)
         two = Reservoir(W=0.5 * np.eye(2), w_in=[[1.0], [0.0]], tf=LINEAR)
-        q1 = convergence_trace(one, IidSign(0.7, 1), [0.0], [1e200], T=600).q
-        q2 = convergence_trace(two, IidSign(0.7, 1), [0.0, 0.0], [1e200, 0.0], T=600).q
-        assert q2[0] == 1e200
-        np.testing.assert_array_equal(q2, q1)
+        tr1 = convergence_trace(one, spec, [x0], [y0], T=T)
+        tr2 = convergence_trace(two, spec, [x0, 0.0], [y0, 0.0], T=T)
+        assert tr2.q[0] == abs(y0 - x0)
+        np.testing.assert_array_equal(tr2.q, tr1.q)
+        assert tr1.floor_hit_at == tr2.floor_hit_at == floor_hit_at
+
+    def test_distance_whose_squares_underflow_is_exact(self):
+        # 3e-160 and 4e-160 square to subnormals; their norm is 5e-160 all the same
+        res = Reservoir(np.eye(2), [[0.0], [0.0]], LINEAR)
+        assert convergence_trace(res, Constant(0.0), [3e-160, 4e-160], [0.0, 0.0], 3).q[0] == 5e-160
 
     def test_subcritical_exponential_envelope(self):
         base = make_orthogonal_reservoir(5, 1, 0.5, seed=8)
