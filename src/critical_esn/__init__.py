@@ -32,11 +32,9 @@ from .dynamics import (
     convergence_trace,
     generate_input,
     make_alternating_neuron,
-    make_overtuned_neuron,
     perturbation_experiment,
     run,
     run_with_inputs,
-    step,
 )
 from .analysis import (
     DecayFit,
@@ -52,7 +50,6 @@ from .contraction import (
     VerificationReport,
     audit_step_inequality,
     check_phi_properties,
-    iterate_q,
     omega,
     phi,
     phi_k,

@@ -40,7 +40,6 @@ __all__ = [
     "verify_cover_inequality",
     "verify_cover_inequality_vec",
     "check_phi_properties",
-    "iterate_q",
     "q_star",
     "verify_dominance",
     "tau_bound",
@@ -226,32 +225,6 @@ def check_phi_properties(p: CoverParams = CoverParams()) -> VerificationReport:
 
 # -- the scalar covering sequence -------------------------------------------
 
-def _check_sequence(q0: float, T: int) -> None:
-    if not (0.0 <= q0 <= 1.0):
-        raise ValueError("need q0 in [0, 1]")
-    if T < 1:
-        raise ValueError("need T >= 1")
-
-
-def iterate_q(q0: float, p: CoverParams = CoverParams(), T: int = 1000) -> np.ndarray:
-    """The T+1 values q_0..q_T of q_{t+1} = q_t (1 - eta q_t^kappa).
-
-    Positive and strictly decreasing for q0 in (0, 1]; q0 = 0 is the
-    trivial fixed point.  No certificate iterates it; it is the plain
-    statement of the recursion that the dominance tests compare the closed
-    forms against.
-    """
-    _check_sequence(q0, T)
-    out = np.empty(T + 1)
-    q = float(q0)
-    out[0] = q
-    eta, kappa = p.eta, p.kappa
-    for t in range(1, T + 1):
-        q = q * (1.0 - eta * q**kappa)
-        out[t] = q
-    return out
-
-
 def q_star(t, q0: float, p: CoverParams = CoverParams()):
     """Closed-form covering value [ (eta/kappa) t + q0^(-kappa) ]^(-1/kappa)."""
     if q0 <= 0:
@@ -272,7 +245,7 @@ def q_star(t, q0: float, p: CoverParams = CoverParams()):
 def verify_dominance(q0: float, p: CoverParams = CoverParams(), T: int = 100000) -> VerificationReport:
     """Prove q_t <= q_star(t) for every t; tabulate the gap for t <= T.
 
-    With x = eta q_t^kappa in [0, 1), Bernoulli's inequality
+    q_t is the covering recursion q_{t+1} = q_t (1 - eta q_t^kappa).  With x = eta q_t^kappa in [0, 1), Bernoulli's inequality
     (1 - x)^(-kappa) >= 1 + kappa x gives q_{t+1}^(-kappa) >= q_t^(-kappa)
     + kappa eta, so q_t <= B(t) = (kappa eta t + q0^(-kappa))^(-1/kappa),
     and B(t) <= q_star(t) because kappa eta >= eta / kappa for kappa >= 1
@@ -281,7 +254,10 @@ def verify_dominance(q0: float, p: CoverParams = CoverParams(), T: int = 100000)
     forces 0 < eta < 1 and q0 must lie in [0, 1].  The report's margins are
     q_star(t) - B(t) at t = 0..T, with B(0) = q0 exactly.
     """
-    _check_sequence(q0, T)
+    if not (0.0 <= q0 <= 1.0):
+        raise ValueError("need q0 in [0, 1]")
+    if T < 1:
+        raise ValueError("need T >= 1")
     ts = np.arange(T + 1)
     cover = q_star(ts, q0, p)
     bound = (p.kappa * p.eta * ts + q0 ** (-p.kappa)) ** (-1.0 / p.kappa)

@@ -27,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .reservoir import Reservoir, _read_csv, _write_csv
-from .transfer import _FORMULAS, SINE_SIGMOID, TANH
+from .transfer import _FORMULAS, SINE_SIGMOID
 
 __all__ = [
     "Alternating",
@@ -38,14 +38,12 @@ __all__ = [
     "Trajectory",
     "ConvergenceTrace",
     "generate_input",
-    "step",
     "run",
     "run_with_inputs",
     "convergence_trace",
     "perturbation_experiment",
     "make_alternating_neuron",
     "alternating_orbit",
-    "make_overtuned_neuron",
     "write_trace_csv",
     "write_states_csv",
 ]
@@ -158,22 +156,6 @@ def _as_state(res: Reservoir, x, name: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} must be finite")
     return x
-
-
-def step(res: Reservoir, x, u):
-    """One update: returns (x_next, x_lin_next) with x_lin = W x + w_in u.
-
-    No simulation goes through it; it is the plain statement of the update
-    that the stepping-kernel tests compare ``_advance`` against.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if x.shape != (res.k,):
-        raise ValueError(f"state must have shape ({res.k},)")
-    if u.shape != (res.n,):
-        raise ValueError(f"input must have shape ({res.n},)")
-    x_lin = res.W @ x + res.w_in @ u
-    return res.tf(x_lin), x_lin
 
 
 def _advance(res: Reservoir, u: np.ndarray, x: np.ndarray, out=None, lin_out=None) -> np.ndarray:
@@ -358,7 +340,7 @@ def write_states_csv(path, traj: Trajectory) -> None:
     _write_csv(path, "t," + ",".join(f"x{i}" for i in range(k)), traj.states, first=range(1, T + 1))
 
 
-# -- named single-neuron families ------------------------------------------
+# -- the alternating single-neuron family -----------------------------------
 
 def make_alternating_neuron(b: float) -> Reservoir:
     """One-neuron sine-sigmoid net x_{t+1} = theta(-b x_t + (2-b) u_t).
@@ -384,8 +366,3 @@ def alternating_orbit(amplitude: float = math.pi / 4) -> np.ndarray:
     exponent is negative (see make_alternating_neuron).
     """
     return np.array([[amplitude], [-amplitude]])
-
-
-def make_overtuned_neuron(b: float) -> Reservoir:
-    """One-neuron tanh net x_{t+1} = tanh(-b x_t + u_t) (unit input coupling)."""
-    return Reservoir(W=[[-b]], w_in=[[1.0]], tf=TANH)

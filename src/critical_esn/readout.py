@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,11 @@ def memory_capacity(
     Drives the reservoir with i.i.d. uniform input on [-amplitude, amplitude]
     (seeded), trains one readout per delay d = 1..max_delay to reconstruct
     u_{t-d}, and scores each on the chronologically later half of the run.
-    The total is bounded by the number of neurons.  The run steps
+    The total is bounded by the number of neurons.  The readouts fit the
+    drive scaled by a power of two to below 1 in magnitude.  The scaling is
+    exact and a squared correlation is invariant to it, so every score
+    keeps its bits wherever nothing overflowed, and a drive of size 1e80,
+    whose correlation products would overflow, still scores.  The run steps
     ``_RUN_ROWS`` inputs per run_with_inputs call and keeps only the states
     the readouts fit, those from max(washout, max_delay) on; they are bit
     for bit the states of one call over all T inputs.
@@ -152,7 +157,7 @@ def memory_capacity(
     split = n_rows // 2
     X_train, X_test = X[:split], X[split:]
     G = _normal_matrix(X_train, ridge)
-    drive = u[:, 0]
+    drive = np.ldexp(u[:, 0], -math.frexp(input_amplitude)[1])
     scores = []
     for first in range(1, max_delay + 1, _DELAY_BLOCK):
         delays = range(first, min(first + _DELAY_BLOCK, max_delay + 1))

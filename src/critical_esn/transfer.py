@@ -126,16 +126,6 @@ class TransferFunction:
         n_hi = math.floor(hi / math.pi - 0.5)
         return [(n + 0.5) * math.pi for n in range(n_lo, n_hi + 1)]
 
-    def max_slope_estimate(self, lo: float, hi: float, n_grid: int) -> float:
-        """Max secant slope |dtheta/dx| over a uniform grid (Lipschitz audit)."""
-        if not (lo < hi):
-            raise ValueError("need lo < hi")
-        if n_grid < 2:
-            raise ValueError("need n_grid >= 2")
-        xs = np.linspace(lo, hi, n_grid)
-        ys = self(xs)
-        return float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
-
 
 TANH = TransferFunction("tanh")
 SINE_SIGMOID = TransferFunction("sine_sigmoid")

@@ -14,7 +14,6 @@ from critical_esn.analysis import find_critical_b, fit_decay, lyapunov_sweep
 from critical_esn.contraction import (
     CoverParams,
     audit_step_inequality,
-    iterate_q,
     q_star,
     tau_bound,
     verify_cover_inequality,
@@ -32,6 +31,7 @@ from critical_esn.dynamics import (
 from critical_esn.readout import memory_capacity
 from critical_esn.reservoir import Reservoir, make_orthogonal_reservoir, scale_to_spectrum
 from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH
+from oracles import iterate_q
 
 A = math.pi / 4
 

@@ -24,17 +24,17 @@ from critical_esn.dynamics import (
     generate_input,
     make_alternating_neuron,
     perturbation_experiment,
-    step,
 )
 from critical_esn.contraction import _grid
 from critical_esn.reservoir import Reservoir, make_orthogonal_reservoir, scale_to_spectrum
 from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH, TransferFunction
+from oracles import step
 
 A = math.pi / 4
 
 
 def _tangent_by_step(res, spec, T, L, orbit=None):
-    """Reference tangent-map (exponent, T_used): x advanced by dynamics.step, v by theta'(lin) W v.
+    """Reference tangent-map (exponent, T_used): x advanced by oracles.step, v by theta'(lin) W v.
 
     theta' comes from TransferFunction.derivative.  With orbit, x follows
     orbit[t mod P] instead, from orbit[0], and lin is stepped from it.  v
@@ -83,7 +83,7 @@ def _designed_orbit(kind, W, z, source, n=1):
     z - W x, and the orbit x_t = (-1)^t x under Alternating(0.5) needs
     w_in u_t = (-1)^t (z + W x).  Each of the n input columns carries an
     equal share, and 0.5 and the halving are exact, so theta of each linear
-    state is within a few ulps of the next state (asserted by dynamics.step).
+    state is within a few ulps of the next state (asserted by oracles.step).
     """
     tf, W, z = ORBIT_TRANSFERS[kind], np.atleast_2d(np.asarray(W, dtype=float)), np.asarray(z, dtype=float)
     x = tf(z)
@@ -423,7 +423,7 @@ class TestPinnedOrbit:
     @pytest.mark.parametrize("tf", [LINEAR, SINE_SIGMOID, TANH], ids=lambda tf: tf.kind)
     @pytest.mark.parametrize("k, n", [(20, 1), (20, 3), (50, 2)])
     def test_orbit_reached_by_stepping_passes_the_check(self, k, n, tf, source):
-        # the orbit comes from iterating dynamics.step, rounding and all, not by design
+        # the orbit comes from iterating oracles.step, rounding and all, not by design
         res = make_orthogonal_reservoir(k, n, 1.0, seed=k + n)
         res = Reservoir(W=0.7 * res.W, w_in=res.w_in, tf=tf)
         spec = Alternating(0.8) if source == "alternating" else Constant(0.8)

@@ -11,7 +11,6 @@ from critical_esn.contraction import (
     _grid,
     audit_step_inequality,
     check_phi_properties,
-    iterate_q,
     omega,
     phi,
     phi_k,
@@ -24,6 +23,7 @@ from critical_esn.contraction import (
 from critical_esn.dynamics import Alternating, Constant, IidSign, convergence_trace
 from critical_esn.reservoir import Reservoir, make_orthogonal_reservoir
 from critical_esn.transfer import LINEAR, SINE_SIGMOID, TANH
+from oracles import iterate_q
 
 A = math.pi / 4
 

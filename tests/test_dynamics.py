@@ -19,22 +19,23 @@ from critical_esn.dynamics import (
     convergence_trace,
     generate_input,
     make_alternating_neuron,
-    make_overtuned_neuron,
     perturbation_experiment,
     run,
     run_with_inputs,
-    step,
     write_states_csv,
     write_trace_csv,
 )
+from critical_esn.contraction import audit_step_inequality
 from critical_esn.reservoir import (
     Reservoir,
+    check_esc,
     make_orthogonal_reservoir,
     save_matrix_csv,
     scale_to_spectrum,
 )
 from critical_esn.readout import McResult, write_mc_csv
 from critical_esn.transfer import _FORMULAS, LINEAR, SINE_SIGMOID, TANH, TransferFunction
+from oracles import step
 
 A = math.pi / 4
 
@@ -348,17 +349,33 @@ class TestCriticalForgetting:
     # At a unit-slope point theta'' = 0 and theta''' = -2 (tanh at 0, the sine
     # sigmoid at pi/2), so a one-neuron deviation with |w| = 1 obeys
     # |e| -> |e| - |e|^3/3 + O(e^5): 1/q_t^2 = 1/q_0^2 + (2/3) t + O(log t).
-    TWINS = {
-        "sine_sigmoid": (make_alternating_neuron(1.0), Alternating(A), [A], [A + 0.01]),
-        "tanh": (Reservoir([[1.0]], [[1.0]], TANH), Constant(0.0), [0.0], [0.01]),
-    }
+    # On the k-cycle W = -P (P the cyclic shift) every sine-sigmoid neuron
+    # runs the alternating neuron's b = 1 orbit, and each deviation moves one
+    # place round the cycle, so with equal deviations
+    # 1/q_t^2 = 1/q_0^2 + (2/(3k)) t + O(log t).  At k = 1 the cycle is
+    # make_alternating_neuron(1.0).
+    @staticmethod
+    def _twins(kind, k):
+        if kind == "tanh":
+            return Reservoir([[1.0]], [[1.0]], TANH), Constant(0.0), [0.0], [0.01]
+        x0 = np.full(k, A)
+        return Reservoir(-np.roll(np.eye(k), 1, axis=0), np.ones((k, 1)), SINE_SIGMOID), Alternating(A), x0, x0 + 0.01
 
-    @pytest.mark.parametrize("kind", sorted(TWINS))
-    def test_inverse_square_distance_grows_at_two_thirds(self, kind):
-        q = convergence_trace(*self.TWINS[kind], 10_001).q
+    @pytest.mark.parametrize(
+        "kind, k",
+        [("tanh", 1), ("sine_sigmoid", 1), ("sine_sigmoid", 2), ("sine_sigmoid", 4), ("sine_sigmoid", 8)],
+        ids=["tanh", "sine_sigmoid", "sine_sigmoid_k2", "sine_sigmoid_k4", "sine_sigmoid_k8"],
+    )
+    def test_inverse_square_distance_grows_at_two_thirds(self, kind, k):
+        res, spec, x0, y0 = self._twins(kind, k)
+        q = convergence_trace(res, spec, x0, y0, 10_001).q
         t = np.arange(10, 10_001)
         slope, intercept = np.polyfit(t, q[t] ** -2.0, 1)
-        assert abs(slope - 2.0 / 3.0) <= 1e-3 and abs(intercept - 1e4) <= 1.0
+        rate, start = 2.0 / (3.0 * k), 1.0 / (k * 0.01**2)
+        assert abs(slope / rate - 1.0) <= 1e-3 and abs(intercept / start - 1.0) <= 1e-4
+        verdict = check_esc(res)
+        assert verdict.critical_boundary and verdict.covered_by_theorem
+        assert audit_step_inequality(res, spec, x0, y0, 10_001).passed
 
     def test_figure4_trace_falls_as_t_to_the_minus_three_halves(self):
         # both twins start at 0, off the orbit, so q is the difference of two
@@ -522,10 +539,6 @@ class TestNamedFamilies:
         orbit = alternating_orbit(A)
         traj = run(make_alternating_neuron(1.0), Alternating(A), x0=orbit[0], T=4)
         np.testing.assert_allclose(traj.states, [[-A], [A], [-A], [A]], atol=1e-12)
-
-    def test_overtuned_neuron(self):
-        res = make_overtuned_neuron(2.0)
-        assert res.W[0, 0] == -2.0 and res.w_in[0, 0] == 1.0 and res.tf is TANH
 
 
 class TestTraceCsv:

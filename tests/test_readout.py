@@ -1,5 +1,6 @@
 """Readout regression and the delay-reconstruction memory benchmark."""
 
+import math
 import re
 import tracemalloc
 
@@ -122,6 +123,14 @@ class TestMemoryCapacity:
     def test_amplitude_whose_range_overflows_is_named(self, amplitude):
         with pytest.raises(ValueError, match=re.escape(f"input_amplitude {amplitude!r} is too large")):
             memory_capacity(_scaled(4, 0.9, seed=0), amplitude, max_delay=3, T=300)
+
+    def test_scores_do_not_overflow_at_large_amplitudes(self):
+        # the targets are scaled by a power of two, so the scores keep their
+        # bits; unscaled, the squared correlation of targets of size 2^260
+        # overflows and every score is NaN
+        res = _scaled(4, 0.9, seed=0)
+        big, ref = (memory_capacity(res, 2.0**e, max_delay=5, T=1000, seed=1).per_delay for e in (260, 200))
+        assert big == ref and all(math.isfinite(s) for _, s in big)
 
     def test_constant_prediction_scores_zero(self):
         # with w_in = 0 the states, so the predictions, stay 0 and have no variance
