@@ -4,7 +4,11 @@
 The guarantee rests on four checkable facts:
 
 1. cover inequality: the squared per-step stretch of the transfer never
-   exceeds phi(delta^2) = 1 - eta delta^4 (eta = 1/48), clamped past 1/2;
+   exceeds phi(delta^2) = 1 - eta delta^4 (eta = 1/48), clamped past 1/2.
+   With the tangent cover phi_tangent in place of phi, the same scalar
+   check covers k neurons for every k: g(z) = z phi_tangent(z) is
+   concave, so by Jensen sum_i (theta(zeta_i + Delta_i) - theta(zeta_i))^2
+   <= k g(x/k) <= x phi(x/k) <= x phi_k(x), with x = |Delta|^2;
 2. shape facts: phi <= 1, phi non-increasing, z phi(z) non-decreasing.
    These are proved: the first two hold for any eta > 0, the third iff
    eta (kappa + 1) gamma^kappa <= 1 (here 1/64);
@@ -35,8 +39,10 @@ from critical_esn import (
     audit_step_inequality,
     check_phi_properties,
     make_orthogonal_reservoir,
+    phi,
     q_star,
     tau_bound,
+    phi_tangent,
     verify_cover_inequality,
     verify_dominance,
 )
@@ -44,10 +50,14 @@ from critical_esn import (
 A = math.pi / 4
 p = CoverParams()
 
-print("1. cover inequality on the (delta, zeta) grid:")
+print("1. cover inequality on the (delta, zeta) grid, one neuron (phi) and every k (phi_tangent):")
 for tf in (TANH, SINE_SIGMOID, LINEAR):
-    rep = verify_cover_inequality(tf, p)
-    print(f"   {tf.kind:14s} passed={rep.passed!s:5s} worst margin {rep.worst_margin:+.3e} at {rep.worst_point}")
+    for cover in (phi, phi_tangent):
+        rep = verify_cover_inequality(tf, p, cover=cover)
+        print(
+            f"   {tf.kind:14s} {cover.__name__:12s} passed={rep.passed!s:5s}"
+            f" worst margin {rep.worst_margin:+.3e} at {rep.worst_point}"
+        )
 
 print()
 rep = check_phi_properties(p)

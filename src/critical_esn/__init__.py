@@ -53,10 +53,10 @@ from .contraction import (
     omega,
     phi,
     phi_k,
+    phi_tangent,
     q_star,
     tau_bound,
     verify_cover_inequality,
-    verify_cover_inequality_vec,
     verify_dominance,
 )
 from .readout import McResult, ReadoutModel, fit_readout, memory_capacity, predict

@@ -40,7 +40,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -79,8 +79,6 @@ DEFAULTS: dict[str, dict] = {
         "kappa": 2.0,
         "delta_grid": (0.0, 4.0, 1e-2),
         "zeta_grid": (-4.0, 4.0, 1e-2),
-        "n_list": [2, 4],
-        "vector_samples": 20000,
         "q0_list": [0.1, 0.5, 1.0],
         "audit_k_list": [1, 4, 16],
         "audit_runs_per_case": 2,
@@ -308,26 +306,25 @@ def cmd_figure45(cfg: dict) -> tuple[dict, str, int]:
 
 
 def _verify_checks(cfg: dict) -> dict:
-    for key in ("transfer_kinds", "n_list", "q0_list"):
+    for key in ("transfer_kinds", "q0_list"):
         if not cfg[key]:
             raise ConfigError(f"config key {key!r} must name at least one entry")
     kinds = [(kind, TransferFunction(kind)) for kind in cfg["transfer_kinds"]]
-    if any(n < 2 for n in cfg["n_list"]):
-        raise ConfigError(f"n_list entries must be >= 2, got {cfg['n_list']!r}")
     if any(k < 1 for k in cfg["audit_k_list"]):
         raise ConfigError(f"audit_k_list entries must be >= 1, got {cfg['audit_k_list']!r}")
     if cfg["audit_runs_per_case"] < 0:
         raise ConfigError(f"audit_runs_per_case must be >= 0, got {cfg['audit_runs_per_case']!r}")
+    if cfg["audit_T"] < 2:  # a twin run of T states audits T - 1 steps
+        raise ConfigError(f"audit_T must be >= 2, got {cfg['audit_T']!r}")
     p = contraction.CoverParams(eta=cfg["eta"], gamma=cfg["gamma"], kappa=cfg["kappa"])
     checks: dict[str, contraction.VerificationReport] = {}
     for kind, tf in kinds:
-        checks[f"cover_{kind}"] = contraction.verify_cover_inequality(
-            tf, p, cfg["delta_grid"], cfg["zeta_grid"]
+        checks[f"cover_{kind}"] = contraction.verify_cover_inequality(tf, p, cfg["delta_grid"], cfg["zeta_grid"])
+        rep = contraction.verify_cover_inequality(
+            tf, p, cfg["delta_grid"], cfg["zeta_grid"], cover=contraction.phi_tangent
         )
-        for n in cfg["n_list"]:
-            checks[f"cover_vec_{kind}_n{n}"] = contraction.verify_cover_inequality_vec(
-                tf, n, cfg["vector_samples"], seed=cfg["seed"], p=p
-            )
+        spec = f"phi_tangent(delta^2) >= omega on {rep.grid_spec}; by Jensen, implies the phi_k cover for every k"
+        checks[f"cover_k_{kind}"] = replace(rep, grid_spec=spec)
     checks["phi_shape"] = contraction.check_phi_properties(p)
     for q0 in cfg["q0_list"]:
         checks[f"dominance_q0_{q0}"] = contraction.verify_dominance(q0, p)

@@ -9,7 +9,8 @@ which upper-bounds the squared per-step contraction factor of a
 boundary-spectrum network.  For tanh and the sine sigmoid the parameters
 eta = 1/48, gamma = 1/2, kappa = 2 work for a single neuron, and a
 k-neuron network is covered by the same function with its argument
-rescaled by 1/k^2 (:func:`phi_k`).
+rescaled by 1/k^2 (:func:`phi_k`); one scalar check with the tangent
+cover :func:`phi_tangent` implies that cover for every k at once.
 
 Everything in this module is a pure function.  Each check takes the cover
 parameters ``p`` and reports its worst margin with a ``status``.  Two are
@@ -17,9 +18,8 @@ proved: the dominance of the covering sequence by its closed form
 (Bernoulli's inequality, see :func:`verify_dominance`), whose report only
 tabulates the bound, and the cover function's shape facts, which reduce
 to one inequality on (eta, gamma, kappa) (:func:`check_phi_properties`).
-Every other check is "sampled", evaluated on a grid or on seeded samples
-whose ranges are the fixed module constants below, and says nothing
-between its points.
+Every other check is "sampled", evaluated on a grid or a simulated run,
+and says nothing between its points.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ __all__ = [
     "VerificationReport",
     "phi",
     "phi_k",
+    "phi_tangent",
     "omega",
     "verify_cover_inequality",
-    "verify_cover_inequality_vec",
     "check_phi_properties",
     "q_star",
     "verify_dominance",
@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 PASS_SLACK = 1e-12
-_VEC_DELTA_SCALE, _VEC_ZETA_SCALE = 2.0, 4.0  # sampled |Delta_i|, |zeta_i| bounds of the vector check
 _COVER_CELLS = 1 << 14  # (delta, zeta) cells per omega evaluation in verify_cover_inequality
 
 
@@ -125,6 +124,27 @@ def phi_k(z, n_neurons: int, base: CoverParams = CoverParams()):
     return phi(np.asarray(z, dtype=float) / (n_neurons * n_neurons), base)
 
 
+def phi_tangent(z, p: CoverParams = CoverParams()):
+    """g(z) / z at z >= 0, where g is z phi(z) below gamma and its tangent line at gamma past it.
+
+    Below gamma this is phi(z), bit for bit; past it, it is
+    1 - (kappa+1) eta gamma^kappa + kappa eta gamma^(kappa+1) / z, which is
+    phi(z) - kappa eta gamma^kappa (1 - gamma/z), computed so.  So
+    g(z) <= z phi(z), and g is concave: g'' = -kappa (kappa+1) eta
+    z^(kappa-1) <= 0 below gamma, g is linear past it, and g' is continuous.
+    With z_i = Delta_i^2 and x = sum_i z_i for k neurons, the one scalar
+    check omega(delta, zeta) <= phi_tangent(delta^2) and Jensen's inequality
+    then give sum_i (theta(zeta_i + Delta_i) - theta(zeta_i))^2
+    <= sum_i g(z_i) <= k g(x/k) <= x phi(x/k) <= x phi_k(x) for every k
+    (phi is non-increasing).
+    """
+    below = phi(z, p)  # rejects z < 0
+    z = np.asarray(z, dtype=float)
+    clamp = 1.0 - p.eta * p.gamma**p.kappa  # phi past gamma, bit for bit
+    out = np.where(z < p.gamma, below, clamp - p.kappa * p.eta * p.gamma**p.kappa * (1.0 - p.gamma / np.maximum(z, p.gamma)))
+    return float(out) if np.ndim(z) == 0 else out
+
+
 def omega(tf: TransferFunction, delta, zeta):
     """Squared secant ratio ((theta(delta+zeta) - theta(zeta)) / delta)^2.
 
@@ -156,11 +176,15 @@ def verify_cover_inequality(
     p: CoverParams = CoverParams(),
     delta_grid: tuple = (0.0, 4.0, 1e-2),
     zeta_grid: tuple = (-4.0, 4.0, 1e-2),
+    *,
+    cover=phi,
 ) -> VerificationReport:
-    """Check phi(delta^2) >= omega(delta, zeta) on the full (delta, zeta) grid.
+    """Check cover(delta^2, p) >= omega(delta, zeta) on the full (delta, zeta) grid.
 
-    Passes for tanh and the sine sigmoid with the default parameters; the
-    linear transfer fails everywhere (omega is identically 1).
+    cover is phi, the one-neuron cover, or phi_tangent, whose check
+    implies the phi_k cover for every k.  Both pass for tanh and the sine
+    sigmoid with the default parameters; the linear transfer fails
+    everywhere (omega is identically 1).
     """
     deltas = _grid(*delta_grid)
     deltas = deltas[deltas > 0]
@@ -174,37 +198,10 @@ def verify_cover_inequality(
     for i in range(0, deltas.size, block):
         rows = omega(tf, deltas[i : i + block, None], zetas)
         worst_zeta[i : i + block] = zetas[np.argmax(rows, axis=1)]
-    with np.errstate(over="ignore"):  # phi clamps wherever delta^2 >= gamma, an overflowed square included
-        margins = phi(deltas * deltas, p) - omega(tf, deltas, worst_zeta)
+    with np.errstate(over="ignore"):  # both covers are finite at an overflowed square: phi clamps, gamma / inf is 0
+        margins = cover(deltas * deltas, p) - omega(tf, deltas, worst_zeta)
     points = np.column_stack([deltas, worst_zeta])
     return _report(margins, points, spec, n_checked=deltas.size * zetas.size)
-
-
-def verify_cover_inequality_vec(
-    tf: TransferFunction,
-    n_neurons: int,
-    n_samples: int = 20000,
-    seed: int = 0,
-    p: CoverParams = CoverParams(),
-) -> VerificationReport:
-    """Sampled vector form of the cover inequality for an n-neuron state.
-
-    Draws perturbation vectors Delta in [-2, 2]^n and base points zeta in
-    [-4, 4]^n, and checks
-
-        sum_i (theta(zeta_i + Delta_i) - theta(zeta_i))^2
-            <= (sum_i Delta_i^2) * phi_k(sum_i Delta_i^2, n)
-
-    with phi_k built on the one-neuron parameters p.
-    """
-    rng = np.random.default_rng(seed)
-    deltas = rng.uniform(-_VEC_DELTA_SCALE, _VEC_DELTA_SCALE, size=(n_samples, n_neurons))
-    zetas = rng.uniform(-_VEC_ZETA_SCALE, _VEC_ZETA_SCALE, size=(n_samples, n_neurons))
-    after = tf(zetas + deltas) - tf(zetas)
-    lhs = np.sum(after * after, axis=1)
-    x = np.sum(deltas * deltas, axis=1)
-    rhs = x * phi_k(x, n_neurons, p)
-    return _report(rhs - lhs, x, f"{n_samples} seeded vector samples, n={n_neurons}")
 
 
 def check_phi_properties(p: CoverParams = CoverParams()) -> VerificationReport:

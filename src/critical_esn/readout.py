@@ -115,7 +115,10 @@ def memory_capacity(
     drive scaled by a power of two to below 1 in magnitude.  The scaling is
     exact and a squared correlation is invariant to it, so every score
     keeps its bits wherever nothing overflowed, and a drive of size 1e80,
-    whose correlation products would overflow, still scores.  The run steps
+    whose correlation products would overflow, still scores.  The states
+    are scaled likewise, the largest into [0.5, 1), so the absolute ridge
+    weighs the same at any state size, and X.T @ X does not overflow at
+    1e200; states already there keep their bits.  The run steps
     ``_RUN_ROWS`` inputs per run_with_inputs call and keeps only the states
     the readouts fit, those from max(washout, max_delay) on; they are bit
     for bit the states of one call over all T inputs.
@@ -154,6 +157,7 @@ def memory_capacity(
         if t1 > t_start:
             lo = max(t0, t_start)
             X[lo - t_start : t1 - t_start] = states[lo - t0 :]
+    np.ldexp(X, -math.frexp(max(X.max(), -X.min()))[1], out=X)  # in place: a copy would add its size to peak memory
     split = n_rows // 2
     X_train, X_test = X[:split], X[split:]
     G = _normal_matrix(X_train, ridge)

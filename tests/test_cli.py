@@ -233,7 +233,6 @@ class TestFigure45:
 FAST_VERIFY = {
     "delta_grid": [0.0, 4.0, 0.05],
     "zeta_grid": [-4.0, 4.0, 0.05],
-    "vector_samples": 2000,
     "audit_runs_per_case": 1,
     "audit_T": 120,
 }
@@ -245,7 +244,8 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["all_passed"] is True
-        assert report["cover_tanh"]["passed"] and report["cover_sine_sigmoid"]["passed"]
+        assert all(report[f"cover{k}_{kind}"]["passed"] for k in ("", "_k") for kind in ("tanh", "sine_sigmoid"))
+        assert "phi_tangent" in report["cover_k_tanh"]["grid_spec"] and not any(n.startswith("cover_vec") for n in report)
         assert any(name.startswith("step_audit_") for name in report)
         statuses = {name: rep["status"] for name, rep in report.items() if name != "all_passed"}
         proved = {name for name in statuses if name.startswith("dominance_") or name == "phi_shape"}
@@ -293,22 +293,28 @@ class TestVerify:
         assert failed == {
             "cover_tanh": pytest.approx(-2.06e-3, rel=1e-2),
             "cover_sine_sigmoid": pytest.approx(-2.97e-4, rel=1e-2),
+            "cover_k_tanh": pytest.approx(-2.38e-3, rel=1e-2),
+            "cover_k_sine_sigmoid": pytest.approx(-4.22e-4, rel=1e-2),
         }
 
-    def test_cover_params_reach_vector_and_step_checks(self, tmp_path, monkeypatch):
+    def test_cover_params_reach_tangent_cover_and_step_checks(self, tmp_path, monkeypatch):
         seen = []
 
-        def spy(z, n_neurons, base=contraction.CoverParams()):
-            seen.append(base)
-            return phi_k(z, n_neurons, base)
+        def spy(cover):
+            def spied(z, *args):
+                seen.append((cover.__name__, args[-1]))  # the cover parameters come last
+                return cover(z, *args)
 
-        monkeypatch.setattr(contraction, "phi_k", spy)
+            return spied
+
+        monkeypatch.setattr(contraction, "phi_tangent", spy(contraction.phi_tangent))
+        monkeypatch.setattr(contraction, "phi_k", spy(phi_k))
         cfg = _write_config(
             tmp_path, "v.json", {**FAST_VERIFY, "eta": 0.5, "transfer_kinds": ["tanh"], "audit_k_list": [1, 4]}
         )
         main(["verify", "--config", cfg, "--out", str(tmp_path)])
-        assert len(seen) == 4  # two vector checks, two step audits
-        assert all(p == contraction.CoverParams(eta=0.5) for p in seen)
+        greedy = contraction.CoverParams(eta=0.5)
+        assert seen == [("phi_tangent", greedy), ("phi_k", greedy), ("phi_k", greedy)]  # one cover_k, two step audits
 
 
 class TestCriticalB:
@@ -368,6 +374,19 @@ class TestMc:
             },
         )
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"amplitude": 1e-100, "T": 4000}, {"transfer": "linear", "amplitude": 1e200, "T": 4000}],
+        ids=["tanh_at_1e-100", "linear_at_1e200"],
+    )
+    def test_memory_does_not_depend_on_the_size_of_the_states(self, tmp_path, capsys, payload):
+        # The states are scaled by a power of two before the absolute ridge is added: unscaled, the
+        # ridge swamps states of size 1e-100 (total 0) and X.T @ X overflows at 1e200 (total nan).
+        # tanh at 1e-100 is the identity, so both are the same linear reservoir.
+        cfg = _write_config(tmp_path, "mc.json", payload)
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "mc: total=7.3654 over 100 delays (k=8)\n"
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = _write_config(tmp_path, "mc.json", {"k": 20, "max_delay": 40, "T": 4000})
@@ -521,14 +540,6 @@ class TestConfigHandling:
         assert captured.out == ""  # the summary is printed only after the writes
         assert out.read_text() == "kept\n"
 
-    @pytest.mark.parametrize("n_list", [[1, 2], [0], [2, 4, 1]])
-    def test_n_list_entry_below_2_exits_2_naming_it(self, tmp_path, capsys, n_list):
-        cfg = _write_config(tmp_path, "bad.json", {"n_list": n_list})
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "n_list" in err
-        assert not (tmp_path / "verify_report.json").exists()
-
     @pytest.mark.parametrize(
         "exc, line",
         [
@@ -551,19 +562,20 @@ class TestConfigHandling:
         "payload, message",
         [
             ({"transfer_kinds": ["foo"]}, f"error: config key 'transfer_kinds' in config must be {_KINDS}, got [\"foo\"]\n"),
-            ({"n_list": [1]}, "error: n_list entries must be >= 2, got [1]\n"),
             # an empty list would leave a report that passes over fewer checks
             ({"transfer_kinds": []}, "error: config key 'transfer_kinds' must name at least one entry\n"),
-            ({"n_list": []}, "error: config key 'n_list' must name at least one entry\n"),
             ({"q0_list": []}, "error: config key 'q0_list' must name at least one entry\n"),
             ({"transfer_kinds": ["tailored"]}, f"error: config key 'transfer_kinds' in config must be {_KINDS}, got [\"tailored\"]\n"),
             # a negative count used to drop the step audits silently; k = 0 names no reservoir
             ({"audit_runs_per_case": -3}, "error: audit_runs_per_case must be >= 0, got -3\n"),
             ({"audit_k_list": [4, 0]}, "error: audit_k_list entries must be >= 1, got [4, 0]\n"),
+            # a twin run of audit_T states audits audit_T - 1 steps
+            ({"audit_T": 0}, "error: audit_T must be >= 2, got 0\n"),
+            ({"audit_T": 1}, "error: audit_T must be >= 2, got 1\n"),
         ],
         ids=[
-            "transfer_kinds", "n_list", "empty_transfer_kinds", "empty_n_list", "empty_q0_list", "tailored_kind",
-            "negative_audit_runs", "audit_k_below_1",
+            "transfer_kinds", "empty_transfer_kinds", "empty_q0_list", "tailored_kind",
+            "negative_audit_runs", "audit_k_below_1", "audit_T_0", "audit_T_1",
         ],
     )
     def test_bad_verify_value_exits_2_before_making_the_output_directory(
@@ -588,13 +600,16 @@ class TestConfigHandling:
             ("figure3", {"T": 100_000}, "T"),
             ("figure3", {"renorm_interval": 10}, "renorm_interval"),
             ("figure3", {"eps0": 1e-9}, "eps0"),
+            # the tangent cover's one scalar check covers every network size
+            ("verify", {"n_list": [2, 4]}, "n_list"),
+            ("verify", {"vector_samples": 20000}, "vector_samples"),
         ],
     )
     def test_undeclared_key_exits_2_naming_it(self, tmp_path, capsys, command, payload, key):
         cfg = _write_config(tmp_path, "bad.json", payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+        assert err.startswith("error: unknown config key ") and err.count("\n") == 1 and repr(key) in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -611,7 +626,6 @@ class TestConfigHandling:
             ("simulate", {"x0": 0.5}, "x0"),
             ("critical-b", {"tol": "1e-3"}, "tol"),
             ("critical-b", {"bracket": [1.5]}, "bracket"),
-            ("verify", {"n_list": [2.5]}, "n_list"),
             ("verify", {"audit_k_list": [4.0]}, "audit_k_list"),
             ("simulate", {"reservoir": {"spectrum_mode": "x"}}, "spectrum_mode"),
             ("mc", {"spectrum_mode": "x"}, "spectrum_mode"),
@@ -691,7 +705,7 @@ class TestConfigHandling:
             ("figure45", {"T": 300, "b": 0.9}),
             (
                 "verify",
-                {**FAST_VERIFY, "transfer_kinds": ["tanh"], "n_list": [2], "q0_list": [0.5], "audit_k_list": [1, 4]},
+                {**FAST_VERIFY, "transfer_kinds": ["tanh"], "q0_list": [0.5], "audit_k_list": [1, 4]},
             ),
             ("critical-b", {"tol": 1e-4}),
             ("mc", {"k": 4, "max_delay": 8, "T": 1000}),
@@ -728,7 +742,7 @@ class TestConfigHandling:
 # One cheap base run per subcommand (figure3's grid is in TestFigure3).
 _CHEAP_BASE = {
     "figure45": {"T": 300},
-    "verify": {**FAST_VERIFY, "n_list": [2], "vector_samples": 200, "q0_list": [0.5], "audit_k_list": [1, 2], "audit_T": 40},
+    "verify": {**FAST_VERIFY, "q0_list": [0.5], "audit_k_list": [1, 2], "audit_T": 40},
     "critical-b": {},
     "mc": {"k": 4, "max_delay": 5, "T": 400, "washout": 20},
     "simulate": {"T": 50},

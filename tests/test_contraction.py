@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from critical_esn.contraction import (
+    PASS_SLACK,
     CoverParams,
     _grid,
     audit_step_inequality,
@@ -14,10 +15,10 @@ from critical_esn.contraction import (
     omega,
     phi,
     phi_k,
+    phi_tangent,
     q_star,
     tau_bound,
     verify_cover_inequality,
-    verify_cover_inequality_vec,
     verify_dominance,
 )
 from critical_esn.dynamics import Alternating, Constant, IidSign, convergence_trace
@@ -154,15 +155,16 @@ class TestCoverInequality:
         ids=["many_rows_per_block", "one_row_per_block"],
     )
     @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID, LINEAR], ids=lambda tf: tf.kind)
-    def test_blocked_check_matches_a_per_delta_loop(self, tf, delta_grid, zeta_grid):
+    @pytest.mark.parametrize("cover", [phi, phi_tangent], ids=lambda cover: cover.__name__)
+    def test_blocked_check_matches_a_per_delta_loop(self, cover, tf, delta_grid, zeta_grid):
         zetas = _grid(*zeta_grid)
         margins, points = [], []
         for d in _grid(*delta_grid)[1:]:
             w = omega(tf, d, zetas)
             j = int(np.argmax(w))
-            margins.append(phi(d * d) - w[j])
+            margins.append(cover(d * d) - w[j])
             points.append((d, zetas[j]))
-        rep = verify_cover_inequality(tf, delta_grid=delta_grid, zeta_grid=zeta_grid)
+        rep = verify_cover_inequality(tf, delta_grid=delta_grid, zeta_grid=zeta_grid, cover=cover)
         i = int(np.argmin(margins))
         assert (rep.worst_margin, rep.worst_point) == (margins[i], points[i])
 
@@ -178,20 +180,66 @@ class TestCoverInequality:
         for rep in (verify_cover_inequality(TANH), verify_cover_inequality(LINEAR)):
             assert rep.passed == (rep.worst_margin >= -1e-12)
 
-    @pytest.mark.parametrize("n", [2, 4])
-    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID])
-    def test_vector_form_holds(self, tf, n):
-        rep = verify_cover_inequality_vec(tf, n, n_samples=20000, seed=1)
-        assert rep.passed and rep.worst_margin >= 0.0
-
-    def test_vector_form_uses_given_cover_params(self):
-        greedy = CoverParams(eta=0.9, gamma=0.99)
-        assert verify_cover_inequality_vec(TANH, 2, n_samples=20000, seed=1).passed
-        assert not verify_cover_inequality_vec(TANH, 2, n_samples=20000, seed=1, p=greedy).passed
-
     def test_zero_points_raise_naming_the_grid(self):
-        with pytest.raises(ValueError, match="no points to check: 0 seeded vector samples"):
-            verify_cover_inequality_vec(TANH, 2, n_samples=0)
+        with pytest.raises(ValueError, match=re.escape("no points to check: delta in (0.0,0.0]")):
+            verify_cover_inequality(TANH, delta_grid=(0.0, 0.0, 1.0))
+
+    def test_tangent_cover_uses_given_cover_params(self):
+        greedy = CoverParams(eta=0.9, gamma=0.99)
+        assert verify_cover_inequality(TANH, cover=phi_tangent).passed
+        assert not verify_cover_inequality(TANH, greedy, cover=phi_tangent).passed
+
+
+# The paper's cover parameters and the kappa = 1 certificates, which bound the distance by t^(-1/2).
+_PARAMS = [CoverParams(), CoverParams(eta=0.1, kappa=1.0), CoverParams(eta=0.15, kappa=1.0)]
+_PARAM_IDS = ["paper", "kappa1_eta0.1", "kappa1_eta0.15"]
+
+
+class TestTangentCover:
+    @pytest.mark.parametrize("p", _PARAMS[:2], ids=_PARAM_IDS[:2])
+    def test_equals_phi_below_gamma_and_lies_below_it_past_gamma(self, p):
+        zs = np.linspace(0.0, 4.0, 40_001)
+        below = zs < p.gamma
+        assert phi_tangent(zs, p)[below].tobytes() == phi(zs, p)[below].tobytes()
+        assert np.all(phi_tangent(zs[~below], p) <= phi(zs[~below], p))
+        assert phi_tangent(0.3, p) == phi(0.3, p) and phi_tangent(3.0, p) < phi(3.0, p)
+
+    @pytest.mark.parametrize("p", _PARAMS[:2], ids=_PARAM_IDS[:2])
+    def test_z_times_tangent_cover_is_concave_where_z_phi_is_not(self, p):
+        zs = np.linspace(0.0, 4.0, 40_001)
+        # second differences of a linear piece are rounding noise of order 1e-16
+        assert np.all(np.diff(zs * phi_tangent(zs, p), 2) <= PASS_SLACK)
+        assert np.max(np.diff(zs * phi(zs, p), 2)) > 1e-7  # the clamp makes z phi(z) bend up at gamma
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            phi_tangent(-0.1)
+
+    def test_termwise_cover_fails_where_the_tangent_cover_holds(self):
+        # x / k^2 = gamma, so phi_k clamps, while the neuron with z_i < gamma contracts less than the clamp
+        z = np.array([1.71, 0.29])
+        x = float(z.sum())
+        assert np.sum(z * phi(z)) - x * phi_k(x, 2) == pytest.approx(1.0e-3, rel=1e-2)
+        assert np.sum(z * phi_tangent(z)) <= x * phi(x / 2)
+
+    @pytest.mark.parametrize("p", _PARAMS, ids=_PARAM_IDS)
+    @pytest.mark.parametrize("tf", [TANH, SINE_SIGMOID], ids=lambda tf: tf.kind)
+    @pytest.mark.parametrize("k", [2, 4, 16, 64])
+    def test_one_scalar_inequality_covers_k_neurons(self, k, tf, p):
+        # Seeded perturbations Delta of every reachable size, |Delta_i| <= 2 sqrt(k), at base points zeta.
+        rng = np.random.default_rng(k)
+        deltas = rng.uniform(-2.0 * math.sqrt(k), 2.0 * math.sqrt(k), (2000, k))
+        zetas = rng.uniform(-4.0, 4.0, (2000, k))
+        after = tf(zetas + deltas) - tf(zetas)
+        lhs = np.sum(after * after, axis=1)
+        z = deltas * deltas
+        x = z.sum(axis=1)
+        # g: z phi(z) below gamma, its tangent line at gamma past it
+        slope = 1.0 - (p.kappa + 1.0) * p.eta * p.gamma**p.kappa
+        g = np.where(z < p.gamma, z - p.eta * z ** (p.kappa + 1.0), p.gamma - p.eta * p.gamma ** (p.kappa + 1.0) + slope * (z - p.gamma))
+        np.testing.assert_allclose(z * phi_tangent(z, p), g, rtol=1e-14, atol=1e-15)
+        assert np.min(np.sum(g, axis=1) - lhs) >= -PASS_SLACK  # the scalar inequality, neuron by neuron
+        assert np.min(x * phi(x / k, p) - lhs) >= -PASS_SLACK  # its consequence by Jensen, so phi_k's too
 
 
 class TestIterateQ:

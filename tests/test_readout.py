@@ -132,6 +132,13 @@ class TestMemoryCapacity:
         big, ref = (memory_capacity(res, 2.0**e, max_delay=5, T=1000, seed=1).per_delay for e in (260, 200))
         assert big == ref and all(math.isfinite(s) for _, s in big)
 
+    def test_scores_do_not_depend_on_the_size_of_the_states(self):
+        # tanh is the identity at these sizes, so the states are the same up to a power of two,
+        # and scaled into [0.5, 1) before the fit they are the same bits
+        res = _scaled(4, 0.9, seed=0)
+        tiny, small = (memory_capacity(res, 2.0**e, max_delay=5, T=1000, seed=1) for e in (-300, -100))
+        assert tiny == small and tiny.mc_total > 1.0
+
     def test_constant_prediction_scores_zero(self):
         # with w_in = 0 the states, so the predictions, stay 0 and have no variance
         res = Reservoir(W=0.5 * np.eye(2), w_in=np.zeros((2, 1)), tf=TANH)
