@@ -13,9 +13,9 @@ whatever the system escapes to.
 
 Second, the over-tuned variant x_{t+1} = tanh(-b x_t + u_t): pushing the
 coupling until its alternating orbit turns marginally stable puts the
-critical value near b = 2.344 with orbit amplitude 0.757.  At that point
-the slightest increase in drive amplitude tips the network into divergence,
-which is why operating there is brittle.
+critical value at b = 2.344186 with orbit amplitude 0.757240, solved to
+rounding.  At that point the slightest increase in drive amplitude tips
+the network into divergence, which is why operating there is brittle.
 """
 
 import math
@@ -53,10 +53,10 @@ write_sweep_csv(OUT / "lyapunov_sweep.csv", points)
 print(f"  full sweep written to {OUT / 'lyapunov_sweep.csv'}")
 
 print()
-b_star, amp = find_critical_b(TANH, A, bracket=(1.5, 3.0), tol=1e-9)
+b_star, amp = find_critical_b(TANH, A, bracket=(1.5, 3.0))
 print("over-tuned tanh neuron under the same drive:")
-print(f"  critical coupling b* = {b_star:.6f}")
-print(f"  orbit amplitude |x*| = {amp:.6f}")
+print(f"  critical coupling b* = {b_star!r}  (solved to rounding)")
+print(f"  orbit amplitude |x*| = {amp!r}")
 x_lin = b_star * amp - A
 print(f"  orbit residual       = {abs(TANH(x_lin) - amp):.2e}")
 print(f"  |b* theta'| - 1      = {abs(b_star * TANH.derivative(x_lin)) - 1.0:+.2e}")

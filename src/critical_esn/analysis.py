@@ -21,11 +21,12 @@ Three tool families live here:
 * The critical coupling of the single-neuron map x -> theta(b x - a) with
   alternating drive: the parameter b* where the antisymmetric period-2
   orbit x = theta(b x - a) becomes marginally stable, |b theta'| = 1.
-  Both conditions meet at a tangency of h_b(x) = theta(b x - a) - x, so
-  b* is found by bisection on the sign of max_x h_b(x) over x in [0, 4].
-  The inner maximum is the best point of a fixed grid, refined by the same
-  bisection on the sign of h_b' where it changes across that point's cell;
-  its first-order condition enforces marginal stability for free.
+  Both conditions meet at a tangency of h_b(x) = theta(b x - a) - x.  A
+  bisection on the sign of max_x h_b(x) over a fixed grid of x in [0, 4]
+  brackets b* to width 1e-6; Newton's method on the tangency's linear
+  state z = b x - a, where theta(z) = theta'(z) (z + a), then solves it to
+  rounding, and b* = 1 / theta'(z).  With a = 0 and theta'(0) = 1 the
+  tangency is the pitchfork at the origin, b* = 1 exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from .dynamics import ConvergenceTrace, InputSequence, _advance, _as_state
 from .dynamics import _PERIODS, generate_input
 from .reservoir import Reservoir, _write_csv
-from .transfer import TransferFunction
+from .transfer import _FORMULAS, TransferFunction
 
 __all__ = [
     "LyapunovResult",
@@ -295,73 +296,40 @@ _ORBIT_X_HI = 4.0  # the orbit search covers x in [0, _ORBIT_X_HI]
 _ORBIT_GRID = np.linspace(0.0, _ORBIT_X_HI, 2001)
 
 
-def _bisect(past, lo: float, hi: float, width: float) -> tuple[float, float]:
-    """Halve [lo, hi] down to width (at most 200 times), keeping past(hi) and not past(lo)."""
-    for _ in range(200):
-        if hi - lo <= width:
-            break
-        mid = 0.5 * (lo + hi)
-        if past(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 def _orbit_residual(tf: TransferFunction, b: float, amplitude: float) -> tuple[float, float]:
-    """max over x in [0, _ORBIT_X_HI] of theta(b x - amplitude) - x, with its argmax.
-
-    The interior maximum satisfies b theta'(b x - a) = 1 exactly, so when
-    that derivative changes sign across the best grid cell the argmax is
-    located by bisecting it (machine precision); otherwise the best grid
-    point is taken.  A boundary maximum at x = 0 (the degenerate
-    zero-amplitude case) is returned as-is.
-    """
-    xs = _ORBIT_GRID
-    h = tf(b * xs - amplitude) - xs
-    i = int(np.argmax(h[1:])) + 1  # best interior grid point
-    lo = float(xs[i - 1])
-    hi = float(xs[min(i + 1, xs.size - 1)])
-
-    def slope(x: float) -> float:
-        return b * tf.derivative(b * x - amplitude) - 1.0
-
-    interior = slope(lo) > 0.0 >= slope(hi)
-    if interior:
-        lo, hi = _bisect(lambda x: not slope(x) > 0.0, lo, hi, 1e-15)
-        x_star = 0.5 * (lo + hi)
-        h_star = float(tf(b * x_star - amplitude) - x_star)
-    else:
-        x_star, h_star = float(xs[i]), float(h[i])
-    # x = 0 is a trivial fixed point whenever theta(-amplitude) = 0, so the
-    # residual must still see the boundary; the reported orbit prefers the
-    # interior stationary point when one exists (the near-tangency orbit).
-    return max(h_star, float(h[0])), x_star if interior or h_star > h[0] else float(xs[0])
+    """max over the x of _ORBIT_GRID of theta(b x - amplitude) - x, with its argmax."""
+    h = tf(b * _ORBIT_GRID - amplitude) - _ORBIT_GRID
+    i = int(np.argmax(h))
+    return float(h[i]), float(_ORBIT_GRID[i])
 
 
-def find_critical_b(
-    tf: TransferFunction,
-    input_amplitude: float,
-    bracket: tuple[float, float],
-    tol: float = 1e-6,
-) -> tuple[float, float]:
-    """Critical coupling b* and orbit amplitude |x*| of x -> theta(b x - a).
+def find_critical_b(tf: TransferFunction, input_amplitude: float, bracket: tuple[float, float]) -> tuple[float, float]:
+    """Critical coupling b* and orbit amplitude |x*| of x -> theta(b x - a), to rounding.
 
     Solves simultaneously for the antisymmetric period-2 orbit
     x = theta(b x - a) and its marginal stability |b theta'(b x - a)| = 1:
     the two conditions meet where theta(b x - a) first touches the line y=x,
-    so the residual r(b) = max_x [theta(b x - a) - x] changes sign at b*.
-    Bisection on b; r <= 0 counts as subcritical.  The orbit search is
-    restricted to x in [0, 4], adequate for bounded sigmoid-like transfer
-    functions; an orbit located in the last grid cell before x = 4 is the
-    search bound, not a tangency, and raises ValueError, as does a bracket
-    so wide that b x - a overflows there.
+    so the grid residual r(b) = max_x [theta(b x - a) - x] over 2001 points
+    of x in [0, 4] changes sign near b*.  Bisection on that sign, r <= 0
+    counting as subcritical, narrows the bracket [lo, hi] to width 1e-6.
+    The argmax at hi lies on the part of the curve above y = x, so never at
+    x = 0; in the last grid cell before x = 4 it is the search bound, not a
+    tangency (the identity's, at every a != 0), and raises ValueError, as
+    does a bracket that does not straddle b* or is so wide that b x - a
+    overflows there.
 
-    With amplitude 0 the tangency degenerates to the origin: b* = 1 and
-    the orbit amplitude is 0.
+    Newton's method then solves the tangency in its linear state z = b x - a:
+    with x = theta(z) and b = 1 / theta'(z), z = b x - a reads
+    G(z) = theta(z) - theta'(z) (z + a) = 0, and G'(z) = -theta''(z) (z + a).
+    It starts from z = hi x - a at that argmax and stops once a step no
+    longer shrinks or G' vanishes, within 100 steps: near the pitchfork
+    a -> 0+, G(z) ~ 2 z^3 / 3 - a for tanh, so the steps shrink by only 2/3
+    until z nears (3 a / 2)^(1/3).  The result is b* = 1 / theta'(z) and
+    |x*| = |theta(z)|.
+
+    With amplitude 0 and theta'(0) = 1 the tangency is the pitchfork at the
+    origin, where G' vanishes with the root: the result is exactly (1.0, 0.0).
     """
-    if tol <= 0:
-        raise ValueError("need tol > 0")
     a = float(input_amplitude)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (lo < hi):
@@ -371,14 +339,31 @@ def find_critical_b(
             f"bracket ({lo:g}, {hi:g}) is too wide for amplitude {a:g}: b x - a overflows for x in [0, {_ORBIT_X_HI:g}]"
         )
     r_lo, _ = _orbit_residual(tf, lo, a)
-    r_hi, _ = _orbit_residual(tf, hi, a)
+    r_hi, x = _orbit_residual(tf, hi, a)
     if not (r_lo <= 0.0 < r_hi):
         raise ValueError(
             f"bracket does not straddle the critical coupling: r({lo})={r_lo:.3g}, r({hi})={r_hi:.3g}"
         )
-    lo, hi = _bisect(lambda b: _orbit_residual(tf, b, a)[0] > 0.0, lo, hi, tol)
-    b_star = 0.5 * (lo + hi)
-    _, x_star = _orbit_residual(tf, lo, a)
-    if x_star >= _ORBIT_GRID[-2]:
-        raise ValueError(f"orbit at x={x_star:.6g} is the edge of the search range [0, {_ORBIT_X_HI:g}]")
-    return b_star, abs(x_star)
+    if a == 0.0 and tf.derivative(0.0) == 1.0:
+        return 1.0, 0.0
+    for _ in range(200):  # halve to width 1e-6, keeping r(lo) <= 0 < r(hi) and x the argmax at hi
+        if hi - lo <= 1e-6:
+            break
+        mid = 0.5 * (lo + hi)
+        r, x_mid = _orbit_residual(tf, mid, a)
+        if r > 0.0:
+            hi, x = mid, x_mid
+        else:
+            lo = mid
+    if x >= _ORBIT_GRID[-2]:
+        raise ValueError(f"orbit at x={x:.6g} is the edge of the search range [0, {_ORBIT_X_HI:g}]")
+    curvature, z, step = _FORMULAS[tf.kind][3], hi * x - a, math.inf
+    for _ in range(100):
+        slope_z = -float(curvature(z)) * (z + a)
+        if slope_z == 0.0:
+            break
+        new_step = (tf(z) - tf.derivative(z) * (z + a)) / slope_z
+        if not abs(new_step) < abs(step):
+            break
+        z, step = z - new_step, new_step
+    return 1.0 / tf.derivative(z), abs(tf(z))

@@ -89,7 +89,6 @@ DEFAULTS: dict[str, dict] = {
         "transfer": "tanh",
         "amplitude": _PI4,
         "bracket": (1.5, 3.0),
-        "tol": 1e-6,
     },
     "mc": {
         **_RESERVOIR_KEYS,
@@ -310,6 +309,8 @@ def _verify_checks(cfg: dict) -> dict:
         if not cfg[key]:
             raise ConfigError(f"config key {key!r} must name at least one entry")
     kinds = [(kind, TransferFunction(kind)) for kind in cfg["transfer_kinds"]]
+    if any(not 0.0 < q0 <= 1.0 for q0 in cfg["q0_list"]):
+        raise ConfigError(f"q0_list entries must be in (0, 1], got {cfg['q0_list']!r}")
     if any(k < 1 for k in cfg["audit_k_list"]):
         raise ConfigError(f"audit_k_list entries must be >= 1, got {cfg['audit_k_list']!r}")
     if cfg["audit_runs_per_case"] < 0:
@@ -364,7 +365,7 @@ def cmd_verify(cfg: dict) -> tuple[dict, str, int]:
 
 def cmd_critical_b(cfg: dict) -> tuple[dict, str, int]:
     tf = TransferFunction(cfg["transfer"])
-    b_star, orbit_amp = analysis.find_critical_b(tf, cfg["amplitude"], cfg["bracket"], cfg["tol"])
+    b_star, orbit_amp = analysis.find_critical_b(tf, cfg["amplitude"], cfg["bracket"])
     x_lin = b_star * orbit_amp - cfg["amplitude"]
     payload = {
         "b_star": b_star,

@@ -248,11 +248,11 @@ def verify_dominance(q0: float, p: CoverParams = CoverParams(), T: int = 100000)
     and B(t) <= q_star(t) because kappa eta >= eta / kappa for kappa >= 1
     (CoverParams rejects kappa < 1).  x stays below 1 because q_t never
     exceeds q0 and eta q0^kappa < 1 for every accepted input: CoverParams
-    forces 0 < eta < 1 and q0 must lie in [0, 1].  The report's margins are
+    forces 0 < eta < 1 and q0 must lie in (0, 1].  The report's margins are
     q_star(t) - B(t) at t = 0..T, with B(0) = q0 exactly.
     """
-    if not (0.0 <= q0 <= 1.0):
-        raise ValueError("need q0 in [0, 1]")
+    if not (0.0 < q0 <= 1.0):
+        raise ValueError("need q0 in (0, 1]")
     if T < 1:
         raise ValueError("need T >= 1")
     ts = np.arange(T + 1)

@@ -15,10 +15,11 @@ Three kinds are provided:
                       no isolated ECPs; included as the canonical
                       counterexample that never contracts.
 
-Each kind's formulas live in one row of the table ``_FORMULAS``: theta on
-arrays, theta' on arrays and theta on a Python float.  The module holds
-formulas only; all stepping lives in ``dynamics._advance``, whose
-plain-float loop evaluates the third column.  ``_COVERED`` names the
+Each kind's formulas live in one row of the table ``_FORMULAS``, four
+to a row: theta on arrays, theta' on arrays, theta on a Python float and
+theta'' on arrays.  The module holds formulas only; all stepping lives in
+``dynamics._advance``, whose plain-float loop evaluates the third column,
+and ``analysis.find_critical_b`` reads the fourth.  ``_COVERED`` names the
 kinds the S = 1 theorem covers.
 ``__call__`` and ``derivative`` check their input is finite and read
 their column; ``__call__(x, out=)`` is that check followed by
@@ -54,12 +55,14 @@ def _sine_sigmoid(x, out=None):
 
 
 # Each kind's formulas: (theta on arrays, theta' on arrays, theta on a
-# float).  theta on arrays takes out= like a ufunc; theta on a float is
-# the body of dynamics._advance's plain-float loop.
+# float, theta'' on arrays).  theta on arrays takes out= like a ufunc;
+# theta on a float is the body of dynamics._advance's plain-float loop.
 _FORMULAS = {
-    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, math.tanh),
-    "sine_sigmoid": (_sine_sigmoid, lambda x: 0.5 - 0.5 * np.cos(2.0 * x), lambda z: 0.5 * z - 0.25 * math.sin(2.0 * z)),
-    "linear": (np.positive, np.ones_like, float),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2, math.tanh, lambda x: -2.0 * np.tanh(x) * (1.0 - np.tanh(x) ** 2)),
+    "sine_sigmoid": (
+        _sine_sigmoid, lambda x: 0.5 - 0.5 * np.cos(2.0 * x), lambda z: 0.5 * z - 0.25 * math.sin(2.0 * z), lambda x: np.sin(2.0 * x)
+    ),
+    "linear": (np.positive, np.ones_like, float, np.zeros_like),
 }
 # The kinds the paper's S = 1 theorem covers: acceptance criterion 5
 # certifies their cover inequality and shows that the linear kind fails it.

@@ -95,7 +95,7 @@ def test_criterion_3_fast_forgetting_under_iid_input():
 def test_criterion_4_critical_coupling_reproduction():
     """Tangency solver reproduces b* = 2.344 and orbit amplitude 0.757."""
     t0 = time.monotonic()
-    b_star, amp = find_critical_b(TANH, A, (1.5, 3.0), tol=1e-6)
+    b_star, amp = find_critical_b(TANH, A, (1.5, 3.0))
     elapsed = time.monotonic() - t0
     ok = abs(b_star - 2.344) <= 1e-3 and abs(amp - 0.757) <= 1e-3 and elapsed <= 1.0
     _verdict(

@@ -630,51 +630,62 @@ class TestFitDecay:
 
 class TestFindCriticalB:
     def test_overtuned_tanh_neuron_values(self):
-        b, amp = find_critical_b(TANH, A, (1.5, 3.0), 1e-6)
+        b, amp = find_critical_b(TANH, A, (1.5, 3.0))
         assert b == pytest.approx(2.344, abs=1e-3)
         assert amp == pytest.approx(0.757, abs=1e-3)
 
-    def test_residuals_within_ten_tolerances(self):
-        for tol in (1e-6, 1e-9):
-            b, amp = find_critical_b(TANH, A, (1.5, 3.0), tol)
-            x_lin = b * amp - A
-            assert abs(TANH(x_lin) - amp) <= 10 * tol
-            assert abs(abs(b * TANH.derivative(x_lin)) - 1.0) <= 10 * tol
+    @pytest.mark.parametrize("tf, a_hi", [(TANH, 3.0), (SINE_SIGMOID, 1.5)])
+    def test_residuals_at_rounding_level(self, tf, a_hi):
+        # Newton solves the tangency to rounding, at every amplitude; past
+        # a ~ 1.7 the sine sigmoid's tangency lies beyond the search bound x = 4
+        for a in np.random.default_rng(0).uniform(1e-3, a_hi, 25).tolist():
+            b, amp = find_critical_b(tf, a, (0.5, 60.0))
+            x_lin = b * amp - a
+            assert abs(tf(x_lin) - amp) <= 1e-13, a
+            assert abs(abs(b * tf.derivative(x_lin)) - 1.0) <= 1e-13, a
 
     def test_zero_amplitude_degenerates_to_unit_coupling(self):
-        b, amp = find_critical_b(TANH, 0.0, (0.5, 2.0), 1e-6)
+        b, amp = find_critical_b(TANH, 0.0, (0.5, 2.0))
         assert b == pytest.approx(1.0, abs=1e-5)
         assert amp == 0.0
 
+    def test_zero_amplitude_is_exactly_the_pitchfork(self):
+        assert find_critical_b(TANH, 0.0, (0.5, 2.0)) == (1.0, 0.0)
+
+    def test_tiny_amplitude_finds_the_cube_root_orbit(self):
+        # near the pitchfork G(z) ~ 2 z^3 / 3 - a, so |x*| ~ (1.5 a)^(1/3);
+        # rounding in G fixes that root only to about 1e-3 relative
+        b, amp = find_critical_b(TANH, 1e-20, (0.5, 2.0))
+        assert amp == pytest.approx((1.5e-20) ** (1.0 / 3.0), rel=1e-2)
+        assert b == pytest.approx(1.0, abs=1e-12)
+
     def test_bracket_must_straddle(self):
         with pytest.raises(ValueError):
-            find_critical_b(TANH, 0.0, (1.5, 3.0), 1e-6)
+            find_critical_b(TANH, 0.0, (1.5, 3.0))
         with pytest.raises(ValueError):
-            find_critical_b(TANH, A, (0.1, 0.5), 1e-6)
+            find_critical_b(TANH, A, (0.1, 0.5))
 
     @pytest.mark.parametrize("bracket, amplitude", [((1.5, 1e308), A), ((-1e308, 3.0), A), ((1.5, 3e307), -1e308)])
     def test_bracket_whose_drive_overflows_is_named(self, bracket, amplitude):
         # b x - a past the float range for some x in [0, 4]
         with pytest.raises(ValueError, match=r"bracket \(.*\) is too wide for amplitude"):
-            find_critical_b(TANH, amplitude, bracket, 1e-6)
+            find_critical_b(TANH, amplitude, bracket)
 
     def test_tangency_at_the_search_bound_rejected(self):
         # theta(b x - a) - x is (b - 1) x - a for the identity: its maximum
         # over the search range sits on the bound x = 4 for every b > 1
         with pytest.raises(ValueError, match="edge of the search range"):
-            find_critical_b(LINEAR, A, (0.5, 3.0), 1e-6)
+            find_critical_b(LINEAR, A, (0.5, 3.0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            find_critical_b(TANH, A, (3.0, 1.5), 1e-6)
-        with pytest.raises(ValueError):
-            find_critical_b(TANH, A, (1.5, 3.0), 0.0)
+            find_critical_b(TANH, A, (3.0, 1.5))
 
     def test_sine_sigmoid_zero_amplitude(self):
         # same tangency construction applies to the other covered transfer;
-        # values frozen from a converged tol=1e-9 run, re-verified by the
+        # values frozen from a converged run, re-verified by the
         # residuals of the two defining conditions
-        b, amp = find_critical_b(SINE_SIGMOID, 0.0, (0.5, 1.8), 1e-6)
+        b, amp = find_critical_b(SINE_SIGMOID, 0.0, (0.5, 1.8))
         assert b == pytest.approx(1.6430700, abs=1e-5)
         assert amp == pytest.approx(1.3673823, abs=1e-5)
         x_lin = b * amp

@@ -83,6 +83,9 @@ _ILL_FORMED = [
         {"delta_grid": [0.0, 1e308, 1e307], "zeta_grid": [1e308, 1.7e308, 1e307]},
         "delta in (0.0,1e+308] step 1e+307, zeta in [1e+308,1.7e+308] step 1e+307",
     ),
+    # dominance needs every q0 in (0, 1]; the line names the key
+    ("verify", {"q0_list": [0.5, 1.5]}, "error: q0_list entries must be in (0, 1], got [0.5, 1.5]"),
+    ("verify", {"q0_list": [0.0]}, "error: q0_list entries must be in (0, 1], got [0.0]"),
 ]
 
 
@@ -333,12 +336,11 @@ class TestCriticalB:
         assert payload["b_star"] == pytest.approx(1.0, abs=1e-5)
         assert payload["orbit_amplitude"] == 0.0
 
-    def test_tight_tolerance_residuals(self, tmp_path):
-        cfg = _write_config(tmp_path, "cb.json", {"tol": 1e-9})
-        assert main(["critical-b", "--config", cfg, "--out", str(tmp_path)]) == 0
+    def test_default_residuals_at_rounding_level(self, tmp_path):
+        assert main(["critical-b", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "critical_b.json").read_text())
-        assert payload["orbit_residual"] <= 1e-8
-        assert payload["stability_residual"] <= 1e-8
+        assert payload["orbit_residual"] <= 1e-15
+        assert payload["stability_residual"] <= 1e-15
 
     def test_bad_bracket_reported(self, tmp_path):
         cfg = _write_config(tmp_path, "cb.json", {"bracket": [0.1, 0.5]})
@@ -603,6 +605,8 @@ class TestConfigHandling:
             # the tangent cover's one scalar check covers every network size
             ("verify", {"n_list": [2, 4]}, "n_list"),
             ("verify", {"vector_samples": 20000}, "vector_samples"),
+            # critical-b solves to rounding, with no tolerance to set
+            ("critical-b", {"tol": 1e-6}, "tol"),
         ],
     )
     def test_undeclared_key_exits_2_naming_it(self, tmp_path, capsys, command, payload, key):
@@ -624,7 +628,7 @@ class TestConfigHandling:
             ("mc", {"ridge": math.nan}, "ridge"),
             ("simulate", {"reservoir": {"k": "3"}}, "k"),
             ("simulate", {"x0": 0.5}, "x0"),
-            ("critical-b", {"tol": "1e-3"}, "tol"),
+            ("critical-b", {"amplitude": "0.5"}, "amplitude"),
             ("critical-b", {"bracket": [1.5]}, "bracket"),
             ("verify", {"audit_k_list": [4.0]}, "audit_k_list"),
             ("simulate", {"reservoir": {"spectrum_mode": "x"}}, "spectrum_mode"),
@@ -707,7 +711,7 @@ class TestConfigHandling:
                 "verify",
                 {**FAST_VERIFY, "transfer_kinds": ["tanh"], "q0_list": [0.5], "audit_k_list": [1, 4]},
             ),
-            ("critical-b", {"tol": 1e-4}),
+            ("critical-b", {"bracket": [1.5, 2.5]}),
             ("mc", {"k": 4, "max_delay": 8, "T": 1000}),
             (
                 "simulate",

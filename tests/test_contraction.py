@@ -329,9 +329,9 @@ class TestDominance:
                 assert np.all(qs <= bound + 4 * np.spacing(bound)), (eta, q0)
 
     def test_rejects_what_the_recursion_rejects(self):
-        with pytest.raises(ValueError, match="need q0 in"):
+        with pytest.raises(ValueError, match=r"need q0 in \(0, 1\]"):
             verify_dominance(1.5)
-        with pytest.raises(ValueError, match="need q0 > 0"):
+        with pytest.raises(ValueError, match=r"need q0 in \(0, 1\]"):
             verify_dominance(0.0)
         with pytest.raises(ValueError, match="need T >= 1"):
             verify_dominance(0.5, T=0)

@@ -217,6 +217,18 @@ class TestAdmissible:
             assert floats.tobytes() == theta(z).tobytes()
 
 
+class TestCurvatureColumn:
+    @pytest.mark.parametrize("kind", sorted(_FORMULAS))
+    def test_matches_a_central_difference_of_the_slope(self, kind):
+        # theta'' (the fourth column) against (theta'(x + h) - theta'(x - h)) / 2h:
+        # truncation ~ h^2 and rounding ~ eps / h are both below 1e-9
+        slope, curvature = _FORMULAS[kind][1], _FORMULAS[kind][3]
+        xs, h = np.linspace(-4.0, 4.0, 8001), 1e-5
+        np.testing.assert_allclose(curvature(xs), (slope(xs + h) - slope(xs - h)) / (2.0 * h), rtol=0.0, atol=1e-9)
+        if kind == "linear":
+            assert np.all(curvature(xs) == 0.0)
+
+
 class TestFloatSteps:
     @pytest.mark.parametrize("kind", sorted(_FORMULAS))
     def test_scalar_and_array_paths_agree(self, kind):
