@@ -644,6 +644,23 @@ class TestFindCriticalB:
             assert abs(tf(x_lin) - amp) <= 1e-13, a
             assert abs(abs(b * tf.derivative(x_lin)) - 1.0) <= 1e-13, a
 
+    @pytest.mark.parametrize("tf", [LINEAR, SINE_SIGMOID, TANH], ids=lambda tf: tf.kind)
+    def test_seeded_cases_solve_or_raise_value_error(self, tf):
+        # any amplitude and bracket either yields a tangency inside the
+        # bracket, solved to rounding, or a ValueError, never another error
+        rng = np.random.default_rng(1)
+        for _ in range(60):
+            a, lo = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.1, 3.0))
+            bracket = (lo, lo + float(rng.uniform(0.01, 60.0)))
+            try:
+                b, amp = find_critical_b(tf, a, bracket)
+            except ValueError:
+                continue
+            x_lin = b * amp - a
+            assert bracket[0] <= b <= bracket[1], (a, bracket)
+            assert abs(abs(tf(x_lin)) - amp) <= 1e-13, (a, bracket)
+            assert abs(abs(b * tf.derivative(x_lin)) - 1.0) <= 1e-13, (a, bracket)
+
     def test_zero_amplitude_degenerates_to_unit_coupling(self):
         b, amp = find_critical_b(TANH, 0.0, (0.5, 2.0))
         assert b == pytest.approx(1.0, abs=1e-5)

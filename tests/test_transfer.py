@@ -225,8 +225,10 @@ class TestCurvatureColumn:
         slope, curvature = _FORMULAS[kind][1], _FORMULAS[kind][3]
         xs, h = np.linspace(-4.0, 4.0, 8001), 1e-5
         np.testing.assert_allclose(curvature(xs), (slope(xs + h) - slope(xs - h)) / (2.0 * h), rtol=0.0, atol=1e-9)
-        if kind == "linear":
-            assert np.all(curvature(xs) == 0.0)
+
+    def test_linear_kind_is_exactly_flat(self):
+        xs = np.linspace(-4.0, 4.0, 8001)
+        assert np.all(_FORMULAS["linear"][3](xs) == 0.0)
 
 
 class TestFloatSteps:
