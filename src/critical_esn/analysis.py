@@ -25,7 +25,7 @@ Three tool families live here:
   bisection on the sign of max_x h_b(x) over a fixed grid of x in [0, 4]
   brackets b* to width 1e-6; Newton's method on the tangency's linear
   state z = b x - a, where theta(z) = theta'(z) (z + a), then solves it to
-  rounding, and b* = 1 / theta'(z).  With a = 0 and theta'(0) = 1 the
+  rounding, and b* = (z + a) / theta(z).  With a = 0 and theta'(0) = 1 the
   tangency is the pitchfork at the origin, b* = 1 exactly.
 """
 
@@ -321,11 +321,13 @@ def find_critical_b(tf: TransferFunction, input_amplitude: float, bracket: tuple
     Newton's method then solves the tangency in its linear state z = b x - a:
     with x = theta(z) and b = 1 / theta'(z), z = b x - a reads
     G(z) = theta(z) - theta'(z) (z + a) = 0, and G'(z) = -theta''(z) (z + a).
-    It starts from z = hi x - a at that argmax and stops once a step no
-    longer shrinks or G' vanishes, within 100 steps: near the pitchfork
-    a -> 0+, G(z) ~ 2 z^3 / 3 - a for tanh, so the steps shrink by only 2/3
-    until z nears (3 a / 2)^(1/3).  The result is b* = 1 / theta'(z) and
-    |x*| = |theta(z)|.
+    It starts from z = hi x - a at that argmax, or for tanh, whose root
+    solves a = sinh(2 z) / 2 - z >= 2 z^3 / 3, from (3 a / 2)^(1/3) if less
+    (near the pitchfork rounding in G leaves Newton nowhere to go), and stops
+    once a step no longer shrinks or G' vanishes, within 100 steps.  Then
+    |x*| = theta(z) and b* = (z + a) / theta(z), which is 1 / theta'(z) at
+    the root, but stationary there (its z-derivative is G / theta^2) and free
+    of the rounding of 1 - tanh^2 at large a; theta(z) <= 0 raises ValueError.
 
     With amplitude 0 and theta'(0) = 1 the tangency is the pitchfork at the
     origin, where G' vanishes with the root: the result is exactly (1.0, 0.0).
@@ -358,6 +360,8 @@ def find_critical_b(tf: TransferFunction, input_amplitude: float, bracket: tuple
     if x >= _ORBIT_GRID[-2]:
         raise ValueError(f"orbit at x={x:.6g} is the edge of the search range [0, {_ORBIT_X_HI:g}]")
     curvature, z, step = _FORMULAS[tf.kind][3], hi * x - a, math.inf
+    if tf.kind == "tanh":  # a = sinh(2 z) / 2 - z >= 2 z^3 / 3 at the root
+        z = min(z, math.cbrt(1.5 * a))
     for _ in range(100):
         slope_z = -float(curvature(z)) * (z + a)
         if slope_z == 0.0:
@@ -366,4 +370,7 @@ def find_critical_b(tf: TransferFunction, input_amplitude: float, bracket: tuple
         if not abs(new_step) < abs(step):
             break
         z, step = z - new_step, new_step
-    return 1.0 / tf.derivative(z), abs(tf(z))
+    x = float(tf(z))
+    if not x > 0.0:
+        raise ValueError(f"Newton's method left the orbit branch x > 0, at z={z:.6g}")
+    return (z + a) / x, x

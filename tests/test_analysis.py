@@ -661,19 +661,41 @@ class TestFindCriticalB:
             assert abs(abs(tf(x_lin)) - amp) <= 1e-13, (a, bracket)
             assert abs(abs(b * tf.derivative(x_lin)) - 1.0) <= 1e-13, (a, bracket)
 
-    def test_zero_amplitude_degenerates_to_unit_coupling(self):
-        b, amp = find_critical_b(TANH, 0.0, (0.5, 2.0))
-        assert b == pytest.approx(1.0, abs=1e-5)
-        assert amp == 0.0
+    @pytest.mark.parametrize("tf", [LINEAR, SINE_SIGMOID, TANH], ids=lambda tf: tf.kind)
+    def test_log_uniform_amplitudes_solve_or_raise_value_error(self, tf):
+        # amplitudes from 1e-300 to 1e18 and brackets up to 1e20 wide reach
+        # the pitchfork and the saturated tail of tanh, where theta' rounds to 0
+        rng = np.random.default_rng(2)
+        for _ in range(60):
+            a, lo = float(10.0 ** rng.uniform(-300.0, 18.0)), float(rng.uniform(0.1, 3.0))
+            bracket = (lo, lo * float(10.0 ** rng.uniform(0.01, 20.0)))
+            try:
+                b, amp = find_critical_b(tf, a, bracket)
+            except ValueError:
+                continue
+            assert bracket[0] <= b <= bracket[1], (a, bracket)
+            assert 0.0 < amp <= 4.0, (a, bracket)
 
-    def test_zero_amplitude_is_exactly_the_pitchfork(self):
+    @pytest.mark.parametrize(
+        "a, bracket, b_ref",
+        [(1e4, (1.0, 1e6), 10005.798594719189), (5724493704031863.0, (2.0, 7e16), 5724493704031882.3), (1e18, (1.0, 1e19), 1e18)],
+    )
+    def test_large_amplitude_matches_the_closed_form(self, a, bracket, b_ref):
+        # for tanh the tangency solves a = sinh(2 z) / 2 - z, and b* = (z + a) / tanh(z):
+        # b_ref from a 40-digit solve.  1 / theta'(z) would round 1 - tanh^2 away here
+        b, amp = find_critical_b(TANH, a, bracket)
+        assert b == pytest.approx(b_ref, rel=1e-15)
+        assert amp == pytest.approx(1.0, abs=1e-4)
+
+    def test_zero_amplitude_degenerates_to_unit_coupling(self):
         assert find_critical_b(TANH, 0.0, (0.5, 2.0)) == (1.0, 0.0)
 
-    def test_tiny_amplitude_finds_the_cube_root_orbit(self):
+    @pytest.mark.parametrize("a", [1e-20, 1e-300])
+    def test_tiny_amplitude_finds_the_cube_root_orbit(self, a):
         # near the pitchfork G(z) ~ 2 z^3 / 3 - a, so |x*| ~ (1.5 a)^(1/3);
-        # rounding in G fixes that root only to about 1e-3 relative
-        b, amp = find_critical_b(TANH, 1e-20, (0.5, 2.0))
-        assert amp == pytest.approx((1.5e-20) ** (1.0 / 3.0), rel=1e-2)
+        # rounding in G fixes that root only to about 1e-3 relative at 1e-20
+        b, amp = find_critical_b(TANH, a, (0.5, 2.0))
+        assert amp == pytest.approx((1.5 * a) ** (1.0 / 3.0), rel=1e-2)
         assert b == pytest.approx(1.0, abs=1e-12)
 
     def test_bracket_must_straddle(self):

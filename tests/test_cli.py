@@ -342,6 +342,15 @@ class TestCriticalB:
         assert payload["orbit_residual"] <= 1e-15
         assert payload["stability_residual"] <= 1e-15
 
+    def test_amplitude_past_the_reach_of_theta_prime(self, tmp_path):
+        # the tangency lies at z ~ 21, where 1 - tanh^2 rounds to 0; b* is read
+        # off theta instead, so the run succeeds with b* = a + 22 to rounding
+        cfg = _write_config(tmp_path, "cb.json", {"amplitude": 1e18, "bracket": [1, 1e19]})
+        assert main(["critical-b", "--config", cfg, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "critical_b.json").read_text())
+        assert payload["b_star"] == pytest.approx(1e18, rel=1e-15)
+        assert payload["orbit_amplitude"] == 1.0
+
     def test_bad_bracket_reported(self, tmp_path):
         cfg = _write_config(tmp_path, "cb.json", {"bracket": [0.1, 0.5]})
         assert main(["critical-b", "--config", cfg, "--out", str(tmp_path)]) == 2
