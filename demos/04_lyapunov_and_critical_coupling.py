@@ -53,7 +53,7 @@ write_sweep_csv(OUT / "lyapunov_sweep.csv", points)
 print(f"  full sweep written to {OUT / 'lyapunov_sweep.csv'}")
 
 print()
-b_star, amp = find_critical_b(TANH, A, bracket=(1.5, 3.0))
+b_star, amp = find_critical_b(TANH, A)
 print("over-tuned tanh neuron under the same drive:")
 print(f"  critical coupling b* = {b_star!r}  (solved to rounding)")
 print(f"  orbit amplitude |x*| = {amp!r}")

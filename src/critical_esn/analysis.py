@@ -19,14 +19,12 @@ Three tool families live here:
   an r-squared margin.
 
 * The critical coupling of the single-neuron map x -> theta(b x - a) with
-  alternating drive: the parameter b* where the antisymmetric period-2
-  orbit x = theta(b x - a) becomes marginally stable, |b theta'| = 1.
-  Both conditions meet at a tangency of h_b(x) = theta(b x - a) - x.  A
-  bisection on the sign of max_x h_b(x) over a fixed grid of x in [0, 4]
-  brackets b* to width 1e-6; Newton's method on the tangency's linear
-  state z = b x - a, where theta(z) = theta'(z) (z + a), then solves it to
-  rounding, and b* = (z + a) / theta(z).  With a = 0 and theta'(0) = 1 the
-  tangency is the pitchfork at the origin, b* = 1 exactly.
+  alternating drive: b* = min over z of B(z) = (z + a) / theta(z), where
+  the antisymmetric period-2 orbit x = theta(b x - a) first appears, as a
+  tangency of theta(b x - a) with y = x, marginally stable, |b theta'| = 1.
+  A grid bisection from b = 1 and Newton's method on the tangency's linear
+  state z = b x - a solve it to rounding.  Where B has no minimum (the
+  sine sigmoid at a > 1/2, the identity at a > 0, any a < 0) it raises.
 """
 
 from __future__ import annotations
@@ -294,6 +292,8 @@ def fit_decay(trace: ConvergenceTrace, t_start: int = 10) -> DecayFit:
 
 _ORBIT_X_HI = 4.0  # the orbit search covers x in [0, _ORBIT_X_HI]
 _ORBIT_GRID = np.linspace(0.0, _ORBIT_X_HI, 2001)
+# (s, c) with theta(z) <= s z + c on z >= 0, for each kind: see find_critical_b
+_AFFINE_BOUNDS = {"tanh": (0.0, 1.0), "sine_sigmoid": (0.5, 0.25), "linear": (1.0, 0.0)}
 
 
 def _orbit_residual(tf: TransferFunction, b: float, amplitude: float) -> tuple[float, float]:
@@ -303,51 +303,55 @@ def _orbit_residual(tf: TransferFunction, b: float, amplitude: float) -> tuple[f
     return float(h[i]), float(_ORBIT_GRID[i])
 
 
-def find_critical_b(tf: TransferFunction, input_amplitude: float, bracket: tuple[float, float]) -> tuple[float, float]:
+def find_critical_b(tf: TransferFunction, input_amplitude: float) -> tuple[float, float]:
     """Critical coupling b* and orbit amplitude |x*| of x -> theta(b x - a), to rounding.
 
-    Solves simultaneously for the antisymmetric period-2 orbit
-    x = theta(b x - a) and its marginal stability |b theta'(b x - a)| = 1:
-    the two conditions meet where theta(b x - a) first touches the line y=x,
-    so the grid residual r(b) = max_x [theta(b x - a) - x] over 2001 points
-    of x in [0, 4] changes sign near b*.  Bisection on that sign, r <= 0
-    counting as subcritical, narrows the bracket [lo, hi] to width 1e-6.
-    The argmax at hi lies on the part of the curve above y = x, so never at
-    x = 0; in the last grid cell before x = 4 it is the search bound, not a
-    tangency (the identity's, at every a != 0), and raises ValueError, as
-    does a bracket that does not straddle b* or is so wide that b x - a
-    overflows there.
+    The antisymmetric period-2 orbit x = theta(z) > 0, z = b x - a, exists
+    exactly where b >= B(z) = (z + a) / theta(z), so b* = min B: there
+    theta(b x - a) first touches y = x, and B' = 0 reads theta(z) =
+    theta'(z) (z + a), that is |b* theta'(z)| = 1.  Each kind has
+    theta(z) <= s z + c on z >= 0, (s, c) = _AFFINE_BOUNDS[kind].  Where
+    a s > c, B > 1 / s for every z > 0 and tends to 1 / s; for a < 0, B
+    tends to -inf as z -> 0+.  Either way B has no minimum (the sine
+    sigmoid at a > 1/2, the identity at a > 0), and ValueError is raised.
+
+    For a >= 0, theta(x - a) <= x on x >= 0, so the grid residual r(b) =
+    max_x [theta(b x - a) - x] over 2001 points of x in [0, 4] has
+    r(1) <= 0; and every tangency has b = 1 / theta'(z) >= 1.  So lo = 1,
+    and hi doubles from 2, lo following, until r(hi) > 0 (ValueError naming
+    the amplitude once 4 hi + a is not finite).  Bisection on the sign of
+    r, r <= 0 counting as subcritical, narrows [lo, hi] to width 1e-6, with
+    x the argmax at hi.  The grid holds every tangency: tanh orbits lie
+    below x = 1, and for a <= 1/2 the sine sigmoid's minimum of B lies in
+    its first trough, at x* = 1.37 to 1.43.
 
     Newton's method then solves the tangency in its linear state z = b x - a:
-    with x = theta(z) and b = 1 / theta'(z), z = b x - a reads
     G(z) = theta(z) - theta'(z) (z + a) = 0, and G'(z) = -theta''(z) (z + a).
     It starts from z = hi x - a at that argmax, or for tanh, whose root
     solves a = sinh(2 z) / 2 - z >= 2 z^3 / 3, from (3 a / 2)^(1/3) if less
     (near the pitchfork rounding in G leaves Newton nowhere to go), and stops
     once a step no longer shrinks or G' vanishes, within 100 steps.  Then
-    |x*| = theta(z) and b* = (z + a) / theta(z), which is 1 / theta'(z) at
-    the root, but stationary there (its z-derivative is G / theta^2) and free
-    of the rounding of 1 - tanh^2 at large a; theta(z) <= 0 raises ValueError.
+    |x*| = theta(z) and b* = B(z), which is 1 / theta'(z) at the root, but
+    stationary there (B' = G / theta^2) and free of the rounding of
+    1 - tanh^2 at large a; theta(z) <= 0 raises ValueError.
 
     With amplitude 0 and theta'(0) = 1 the tangency is the pitchfork at the
     origin, where G' vanishes with the root: the result is exactly (1.0, 0.0).
     """
     a = float(input_amplitude)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (lo < hi):
-        raise ValueError("need bracket lo < hi")
-    if not math.isfinite(_ORBIT_X_HI * max(-lo, hi) + abs(a)):
-        raise ValueError(
-            f"bracket ({lo:g}, {hi:g}) is too wide for amplitude {a:g}: b x - a overflows for x in [0, {_ORBIT_X_HI:g}]"
-        )
-    r_lo, _ = _orbit_residual(tf, lo, a)
-    r_hi, x = _orbit_residual(tf, hi, a)
-    if not (r_lo <= 0.0 < r_hi):
-        raise ValueError(
-            f"bracket does not straddle the critical coupling: r({lo})={r_lo:.3g}, r({hi})={r_hi:.3g}"
-        )
+    s, c = _AFFINE_BOUNDS[tf.kind]
+    if a < 0.0 or a * s > c:
+        raise ValueError(f"{tf.kind} has no critical coupling at amplitude {a}")
     if a == 0.0 and tf.derivative(0.0) == 1.0:
         return 1.0, 0.0
+    lo, hi = 1.0, 2.0
+    while True:  # double hi until r(hi) > 0, keeping r(lo) <= 0
+        if not math.isfinite(_ORBIT_X_HI * hi + a):
+            raise ValueError(f"amplitude {a} is too large: b x - a overflows before the orbit search passes b*")
+        r, x = _orbit_residual(tf, hi, a)
+        if r > 0.0:
+            break
+        lo, hi = hi, 2.0 * hi
     for _ in range(200):  # halve to width 1e-6, keeping r(lo) <= 0 < r(hi) and x the argmax at hi
         if hi - lo <= 1e-6:
             break
@@ -357,8 +361,6 @@ def find_critical_b(tf: TransferFunction, input_amplitude: float, bracket: tuple
             hi, x = mid, x_mid
         else:
             lo = mid
-    if x >= _ORBIT_GRID[-2]:
-        raise ValueError(f"orbit at x={x:.6g} is the edge of the search range [0, {_ORBIT_X_HI:g}]")
     curvature, z, step = _FORMULAS[tf.kind][3], hi * x - a, math.inf
     if tf.kind == "tanh":  # a = sinh(2 z) / 2 - z >= 2 z^3 / 3 at the root
         z = min(z, math.cbrt(1.5 * a))

@@ -7,7 +7,7 @@ figure3     Coupling sweep of the Lyapunov exponent of the alternating-drive
 figure45    Twin-perturbation traces (alternating vs i.i.d. drive) + decay fits.
 verify      Contraction certificates: cover inequality, covering-sequence
             dominance, cover-function shape facts, per-step audits.
-critical-b  Critical coupling of the tanh neuron under alternating drive.
+critical-b  Critical coupling of x -> theta(b x - a) under alternating drive.
 mc          Delay-reconstruction memory capacity of a seeded reservoir.
 simulate    Free-form trajectory (and optional twin trace) from a config.
 
@@ -61,7 +61,6 @@ DEFAULTS: dict[str, dict] = {
         "b_lo": 0.5,
         "b_hi": 1.5,
         "b_step": 0.05,
-        "amplitude": _PI4,
     },
     "figure45": {
         "b": 1.0,
@@ -88,7 +87,6 @@ DEFAULTS: dict[str, dict] = {
     "critical-b": {
         "transfer": "tanh",
         "amplitude": _PI4,
-        "bracket": (1.5, 3.0),
     },
     "mc": {
         **_RESERVOIR_KEYS,
@@ -278,8 +276,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_figure3(cfg: dict) -> tuple[dict, str, int]:
     grid = contraction._grid(cfg["b_lo"], cfg["b_hi"], cfg["b_step"]).tolist()
-    spec, orbit = dynamics.Alternating(cfg["amplitude"]), dynamics.alternating_orbit(cfg["amplitude"])
-    analysis._orbit_linear_states(dynamics.make_alternating_neuron(cfg["b_lo"]), spec, orbit)  # a non-orbit exits 2
+    spec, orbit = dynamics.Alternating(_PI4), dynamics.alternating_orbit()
     points = analysis.lyapunov_sweep(dynamics.make_alternating_neuron, spec, grid, reference_orbit=orbit)
     failed = [p.b for p in points if p.error is not None]
     if failed:
@@ -365,7 +362,7 @@ def cmd_verify(cfg: dict) -> tuple[dict, str, int]:
 
 def cmd_critical_b(cfg: dict) -> tuple[dict, str, int]:
     tf = TransferFunction(cfg["transfer"])
-    b_star, orbit_amp = analysis.find_critical_b(tf, cfg["amplitude"], cfg["bracket"])
+    b_star, orbit_amp = analysis.find_critical_b(tf, cfg["amplitude"])
     x_lin = b_star * orbit_amp - cfg["amplitude"]
     payload = {
         "b_star": b_star,

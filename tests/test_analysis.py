@@ -628,105 +628,128 @@ class TestFitDecay:
             assert 0.0 <= r2 <= 1.0
 
 
+_KINDS = [LINEAR, SINE_SIGMOID, TANH]
+
+
 class TestFindCriticalB:
     def test_overtuned_tanh_neuron_values(self):
-        b, amp = find_critical_b(TANH, A, (1.5, 3.0))
+        b, amp = find_critical_b(TANH, A)
         assert b == pytest.approx(2.344, abs=1e-3)
         assert amp == pytest.approx(0.757, abs=1e-3)
 
-    @pytest.mark.parametrize("tf, a_hi", [(TANH, 3.0), (SINE_SIGMOID, 1.5)])
+    @pytest.mark.parametrize("tf, a_hi", [(TANH, 3.0), (SINE_SIGMOID, 0.5)])
     def test_residuals_at_rounding_level(self, tf, a_hi):
-        # Newton solves the tangency to rounding, at every amplitude; past
-        # a ~ 1.7 the sine sigmoid's tangency lies beyond the search bound x = 4
+        # Newton solves the tangency to rounding, at every amplitude that has one
         for a in np.random.default_rng(0).uniform(1e-3, a_hi, 25).tolist():
-            b, amp = find_critical_b(tf, a, (0.5, 60.0))
+            b, amp = find_critical_b(tf, a)
             x_lin = b * amp - a
             assert abs(tf(x_lin) - amp) <= 1e-13, a
             assert abs(abs(b * tf.derivative(x_lin)) - 1.0) <= 1e-13, a
 
-    @pytest.mark.parametrize("tf", [LINEAR, SINE_SIGMOID, TANH], ids=lambda tf: tf.kind)
+    @pytest.mark.parametrize("tf", _KINDS, ids=lambda tf: tf.kind)
     def test_seeded_cases_solve_or_raise_value_error(self, tf):
-        # any amplitude and bracket either yields a tangency inside the
-        # bracket, solved to rounding, or a ValueError, never another error
+        # any amplitude either yields a tangency at b >= 1, solved to
+        # rounding, or a ValueError, never another error
         rng = np.random.default_rng(1)
         for _ in range(60):
-            a, lo = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.1, 3.0))
-            bracket = (lo, lo + float(rng.uniform(0.01, 60.0)))
+            a = float(rng.uniform(-3.0, 3.0))
             try:
-                b, amp = find_critical_b(tf, a, bracket)
+                b, amp = find_critical_b(tf, a)
             except ValueError:
                 continue
             x_lin = b * amp - a
-            assert bracket[0] <= b <= bracket[1], (a, bracket)
-            assert abs(abs(tf(x_lin)) - amp) <= 1e-13, (a, bracket)
-            assert abs(abs(b * tf.derivative(x_lin)) - 1.0) <= 1e-13, (a, bracket)
+            assert b >= 1.0, a
+            assert abs(abs(tf(x_lin)) - amp) <= 1e-13, a
+            assert abs(abs(b * tf.derivative(x_lin)) - 1.0) <= 1e-13, a
 
-    @pytest.mark.parametrize("tf", [LINEAR, SINE_SIGMOID, TANH], ids=lambda tf: tf.kind)
+    @pytest.mark.parametrize("tf", _KINDS, ids=lambda tf: tf.kind)
     def test_log_uniform_amplitudes_solve_or_raise_value_error(self, tf):
-        # amplitudes from 1e-300 to 1e18 and brackets up to 1e20 wide reach
-        # the pitchfork and the saturated tail of tanh, where theta' rounds to 0
+        # amplitudes from 1e-300 to 1e18 reach the pitchfork and the
+        # saturated tail of tanh, where theta' rounds to 0
         rng = np.random.default_rng(2)
         for _ in range(60):
-            a, lo = float(10.0 ** rng.uniform(-300.0, 18.0)), float(rng.uniform(0.1, 3.0))
-            bracket = (lo, lo * float(10.0 ** rng.uniform(0.01, 20.0)))
+            a = float(10.0 ** rng.uniform(-300.0, 18.0))
             try:
-                b, amp = find_critical_b(tf, a, bracket)
+                b, amp = find_critical_b(tf, a)
             except ValueError:
                 continue
-            assert bracket[0] <= b <= bracket[1], (a, bracket)
-            assert 0.0 < amp <= 4.0, (a, bracket)
+            assert b >= 1.0, a
+            assert 0.0 < amp <= 4.0, a
 
     @pytest.mark.parametrize(
-        "a, bracket, b_ref",
-        [(1e4, (1.0, 1e6), 10005.798594719189), (5724493704031863.0, (2.0, 7e16), 5724493704031882.3), (1e18, (1.0, 1e19), 1e18)],
+        "a, b_ref", [(1e4, 10005.798594719189), (5724493704031863.0, 5724493704031882.3), (1e18, 1e18)]
     )
-    def test_large_amplitude_matches_the_closed_form(self, a, bracket, b_ref):
+    def test_large_amplitude_matches_the_closed_form(self, a, b_ref):
         # for tanh the tangency solves a = sinh(2 z) / 2 - z, and b* = (z + a) / tanh(z):
         # b_ref from a 40-digit solve.  1 / theta'(z) would round 1 - tanh^2 away here
-        b, amp = find_critical_b(TANH, a, bracket)
+        b, amp = find_critical_b(TANH, a)
         assert b == pytest.approx(b_ref, rel=1e-15)
         assert amp == pytest.approx(1.0, abs=1e-4)
 
     def test_zero_amplitude_degenerates_to_unit_coupling(self):
-        assert find_critical_b(TANH, 0.0, (0.5, 2.0)) == (1.0, 0.0)
+        assert find_critical_b(TANH, 0.0) == (1.0, 0.0)
 
     @pytest.mark.parametrize("a", [1e-20, 1e-300])
     def test_tiny_amplitude_finds_the_cube_root_orbit(self, a):
         # near the pitchfork G(z) ~ 2 z^3 / 3 - a, so |x*| ~ (1.5 a)^(1/3);
         # rounding in G fixes that root only to about 1e-3 relative at 1e-20
-        b, amp = find_critical_b(TANH, a, (0.5, 2.0))
+        b, amp = find_critical_b(TANH, a)
         assert amp == pytest.approx((1.5 * a) ** (1.0 / 3.0), rel=1e-2)
         assert b == pytest.approx(1.0, abs=1e-12)
-
-    def test_bracket_must_straddle(self):
-        with pytest.raises(ValueError):
-            find_critical_b(TANH, 0.0, (1.5, 3.0))
-        with pytest.raises(ValueError):
-            find_critical_b(TANH, A, (0.1, 0.5))
-
-    @pytest.mark.parametrize("bracket, amplitude", [((1.5, 1e308), A), ((-1e308, 3.0), A), ((1.5, 3e307), -1e308)])
-    def test_bracket_whose_drive_overflows_is_named(self, bracket, amplitude):
-        # b x - a past the float range for some x in [0, 4]
-        with pytest.raises(ValueError, match=r"bracket \(.*\) is too wide for amplitude"):
-            find_critical_b(TANH, amplitude, bracket)
-
-    def test_tangency_at_the_search_bound_rejected(self):
-        # theta(b x - a) - x is (b - 1) x - a for the identity: its maximum
-        # over the search range sits on the bound x = 4 for every b > 1
-        with pytest.raises(ValueError, match="edge of the search range"):
-            find_critical_b(LINEAR, A, (0.5, 3.0))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            find_critical_b(TANH, A, (3.0, 1.5))
 
     def test_sine_sigmoid_zero_amplitude(self):
         # same tangency construction applies to the other covered transfer;
         # values frozen from a converged run, re-verified by the
         # residuals of the two defining conditions
-        b, amp = find_critical_b(SINE_SIGMOID, 0.0, (0.5, 1.8))
+        b, amp = find_critical_b(SINE_SIGMOID, 0.0)
         assert b == pytest.approx(1.6430700, abs=1e-5)
         assert amp == pytest.approx(1.3673823, abs=1e-5)
         x_lin = b * amp
         assert abs(SINE_SIGMOID(x_lin) - amp) <= 1e-5
         assert abs(abs(b * SINE_SIGMOID.derivative(x_lin)) - 1.0) <= 1e-5
+
+    @pytest.mark.parametrize(
+        "tf, a",
+        [(TANH, a) for a in np.geomspace(1e-3, 1e3, 10).tolist()]
+        + [(SINE_SIGMOID, a) for a in (0.0, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49, 0.499, 0.499999, 0.5)],
+        ids=lambda v: v.kind if isinstance(v, TransferFunction) else f"{v:.8g}",
+    )
+    def test_result_is_the_global_minimum_of_B(self, tf, a):
+        # b* = min over z > 0 of B(z) = (z + a) / theta(z), here on 3e6 points
+        # of z in (0, 300], far past the window of the orbit search
+        z = np.linspace(0.0, 300.0, 3_000_001)[1:]
+        theta = tf(z)
+        B_min = float(np.min((z + a)[theta > 0.0] / theta[theta > 0.0]))
+        b, _ = find_critical_b(tf, a)
+        assert B_min * (1.0 - 1e-8) <= b <= B_min * (1.0 + 2.2e-16)
+
+    @pytest.mark.parametrize(
+        "tf, a",
+        [(SINE_SIGMOID, a) for a in (0.5000001, 0.6, A, 1.0, 1.7, 2.5, 1e3)]
+        + [(LINEAR, a) for a in (1e-300, A, 1e3)]
+        + [(tf, -A) for tf in _KINDS],
+        ids=lambda v: v.kind if isinstance(v, TransferFunction) else f"{v:.8g}",
+    )
+    def test_no_minimum_means_no_critical_coupling(self, tf, a):
+        # theta(z) <= s z + c with a s > c: B(z) > 1 / s everywhere, and B tends to 1 / s;
+        # with a < 0, B(z) tends to -inf as z -> 0+
+        with pytest.raises(ValueError) as info:
+            find_critical_b(tf, a)
+        assert str(info.value) == f"{tf.kind} has no critical coupling at amplitude {a}"
+
+    @pytest.mark.parametrize("tf", _KINDS, ids=lambda tf: tf.kind)
+    def test_search_starts_subcritical_at_unit_coupling(self, tf):
+        # theta(x - a) <= x for x, a >= 0, so the search may start at lo = 1
+        for a in [0.0, *np.geomspace(1e-300, 1e300, 200).tolist()]:
+            assert analysis._orbit_residual(tf, 1.0, a)[0] <= 0.0, a
+
+    @pytest.mark.parametrize("tf", _KINDS, ids=lambda tf: tf.kind)
+    def test_affine_bound_holds(self, tf):
+        s, c = analysis._AFFINE_BOUNDS[tf.kind]
+        z = np.linspace(0.0, 1e3, 1_000_001)
+        assert np.all(tf(z) <= s * z + c)
+
+    def test_amplitude_whose_search_overflows_is_named(self):
+        # for tanh b* ~ a, and 4 b + a passes the float range before b passes b*
+        with pytest.raises(ValueError, match=r"^amplitude 1e\+308 is too large"):
+            find_critical_b(TANH, 1e308)

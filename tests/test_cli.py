@@ -36,18 +36,17 @@ _ILL_FORMED = [
     ("simulate", {"input": {"kind": "constant"}}, "'value'"),
     ("simulate", {"input": 5}, "config.input"),
     ("simulate", {"reservoir": [1]}, "config.reservoir"),
-    ("critical-b", {"bracket": [1.5]}, "'bracket'"),
-    ("figure3", {"amplitude": 0.5}, None),  # not an orbit of the driven map
+    ("critical-b", {"amplitude": -A}, "tanh has no critical coupling at amplitude -0.7853981633974483"),
     ("figure3", {"b_lo": -1e308}, None),  # too many grid points to count
     ("verify", {"delta_grid": [0.0, 4.0, 1e-320]}, None),
     ("simulate", {"T": 0}, None),
-    ("critical-b", {"bracket": [0.1, 0.5]}, "bracket"),
     ("mc", {"T": 100}, None),
     ("verify", {"audit_T": 1}, None),
     # the states are finite, the twin's are not: no states.csv without the rest
     ("simulate", {"reservoir": {"transfer": "sine_sigmoid"}, "x0": [0.0], "y0": [1e308], "T": 50}, None),
-    # the identity's orbit search ends on its bound x = 4, not on a tangency
-    ("critical-b", {"transfer": "linear", "bracket": [0.5, 3.0]}, None),
+    # B(z) = (z + a) / theta(z) only tends to its infimum: no orbit turns marginal first
+    ("critical-b", {"transfer": "linear"}, "error: linear has no critical coupling at amplitude 0.7853981633974483\n"),
+    ("critical-b", {"transfer": "sine_sigmoid"}, "error: sine_sigmoid has no critical coupling at amplitude 0.7853981633974483\n"),
     # rejected before the simulation, not after it
     ("mc", {"ridge": -1.0}, "ridge"),
     ("mc", {"washout": -1}, "washout"),
@@ -63,9 +62,8 @@ _ILL_FORMED = [
     ("mc", {"amplitude": -1e308}, "input_amplitude -1e+308"),
     ("simulate", {"reservoir": {"input_scale": 1e308}}, "input_scale 1e+308"),
     ("simulate", {"reservoir": {"input_scale": -1e308}}, "input_scale -1e+308"),
-    # ... or b x - amplitude does, for x in the orbit search range [0, 4]
-    ("critical-b", {"bracket": [1.5, 1e308]}, "bracket (1.5, 1e+308)"),
-    ("critical-b", {"bracket": [-1e308, 3.0]}, "bracket (-1e+308, 3)"),
+    # ... or b x - amplitude does, for x in the orbit search range [0, 4], before b passes b*
+    ("critical-b", {"amplitude": 1e308}, "error: amplitude 1e+308 is too large"),
     # an empty path is no file
     ("mc", {"w_csv": ""}, "config key 'w_csv'"),
     ("simulate", {"reservoir": {"w_csv": ""}}, "config key 'w_csv'"),
@@ -126,7 +124,7 @@ class TestFigure3:
         assert main(["figure3", "--config", cfg, "--out", str(tmp_path)]) == 0
         recorded = json.loads((tmp_path / "figure3_config.json").read_text())
         assert recorded["b_lo"] == recorded["b_hi"] == 1.0
-        assert recorded["amplitude"] == A  # defaults resolved into the record
+        assert recorded["b_step"] == 0.05  # defaults resolved into the record
         assert "T" not in recorded and "eps0" not in recorded  # the closed form takes no run length
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["command"] == "figure3" and "timestamp" in meta
@@ -149,11 +147,10 @@ class TestFigure3:
         "key, value",
         [
             (key, value)
-            for key in ("b_lo", "b_hi", "b_step", "amplitude")
+            for key in ("b_lo", "b_hi", "b_step")
             # no step between 1e-308 and about 1e-6: such a grid is large but still allocates
             for value in (0, -1, 1e308, -1e308, 1e-308, "a string", [1.0], None)
-        ]
-        + [("amplitude", math.pi / 2), ("amplitude", 0.5)],
+        ],
     )
     def test_extreme_value_exits_cleanly(self, tmp_path, capsys, key, value):
         # main raises nothing (no traceback), and an exit 2 is one line with no files
@@ -164,17 +161,11 @@ class TestFigure3:
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert not (tmp_path / "out").exists()
-        if key == "amplitude" and value in (0, math.pi / 2):  # theta' = 0 on the orbit
-            rows = (tmp_path / "out" / "figure3_lyapunov.csv").read_text().splitlines()
-            assert code == 0 and err == ""
-            assert len(rows) == 22 and all(row.endswith(",-inf") for row in rows[1:])
         if key == "b_step" and value == 1e-308:  # numpy cannot build the grid; the message names it
             assert err == "error: grid (0.5, 1.5, 1e-308) has too many points to count\n"
         if key == "b_lo" and value == 1e-308:  # b^2 underflows, log b does not
             rows = (tmp_path / "out" / "figure3_lyapunov.csv").read_text().splitlines()
             assert code == 0 and float(rows[1].split(",")[1]) == pytest.approx(math.log(1e-308), rel=1e-15)
-        if key == "amplitude" and value in (0.5, -1, 1e-308, 1e308):  # +-a is an orbit only where sin(4a) = 0
-            assert err == "error: reference orbit is not an orbit of the driven map\n"
 
     def test_failed_cell_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
         lyapunov_exponent = analysis.lyapunov_exponent
@@ -330,7 +321,7 @@ class TestCriticalB:
         assert payload["stability_residual"] <= 1e-5
 
     def test_zero_amplitude_degenerate(self, tmp_path):
-        cfg = _write_config(tmp_path, "cb.json", {"amplitude": 0.0, "bracket": [0.5, 2.0]})
+        cfg = _write_config(tmp_path, "cb.json", {"amplitude": 0.0})
         assert main(["critical-b", "--config", cfg, "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "critical_b.json").read_text())
         assert payload["b_star"] == pytest.approx(1.0, abs=1e-5)
@@ -345,15 +336,11 @@ class TestCriticalB:
     def test_amplitude_past_the_reach_of_theta_prime(self, tmp_path):
         # the tangency lies at z ~ 21, where 1 - tanh^2 rounds to 0; b* is read
         # off theta instead, so the run succeeds with b* = a + 22 to rounding
-        cfg = _write_config(tmp_path, "cb.json", {"amplitude": 1e18, "bracket": [1, 1e19]})
+        cfg = _write_config(tmp_path, "cb.json", {"amplitude": 1e18})
         assert main(["critical-b", "--config", cfg, "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "critical_b.json").read_text())
         assert payload["b_star"] == pytest.approx(1e18, rel=1e-15)
         assert payload["orbit_amplitude"] == 1.0
-
-    def test_bad_bracket_reported(self, tmp_path):
-        cfg = _write_config(tmp_path, "cb.json", {"bracket": [0.1, 0.5]})
-        assert main(["critical-b", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
 class TestMc:
@@ -614,8 +601,11 @@ class TestConfigHandling:
             # the tangent cover's one scalar check covers every network size
             ("verify", {"n_list": [2, 4]}, "n_list"),
             ("verify", {"vector_samples": 20000}, "vector_samples"),
-            # critical-b solves to rounding, with no tolerance to set
+            # critical-b solves to rounding, with no tolerance to set, and finds its own search range
             ("critical-b", {"tol": 1e-6}, "tol"),
+            ("critical-b", {"bracket": [1.5, 3.0]}, "bracket"),
+            # figure3 drives at pi/4: any other amplitude gives the same sweep, -inf cells or no orbit
+            ("figure3", {"amplitude": 0.785}, "amplitude"),
         ],
     )
     def test_undeclared_key_exits_2_naming_it(self, tmp_path, capsys, command, payload, key):
@@ -638,7 +628,7 @@ class TestConfigHandling:
             ("simulate", {"reservoir": {"k": "3"}}, "k"),
             ("simulate", {"x0": 0.5}, "x0"),
             ("critical-b", {"amplitude": "0.5"}, "amplitude"),
-            ("critical-b", {"bracket": [1.5]}, "bracket"),
+            ("critical-b", {"transfer": 1}, "transfer"),
             ("verify", {"audit_k_list": [4.0]}, "audit_k_list"),
             ("simulate", {"reservoir": {"spectrum_mode": "x"}}, "spectrum_mode"),
             ("mc", {"spectrum_mode": "x"}, "spectrum_mode"),
@@ -720,7 +710,7 @@ class TestConfigHandling:
                 "verify",
                 {**FAST_VERIFY, "transfer_kinds": ["tanh"], "q0_list": [0.5], "audit_k_list": [1, 4]},
             ),
-            ("critical-b", {"bracket": [1.5, 2.5]}),
+            ("critical-b", {"transfer": "sine_sigmoid", "amplitude": 0.25}),
             ("mc", {"k": 4, "max_delay": 8, "T": 1000}),
             (
                 "simulate",
