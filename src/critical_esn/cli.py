@@ -317,10 +317,10 @@ def _verify_checks(cfg: dict) -> dict:
     p = contraction.CoverParams(eta=cfg["eta"], gamma=cfg["gamma"], kappa=cfg["kappa"])
     checks: dict[str, contraction.VerificationReport] = {}
     for kind, tf in kinds:
-        checks[f"cover_{kind}"] = contraction.verify_cover_inequality(tf, p, cfg["delta_grid"], cfg["zeta_grid"])
-        rep = contraction.verify_cover_inequality(
-            tf, p, cfg["delta_grid"], cfg["zeta_grid"], cover=contraction.phi_tangent
-        )
+        grids = cfg["delta_grid"], cfg["zeta_grid"]
+        worst_zeta = contraction._worst_zeta(tf, *grids)  # one scan serves both covers
+        checks[f"cover_{kind}"] = contraction.verify_cover_inequality(tf, p, *grids, worst_zeta=worst_zeta)
+        rep = contraction.verify_cover_inequality(tf, p, *grids, cover=contraction.phi_tangent, worst_zeta=worst_zeta)
         spec = f"phi_tangent(delta^2) >= omega on {rep.grid_spec}; by Jensen, implies the phi_k cover for every k"
         checks[f"cover_k_{kind}"] = replace(rep, grid_spec=spec)
     checks["phi_shape"] = contraction.check_phi_properties(p)

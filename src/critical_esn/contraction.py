@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 PASS_SLACK = 1e-12
-_COVER_CELLS = 1 << 14  # (delta, zeta) cells per omega evaluation in verify_cover_inequality
+_COVER_CELLS = 1 << 14  # (delta, zeta) cells per omega evaluation in _worst_zeta
 
 
 @dataclass(frozen=True)
@@ -171,21 +171,8 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
         raise ValueError(f"grid ({lo}, {hi}, {step}) has too many points to count") from exc
 
 
-def verify_cover_inequality(
-    tf: TransferFunction,
-    p: CoverParams = CoverParams(),
-    delta_grid: tuple = (0.0, 4.0, 1e-2),
-    zeta_grid: tuple = (-4.0, 4.0, 1e-2),
-    *,
-    cover=phi,
-) -> VerificationReport:
-    """Check cover(delta^2, p) >= omega(delta, zeta) on the full (delta, zeta) grid.
-
-    cover is phi, the one-neuron cover, or phi_tangent, whose check
-    implies the phi_k cover for every k.  Both pass for tanh and the sine
-    sigmoid with the default parameters; the linear transfer fails
-    everywhere (omega is identically 1).
-    """
+def _cover_grid(delta_grid: tuple, zeta_grid: tuple) -> tuple:
+    """The delta > 0 and zeta points of a cover grid and its spec; ValueError past the transfers' finite domain."""
     deltas = _grid(*delta_grid)
     deltas = deltas[deltas > 0]
     zetas = _grid(*zeta_grid)
@@ -193,11 +180,45 @@ def verify_cover_inequality(
     reach, limit = float(np.max(deltas, initial=0.0)) + float(np.max(np.abs(zetas))), np.finfo(float).max / 2
     if reach > limit:  # the sine sigmoid doubles its argument, so theta(delta + zeta) is NaN past limit
         raise ValueError(f"{spec}: |delta| + |zeta| reaches {reach:g}, past the transfers' finite domain {limit:g}")
+    return deltas, zetas, spec
+
+
+def _worst_zeta(tf: TransferFunction, delta_grid: tuple, zeta_grid: tuple) -> np.ndarray:
+    """For each delta > 0 of the grid, the first grid zeta that maximises omega; no cover enters, so one scan serves every cover."""
+    deltas, zetas, _ = _cover_grid(delta_grid, zeta_grid)
     worst_zeta = np.empty(deltas.size)
     block = max(1, _COVER_CELLS // zetas.size)  # delta rows per omega evaluation
     for i in range(0, deltas.size, block):
         rows = omega(tf, deltas[i : i + block, None], zetas)
         worst_zeta[i : i + block] = zetas[np.argmax(rows, axis=1)]
+    return worst_zeta
+
+
+def verify_cover_inequality(
+    tf: TransferFunction,
+    p: CoverParams = CoverParams(),
+    delta_grid: tuple = (0.0, 4.0, 1e-2),
+    zeta_grid: tuple = (-4.0, 4.0, 1e-2),
+    *,
+    cover=phi,
+    worst_zeta: np.ndarray | None = None,
+) -> VerificationReport:
+    """Check cover(delta^2, p) >= omega(delta, zeta) on the full (delta, zeta) grid.
+
+    cover is phi, the one-neuron cover, or phi_tangent, whose check
+    implies the phi_k cover for every k.  Both pass for tanh and the sine
+    sigmoid with the default parameters; the linear transfer fails
+    everywhere (omega is identically 1).
+
+    worst_zeta, when given, is _worst_zeta(tf, delta_grid, zeta_grid), one
+    entry per delta > 0, scanned once by a caller that checks several
+    covers on the same grid; without it the scan is made here.
+    """
+    deltas, zetas, spec = _cover_grid(delta_grid, zeta_grid)
+    if worst_zeta is None:
+        worst_zeta = _worst_zeta(tf, delta_grid, zeta_grid)
+    elif np.shape(worst_zeta) != deltas.shape:
+        raise ValueError(f"worst_zeta must have one entry per delta > 0, shape {deltas.shape}, got {np.shape(worst_zeta)}")
     with np.errstate(over="ignore"):  # both covers are finite at an overflowed square: phi clamps, gamma / inf is 0
         margins = cover(deltas * deltas, p) - omega(tf, deltas, worst_zeta)
     points = np.column_stack([deltas, worst_zeta])

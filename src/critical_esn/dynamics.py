@@ -12,7 +12,12 @@ single-neuron family below, x_t and u_t carry the same sign at every t.
 
 Distances in convergence traces are Euclidean, by one rule at every k.
 Once twin states collide (distance at most 1e-300), the trace is exactly
-zero from that step on and the index is recorded as floor_hit_at.
+zero from that step on and the index is recorded as floor_hit_at.  Twin
+traces step in blocks of 8, 9, 18, 36, ... steps (each as long as the
+trace so far, at most 256) and look for a collision after each, so a pair
+that collides at step c steps at most max(8, 2c) states per copy.
+Stepping ends with the block that holds the first permanent collision:
+a divergence after it is reported only inside that block.
 
 Every simulation steps through one kernel, ``_advance``, whose docstring
 describes its two bodies and the divergence rule it owns.
@@ -49,7 +54,8 @@ __all__ = [
 ]
 
 ZERO_FLOOR = 1e-300  # twins that decay together stop here, not on subnormal states (tens of times slower)
-_BLOCK = 256  # twin-trace steps between collision and finiteness checks
+_BLOCK = 256  # the longest twin-trace block, the steps between two collision and finiteness checks
+_FIRST_BLOCK = 8  # the first and shortest; at least 2, so twins that collide at t = 1 and overflow at t = 2 still raise
 
 
 @dataclass(frozen=True)
@@ -283,7 +289,7 @@ def _twin_trace(res, u_x, u_y, x0, y0, shared_from) -> ConvergenceTrace:
             return ConvergenceTrace(q, int(hits[0]) if q[: hits[0]].any() else None)
         if t1 == T:
             return ConvergenceTrace(q)
-        t0, t1 = t1, min(t1 + _BLOCK, T)
+        t0, t1 = t1, min(t1 + min(max(t1, _FIRST_BLOCK), _BLOCK), T)
         try:
             x = _advance(res, u_x[t0:t1], x, X)
             y = _advance(res, u_y[t0:t1], y, Y)

@@ -19,7 +19,7 @@ __all__ = [
     "write_mc_csv",
 ]
 
-_DELAY_BLOCK = 8  # delays per readout solve; 16 adds ~4 MiB to peak memory at k = 8
+_DELAY_BLOCK = 8  # delays per readout solve; 16 changes most scores' last bits at the mc defaults (k = 8) and adds to peak memory
 _RUN_ROWS = 1024  # steps per run_with_inputs call, so the whole run's states never coexist
 
 
@@ -125,7 +125,9 @@ def memory_capacity(
 
     Each delay is still its own least-squares problem, but the delays are
     fitted ``_DELAY_BLOCK`` at a time: one multi-target ``fit_readout`` and
-    one ``predict`` per block.  Every block has the same training states, so
+    one ``predict`` per block.  A block stacks its delays' training targets
+    alone, and each delay is scored against its own contiguous test slice
+    of the drive.  Every block has the same training states, so
     the normal matrix (and, for ridge = 0, its singularity check) is formed
     once per run and handed to each block's fit; the scores are bit for bit
     those of blocks that each form it.  They agree with one-delay-at-a-time
@@ -165,11 +167,10 @@ def memory_capacity(
     scores = []
     for first in range(1, max_delay + 1, _DELAY_BLOCK):
         delays = range(first, min(first + _DELAY_BLOCK, max_delay + 1))
-        targets = np.stack([drive[t_start - d : T - d] for d in delays], axis=1)
-        model = fit_readout(X_train, targets[:split], ridge=ridge, normal=G)
-        pred = predict(model, X_test)
+        targets = np.stack([drive[t_start - d : t_start - d + split] for d in delays], axis=1)
+        pred = predict(fit_readout(X_train, targets, ridge=ridge, normal=G), X_test)
         scores.extend(
-            (d, _squared_correlation(pred[:, j], targets[split:, j]))
+            (d, _squared_correlation(pred[:, j], drive[t_start - d + split : T - d]))
             for j, d in enumerate(delays)
         )
     total = float(sum(s for _, s in scores))

@@ -8,6 +8,7 @@ import platform
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 import critical_esn
 from critical_esn import analysis, contraction, readout
-from critical_esn.cli import _FORMS, DEFAULTS, main
+from critical_esn.cli import _FORMS, DEFAULTS, _verify_checks, main
 from critical_esn.contraction import phi_k
 
 A = math.pi / 4
@@ -290,6 +291,30 @@ class TestVerify:
             "cover_k_tanh": pytest.approx(-2.38e-3, rel=1e-2),
             "cover_k_sine_sigmoid": pytest.approx(-4.22e-4, rel=1e-2),
         }
+
+    def test_one_secant_scan_per_kind(self, tmp_path, monkeypatch):
+        scans, worst_zeta = [], contraction._worst_zeta
+
+        def counted(tf, *grids):
+            scans.append(tf.kind)
+            return worst_zeta(tf, *grids)
+
+        monkeypatch.setattr(contraction, "_worst_zeta", counted)
+        cfg = _write_config(tmp_path, "v.json", FAST_VERIFY)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert scans == list(DEFAULTS["verify"]["transfer_kinds"])
+
+    @pytest.mark.parametrize("overrides", [{}, {"kappa": 1.0, "eta": 0.16}], ids=["defaults", "kappa_one_eta_0.16"])
+    def test_shared_scan_reports_equal_standalone_checks(self, overrides):
+        cfg = {**DEFAULTS["verify"], **overrides, "audit_runs_per_case": 0}
+        checks = _verify_checks(cfg)
+        p = contraction.CoverParams(eta=cfg["eta"], gamma=cfg["gamma"], kappa=cfg["kappa"])
+        for kind in cfg["transfer_kinds"]:
+            tf, grids = critical_esn.TransferFunction(kind), (cfg["delta_grid"], cfg["zeta_grid"])
+            assert checks[f"cover_{kind}"] == contraction.verify_cover_inequality(tf, p, *grids)
+            alone = contraction.verify_cover_inequality(tf, p, *grids, cover=contraction.phi_tangent)
+            assert checks[f"cover_k_{kind}"] == replace(alone, grid_spec=checks[f"cover_k_{kind}"].grid_spec)
+            assert alone.grid_spec in checks[f"cover_k_{kind}"].grid_spec
 
     def test_cover_params_reach_tangent_cover_and_step_checks(self, tmp_path, monkeypatch):
         seen = []

@@ -176,6 +176,11 @@ class TestCoverInequality:
         with pytest.raises(ValueError, match=r"zeta in \[-4.0,4.0\] step 1.0: \|delta\| \+ \|zeta\| reaches 9e\+307, past"):
             verify_cover_inequality(tf, delta_grid=(0.0, 9e307, 1e307), zeta_grid=(-4.0, 4.0, 1.0))
 
+    @pytest.mark.parametrize("size", [0, 79, 81])
+    def test_scan_of_the_wrong_length_raises(self, size):
+        with pytest.raises(ValueError, match=r"worst_zeta must have one entry per delta > 0, shape \(80,\)"):
+            verify_cover_inequality(TANH, delta_grid=(0.0, 4.0, 0.05), worst_zeta=np.zeros(size))
+
     def test_report_invariant(self):
         for rep in (verify_cover_inequality(TANH), verify_cover_inequality(LINEAR)):
             assert rep.passed == (rep.worst_margin >= -1e-12)

@@ -35,7 +35,8 @@ from critical_esn.reservoir import (
 )
 from critical_esn.readout import McResult, write_mc_csv
 from critical_esn.transfer import _FORMULAS, LINEAR, SINE_SIGMOID, TANH, TransferFunction
-from oracles import step
+from critical_esn import dynamics
+from oracles import step, twin_trace
 
 A = math.pi / 4
 
@@ -334,6 +335,71 @@ class TestConvergenceTrace:
         tr = convergence_trace(res, IidSign(A, 1), x0, y0, T=100)
         envelope = tr.q[0] * 0.5 ** np.arange(100) * (1 + 1e-9)
         assert np.all(tr.q <= envelope)
+
+
+def _halving_pair(c):
+    """A linear neuron whose twins halve their distance each step from 1e-300 * 2^c, so collide at t = c."""
+    return Reservoir(W=[[0.5]], w_in=[[1.0]], tf=LINEAR), Constant(0.0), [1e-300 * 2.0**c], [0.0]
+
+
+class TestTwinTraceBlocks:
+    # Twin traces step in blocks of 8, 9, 18, 36, ..., 256 steps; blocking
+    # decides only when a collision is looked for, so q and floor_hit_at
+    # match twins stepped and checked one step at a time.
+    _EDGES = [1, 8, 9, 10, 17, 18, 19, 36, 37, 255, 256, 257, 600]
+
+    @staticmethod
+    def _assert_matches_oracle(res, spec, x0, y0, T):
+        tr = convergence_trace(res, spec, x0, y0, T)
+        u = generate_input(spec, T, res.n)
+        q, floor_hit_at = twin_trace(res, u, u, x0, y0)
+        assert tr.q.tobytes() == q.tobytes() and tr.floor_hit_at == floor_hit_at
+        return tr
+
+    @pytest.mark.parametrize("T", _EDGES)
+    def test_horizons_at_block_edges_match_per_step_oracle(self, T):
+        # the critical alternating neuron on its float loop, and k = 4 tanh on the array body
+        self._assert_matches_oracle(make_alternating_neuron(1.0), Alternating(A), [A], [A + 0.01], T)
+        res = Reservoir(W=make_orthogonal_reservoir(4, 1, 0.5, seed=3).W, w_in=[[0.5]] * 4, tf=TANH)
+        rng = np.random.default_rng(T)
+        self._assert_matches_oracle(res, IidSign(A, T), rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4), T)
+
+    @pytest.mark.parametrize("c", [1, 7, 8, 9, 17, 18, 36, 37, 255, 256, 257])
+    def test_collisions_at_block_edges_match_per_step_oracle(self, c):
+        tr = self._assert_matches_oracle(*_halving_pair(c), 600)
+        assert tr.floor_hit_at == c
+
+    def test_collision_at_the_first_step_matches_per_step_oracle(self):
+        # with W = 0 both copies are theta(u_1) at t = 1
+        res = Reservoir(W=[[0.0]], w_in=[[1.0]], tf=SINE_SIGMOID)
+        assert self._assert_matches_oracle(res, IidSign(0.5, 0), [0.3], [-0.2], 50).floor_hit_at == 1
+
+    def test_collision_from_squares_that_underflow_matches_per_step_oracle(self):
+        res = Reservoir(W=[[0.5]], w_in=[[1.0]], tf=LINEAR)
+        assert self._assert_matches_oracle(res, Constant(0.0), [1.0], [0.5], 1200).floor_hit_at == 996
+
+    @pytest.mark.parametrize("c", [3, 9, 40])
+    def test_perturbed_collision_matches_per_step_oracle(self, c):
+        # the copies start equal, which is no collision before they share the input again at t = 2
+        res, spec, (delta,), _ = _halving_pair(c - 1)
+        tr = perturbation_experiment(res, spec, 1, delta, 300)
+        u = generate_input(spec, 300)
+        u_pert = u.copy()
+        u_pert[1] += delta
+        q, floor_hit_at = twin_trace(res, u, u_pert, [0.0], [0.0], shared_from=2)
+        assert tr.q.tobytes() == q.tobytes() and tr.floor_hit_at == floor_hit_at == c
+
+    @pytest.mark.parametrize("c", [1, 4, 5, 8, 9, 17, 18, 19, 36, 100, 255, 256, 257, 700])
+    def test_collision_at_c_steps_at_most_max_8_2c_rows(self, monkeypatch, c):
+        rows, advance = [], dynamics._advance
+
+        def counting(res, u, x, *args):
+            rows.append(len(u))
+            return advance(res, u, x, *args)
+
+        monkeypatch.setattr(dynamics, "_advance", counting)
+        assert convergence_trace(*_halving_pair(c), 2000).floor_hit_at == c
+        assert rows[0::2] == rows[1::2] and sum(rows[0::2]) <= max(8, 2 * c)
 
 
 class TestLinearTwins:

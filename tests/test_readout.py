@@ -17,6 +17,7 @@ from critical_esn.readout import (
 )
 from critical_esn.reservoir import Reservoir, make_orthogonal_reservoir, scale_to_spectrum
 from critical_esn.transfer import LINEAR, TANH
+from oracles import delay_scores_full_block
 
 
 def _scaled(k, target, seed, tf=TANH):
@@ -201,6 +202,14 @@ class TestMemoryCapacity:
         assert delays == list(range(1, max_delay + 1))
         assert all(type(d) is int for d in delays)
         np.testing.assert_allclose([s for _, s in mc.per_delay], expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("max_delay", [13, 100, 400])
+    @pytest.mark.parametrize("k", [8, 100])
+    def test_training_target_blocks_keep_every_bit(self, k, max_delay):
+        # reference: each block of 8 delays stacks its targets over every row, test rows too
+        res = _scaled(k, 0.95, seed=4)
+        mc = memory_capacity(res, 1.0, max_delay, T=1500, seed=3)
+        assert mc.per_delay == delay_scores_full_block(res, 1.0, max_delay, T=1500, seed=3)
 
     def test_delay_blocks_keep_singular_check(self, monkeypatch):
         # two identical neurons: the state matrix has rank one
